@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -152,7 +153,7 @@ func BenchmarkClusterSweepResilient(b *testing.B) {
 // contendedSweepDigest is the SHA-256 of the contended sweep's full point
 // set (offering, cluster size, plan, and every Report/Training float at
 // bit precision), pinned against the pre-ledger append-and-scan
-// implementation. The epoch-bucketed occupancy ledger is an exact
+// implementation. The sorted-array occupancy ledger is an exact
 // reformulation of the interval-overlap count, so the digest must never
 // move: a divergence means the ledger changed *what* is counted, not just
 // how fast.
@@ -180,10 +181,10 @@ func sweepDigest(points []clusterdse.Point) string {
 // must hit the identical structural-cache profile as the ideal one — the
 // same 38 lowerings over the full hardware grid and the same >= 90% bar.
 // The contended report itself is pinned to the pre-ledger fixture digest,
-// and the untimed tail enforces the perf bar (contended wall-clock <= 8x
-// one ideal sweep, measured in-process) plus the knob-off equivalence
-// lock, byte-identical to a sweep that never saw the knob — all enforced
-// on every commit at full sweep scale.
+// and the untimed tail enforces the perf bar (median contended wall-clock
+// <= 6x the ideal sweep's over three in-process pairs) plus the knob-off
+// equivalence lock, byte-identical to a sweep that never saw the knob —
+// all enforced on every commit at full sweep scale.
 func BenchmarkClusterSweepContention(b *testing.B) {
 	m := model.Megatron18_4B()
 	space := clusterSweepSpace()
@@ -228,10 +229,11 @@ func BenchmarkClusterSweepContention(b *testing.B) {
 			d, contendedSweepDigest)
 	}
 
-	// Untimed tail. First the perf bar: one contended sweep and one ideal
-	// sweep timed back to back in this process — the ledger must hold the
-	// contention tax under 8x (the append-and-scan implementation sat near
-	// 85x). Then the equivalence guard: with the knob off the sweep must be
+	// Untimed tail. First the perf bar: three contended/ideal sweep pairs
+	// timed alternately in this process — the median pair must hold the
+	// contention tax to 6x (the append-and-scan implementation sat near
+	// 85x). The median of three rides out one slow pair on a shared host.
+	// Then the equivalence guard: with the knob off the sweep must be
 	// byte-identical — points and cache counters — to one that predates it.
 	sweep := func(s clusterdse.Space) ([]clusterdse.Point, core.CacheStats, time.Duration) {
 		start := time.Now()
@@ -248,15 +250,25 @@ func BenchmarkClusterSweepContention(b *testing.B) {
 	}
 	contSpace := clusterSweepSpace()
 	contSpace.Contention = true
-	_, _, contElapsed := sweep(contSpace)
 	offSpace := clusterSweepSpace()
 	offSpace.Contention = false
-	offPoints, offStats, idealElapsed := sweep(offSpace)
-	ratio := float64(contElapsed) / float64(max(idealElapsed, 1))
+	var (
+		offPoints []clusterdse.Point
+		offStats  core.CacheStats
+		ratios    [3]float64
+	)
+	for i := range ratios {
+		_, _, contElapsed := sweep(contSpace)
+		var idealElapsed time.Duration
+		offPoints, offStats, idealElapsed = sweep(offSpace)
+		ratios[i] = float64(contElapsed) / float64(max(idealElapsed, 1))
+	}
+	slices.Sort(ratios[:])
+	ratio := ratios[len(ratios)/2]
 	b.ReportMetric(ratio, "contention_tax_x")
-	if ratio > 8 {
-		b.Fatalf("contended sweep took %v vs ideal %v (%.1fx), want <= 8x",
-			contElapsed, idealElapsed, ratio)
+	if ratio > 6 {
+		b.Fatalf("median contended/ideal sweep ratio %.1fx over pairs %.1f, want <= 6x",
+			ratio, ratios)
 	}
 	defPoints, defStats, _ := sweep(clusterSweepSpace())
 	if !reflect.DeepEqual(offPoints, defPoints) {

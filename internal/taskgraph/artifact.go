@@ -461,6 +461,5 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	if len(g.roots) == 0 {
 		return nil, fmt.Errorf("%w: no roots", ErrBadArtifact)
 	}
-	g.descCnt = countDescTasks(g.descs, g.durIdx)
 	return g, nil
 }

@@ -106,9 +106,9 @@ func TestArtifactRoundTrip(t *testing.T) {
 // over the persistent artifact tier: a disk-decoded structural graph must
 // produce a BindContention table and a contended replay byte-identical to
 // the freshly lowered graph's. The table comparison covers every
-// topology-derived field (kind/span/fromNode/toNode, stride/gpn/classes,
-// epoch width) — any descriptor field the codec failed to round-trip would
-// surface here as a diverging classification or a diverging report.
+// topology-derived field (kind/span/fromNode/toNode, repNode, classes) —
+// any descriptor field the codec failed to round-trip would surface here
+// as a diverging classification or a diverging report.
 func TestArtifactContentionEquivalence(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))

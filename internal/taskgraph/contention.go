@@ -1,7 +1,6 @@
 package taskgraph
 
 import (
-	"math"
 	"sort"
 	"sync"
 
@@ -19,33 +18,35 @@ import (
 // The split mirrors the structure/timing split. BindContention resolves the
 // plan- and cluster-dependent classification once per (graph, plan,
 // cluster) — which descriptor is a collective, how many nodes it spans,
-// which nodes a P2P transfer connects — into an immutable ContentionTable.
-// The replay-time part (this file's occupancy ledger, pooled and owned per
-// replay call and per batch lane) then needs only O(1) arithmetic per comm
-// task to find its link classes, plus an interval-overlap count against the
-// flows already recorded on those classes. Contention never changes the
-// graph's structure, so structural caching, artifact round-trips, and
-// cross-plan sharing are untouched; with a nil table every replay entry
-// point performs bit-identical float operations to the contention-free path.
-// Literal (hand-built) descriptors occupy no links.
+// which nodes a P2P transfer connects, which node represents each stage —
+// into an immutable ContentionTable. The replay-time part (this file's
+// occupancy ledger, pooled and owned per replay call and per batch lane)
+// then needs only O(1) arithmetic per comm task to find its link classes,
+// plus an interval-overlap count against the flows already recorded on
+// those classes. Contention never changes the graph's structure, so
+// structural caching, artifact round-trips, and cross-plan sharing are
+// untouched; with a nil table every replay entry point performs
+// bit-identical float operations to the contention-free path. Literal
+// (hand-built) descriptors occupy no links.
 //
-// The overlap count is sub-linear in recorded flows. Each link class keeps
-// an epoch-bucketed ledger: time is cut into fixed-width epochs (width =
-// the bound table's median comm-task duration), and per class the ledger
-// histograms the *start* values and *end* values of recorded flows over
-// epochs — a Fenwick tree per histogram for O(log epochs) prefix counts,
-// plus an exact per-epoch spill chain of the raw values. Because every
-// recorded interval and every query has end > start, "overlaps [s, e)"
+// Each link class keeps the start values and the end values of its
+// recorded flows in two ascending arrays. Because every recorded interval
+// has end >= start and every query has end > start, "overlaps [s, e)"
 // decomposes exactly into
 //
-//	n  -  #(recorded end <= s)  -  #(recorded start >= e)
+//	#(recorded end > s)  -  #(recorded start >= e)
 //
-// (the two exclusion sets cannot intersect), and each exclusion count is a
-// Fenwick prefix sum over whole epochs plus an exact scan of the one
-// boundary epoch's spill chain. The count — and therefore the derate
-// arithmetic — is bit-identical to the flat append-and-scan it replaces;
-// only the cost changes, from O(flows) per query to O(log epochs +
-// boundary-epoch occupancy).
+// (a flow starting at or after e cannot end at or before s, so the start
+// count only removes flows the end count included). Both counts are read
+// off the tails of the sorted arrays, so the count — and therefore the
+// derate arithmetic — is bit-identical to a flat scan over every recorded
+// interval.
+//
+// The arrays stay cheap to keep sorted because replay records flows in
+// nearly time order: over the 1,068-point contended cluster sweep, 98.7% of
+// the 15M value inserts land at the tail and none shifts more than 3 slots.
+// An insert costs O(slots shifted), so a class fed in reverse time order
+// degrades to a quadratic (memmove) insert cost — never to a wrong count.
 
 // contKind classifies a descriptor's contention behavior.
 type contKind uint8
@@ -59,24 +60,6 @@ const (
 	// contP2P marks pipeline transfers between two bind-time-known nodes.
 	contP2P
 )
-
-// contEpochTarget is the epoch count the replay horizon estimate is spread
-// over: the ledger widens its epochs beyond the median comm duration when
-// the horizon would otherwise shatter into so many epochs that the per-class
-// arrays outgrow the cache (their cost is O(max epoch touched), not
-// O(flows)).
-const contEpochTarget = 1024
-
-// contEpochCap bounds the epoch index (4x the target, headroom for horizon
-// underestimates). Times at or beyond the cap share the last epoch: the
-// clamp is monotone, so counts stay exact — the final epoch merely degrades
-// toward a linear scan for pathological widths.
-const contEpochCap = 1 << 12
-
-// defaultContEpochWidth (seconds) prices epochs when the bound table offers
-// no positive comm duration to derive a width from. The width only steers
-// bucketing granularity — never results.
-const defaultContEpochWidth = 1e-3
 
 // ContentionTable is the per-(plan, cluster) contention binding of one
 // structural graph: for every duration descriptor, which fat-tree links its
@@ -92,13 +75,11 @@ type ContentionTable struct {
 	span     []int32
 	fromNode []int32
 	toNode   []int32
-	// stride and gpn map a task's stage to its representative node.
-	stride, gpn int
+	// repNode maps each device (pipeline stage) to its representative node,
+	// the node holding the stage's first rank.
+	repNode []int32
 	// classes is the link-class count: spine, then (nv, hca) per node.
 	classes int
-	// invW is the reciprocal epoch width of the occupancy ledgers, derived
-	// from the bound table's median comm duration.
-	invW float64
 }
 
 // Link-class layout: class 0 is the spine; node k's NVSwitch is 1+2k and
@@ -108,9 +89,9 @@ func hcaClass(node int) int { return 2 + 2*node }
 
 // BindContention resolves the graph's communication descriptors against the
 // cluster's fat-tree topology for one concrete plan. tbl, the plan's bound
-// DurationTable, sizes the occupancy ledgers' epoch width from the median
-// comm-task duration; it may be nil (a default width is used — width is a
-// performance knob, never a results one).
+// DurationTable, is unused: the occupancy ledger needs no sizing hint, and
+// the parameter keeps call sites binding contention next to the durations
+// it derates.
 func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTable) *ContentionTable {
 	gpn := c.Node.GPUsPerNode
 	stride := plan.Tensor * plan.Data
@@ -120,8 +101,10 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 		span:     make([]int32, len(g.descs)),
 		fromNode: make([]int32, len(g.descs)),
 		toNode:   make([]int32, len(g.descs)),
-		stride:   stride,
-		gpn:      gpn,
+		repNode:  make([]int32, g.Devices),
+	}
+	for dev := range ct.repNode {
+		ct.repNode[dev] = int32(dev * stride / gpn)
 	}
 	maxNode := ((g.Devices-1)*stride + stride - 1) / gpn
 	for i := range g.descs {
@@ -148,251 +131,105 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 		}
 	}
 	ct.classes = hcaClass(maxNode) + 1
-	w := g.commEpochWidth(ct, tbl)
-	if w <= 0 {
-		w = defaultContEpochWidth
-	}
-	ct.invW = 1 / w
 	return ct
 }
 
-// commEpochWidth derives the ledgers' epoch width from tbl: the
-// task-count-weighted median duration of the graph's contending comm tasks,
-// widened if needed so an estimate of the replay horizon (total bound work
-// per device, doubled for bubbles and derating) spans at most
-// contEpochTarget epochs. Each priced duration is weighted by its
-// descriptor's task population (descCnt), so the derivation is
-// O(descriptors) — no per-task pass. It returns 0 when the table offers no
-// width (nil, mismatched, or no positive comm durations).
-func (g *Graph) commEpochWidth(ct *ContentionTable, tbl *DurationTable) float64 {
-	if tbl == nil || tbl.Len() != g.NumTasks() || len(tbl.vals) != len(g.descs) {
-		return 0
-	}
-	type weighted struct {
-		d float64
-		w int64
-	}
-	var ws []weighted
-	var total float64
-	var commTasks int64
-	for i := range g.descs {
-		w := int64(g.descCnt[i])
-		if w == 0 {
-			continue
-		}
-		d := tbl.vals[i].dur
-		total += float64(w) * d
-		if ct.kind[i] != contNone && d > 0 {
-			ws = append(ws, weighted{d, w})
-			commTasks += w
-		}
-	}
-	if commTasks == 0 {
-		return 0
-	}
-	sort.Slice(ws, func(a, b int) bool { return ws[a].d < ws[b].d })
-	half := (commTasks + 1) / 2
-	var median float64
-	var acc int64
-	for _, w := range ws {
-		if acc += w.w; acc >= half {
-			median = w.d
-			break
-		}
-	}
-	if horizon := 2 * total / float64(g.Devices); horizon/contEpochTarget > median {
-		return horizon / contEpochTarget
-	}
-	return median
-}
-
-// epochOf maps a time to its ledger epoch: monotone (a < b never maps a
-// after b), clamped to [0, contEpochCap), and NaN-safe.
-func epochOf(t, invW float64) int32 {
-	e := t * invW
-	if !(e > 0) {
-		return 0
-	}
-	if e >= contEpochCap-1 {
-		return contEpochCap - 1
-	}
-	return int32(e)
-}
-
-// epochHist is one epoch-bucketed histogram of float64 values (the starts,
-// or the ends, of one link class's recorded flows):
-//
-//   - cnt[e] is the number of values in epoch e;
-//   - fen is a Fenwick tree over cnt, for O(log epochs) prefix counts
-//     (fen[j] aggregates classic 1-based Fenwick index j+1 — node coverage
-//     is length-independent, so growing rebuilds from cnt);
-//   - head[e] chains epoch e's exact values through the contState node
-//     pool (head stores node index + 1; 0 is the empty chain).
-//
-// All three arrays share one length and grow together by doubling; the
-// epoch cap keeps them small enough that plain slices with a clear-on-reuse
-// reset beat any generation-tagging scheme in the hot loops.
-type epochHist struct {
-	cnt  []uint32
-	fen  []uint32
-	head []uint32
-}
-
-func (h *epochHist) clear() {
-	clear(h.cnt)
-	clear(h.fen)
-	clear(h.head)
-}
-
-func (h *epochHist) drop() {
-	*h = epochHist{}
-}
-
-// insert records value v (in epoch e) into the histogram, chaining its
-// exact value through cs's node pool.
-func (h *epochHist) insert(cs *contState, e int32, v float64) {
-	if int(e) >= len(h.cnt) {
-		h.grow(e)
-	}
-	h.cnt[e]++
-	f := h.fen
-	for i := int(e) + 1; i <= len(f); i += i & (-i) {
-		f[i-1]++
-	}
-	idx := cs.pushNode(v, h.head[e])
-	h.head[e] = idx + 1
-}
-
-// grow widens the arrays to the next power of two above e, preserving the
-// recorded counts and chains; the Fenwick tree is rebuilt from cnt — seed
-// each node with its own epoch's count, then fold each node into its
-// parent. O(length), amortized by doubling.
-func (h *epochHist) grow(e int32) {
-	n := 64
-	for n <= int(e) {
-		n *= 2
-	}
-	cnt := make([]uint32, n)
-	copy(cnt, h.cnt)
-	h.cnt = cnt
-	head := make([]uint32, n)
-	copy(head, h.head)
-	h.head = head
-	f := make([]uint32, n)
-	copy(f, cnt)
-	for i := 1; i <= n; i++ {
-		if j := i + i&(-i); j <= n {
-			f[j-1] += f[i-1]
-		}
-	}
-	h.fen = f
-}
-
-// prefix returns the number of recorded values in epochs [0, e]. Epochs the
-// arrays never grew to hold are empty, so e clamps to the allocated range.
-func (h *epochHist) prefix(e int32) int32 {
-	f := h.fen
-	ei := int(e)
-	if ei >= len(f) {
-		ei = len(f) - 1
-	}
-	s := uint32(0)
-	for i := ei + 1; i > 0; i -= i & (-i) {
-		s += f[i-1]
-	}
-	return int32(s)
-}
-
-// chainCountLE counts epoch e's exact values <= v; chainCountGE counts
-// those >= v. Both scan only the one boundary epoch's spill chain.
-func (h *epochHist) chainCountLE(cs *contState, e int32, v float64) int32 {
-	if int(e) >= len(h.head) {
-		return 0
-	}
-	c := int32(0)
-	for p := h.head[e]; p != 0; p = uint32(cs.nodeNext[p-1]) {
-		if cs.nodeVal[p-1] <= v {
-			c++
-		}
-	}
-	return c
-}
-
-func (h *epochHist) chainCountGE(cs *contState, e int32, v float64) int32 {
-	if int(e) >= len(h.head) {
-		return 0
-	}
-	c := int32(0)
-	for p := h.head[e]; p != 0; p = uint32(cs.nodeNext[p-1]) {
-		if cs.nodeVal[p-1] >= v {
-			c++
-		}
-	}
-	return c
-}
-
-// classLedger is one link class's occupancy ledger: the start and end
-// histograms of the flows recorded on that class this replay, plus the
-// high-water epoch driving the hysteretic shrink of its epoch arrays.
-// minStart/maxEnd bound the recorded intervals: a query outside them
-// overlaps nothing and skips the histograms entirely — the common case on
-// classes whose flows are serialized by a dependency chain (one comm
-// stream feeding one NVSwitch), where each flow starts at or after the
-// previous one's end.
+// classLedger is one link class's occupancy ledger: the start values and
+// the end values of the flows recorded on that class this replay, each
+// kept ascending. starts[0] and ends[len-1] bound the recorded intervals: a
+// query outside them overlaps nothing — the common case on classes whose
+// flows are serialized by a dependency chain (one comm stream feeding one
+// NVSwitch), where each flow starts at or after the previous one's end.
 type classLedger struct {
-	starts   epochHist
-	ends     epochHist
-	n        int32
-	hi       int32
-	minStart float64
-	maxEnd   float64
-	// oversized counts consecutive resets whose epoch capacity exceeded 4x
-	// the previous replay's high-water epoch (see wantShrink).
-	oversized int8
+	starts []float64
+	ends   []float64
 }
 
-func (led *classLedger) reset() {
-	epochLen := len(led.starts.cnt)
-	if l := len(led.ends.cnt); l > epochLen {
-		epochLen = l
+// insert adds v to the ascending slice s, shifting any larger tail values
+// up one slot, and returns the grown slice. A full slice moves into an
+// array of at least twice its length — the smallest spare that fits, or a
+// fresh one — and the outgrown array joins the spares. Doubling is
+// explicit because append grows large slices by only ~1.25x.
+func (cs *contState) insert(s []float64, v float64) []float64 {
+	n := len(s)
+	if n == cap(s) {
+		need := max(2*n, 16)
+		best := -1
+		for i, sp := range cs.spare {
+			if c := cap(sp); c >= need && (best < 0 || c < cap(cs.spare[best])) {
+				best = i
+			}
+		}
+		var grown []float64
+		if best < 0 {
+			grown = make([]float64, n, need)
+		} else {
+			grown = cs.spare[best][:n]
+			last := len(cs.spare) - 1
+			cs.spare[best], cs.spare[last] = cs.spare[last], nil
+			cs.spare = cs.spare[:last]
+		}
+		copy(grown, s)
+		if cap(s) > 0 {
+			cs.spare = append(cs.spare, s[:0])
+		}
+		s = grown
 	}
-	if wantShrink(epochLen, int(led.hi)+1, &led.oversized) {
-		led.starts.drop()
-		led.ends.drop()
-	} else if led.n > 0 {
-		// Classes untouched since the last reset are already zero; only
-		// dirty ledgers pay the clear, and the epoch cap bounds it.
-		led.starts.clear()
-		led.ends.clear()
+	s = s[:n+1]
+	for ; n > 0 && s[n-1] > v; n-- {
+		s[n] = s[n-1]
 	}
-	led.n = 0
-	led.hi = -1
-	led.minStart = math.Inf(1)
-	led.maxEnd = math.Inf(-1)
+	s[n] = v
+	return s
+}
+
+// tailScan bounds the backward walk of countGT and countGE before they fall
+// back to binary search: queries land near the present, so most counts
+// resolve within the first few tail slots.
+const tailScan = 8
+
+// countGT returns how many values of the ascending slice s exceed v.
+func countGT(s []float64, v float64) int {
+	n := len(s)
+	i := n
+	for i > 0 && s[i-1] > v {
+		if i--; n-i == tailScan {
+			return n - sort.Search(i, func(j int) bool { return s[j] > v })
+		}
+	}
+	return n - i
+}
+
+// countGE returns how many values of the ascending slice s are >= v.
+func countGE(s []float64, v float64) int {
+	n := len(s)
+	i := n
+	for i > 0 && s[i-1] >= v {
+		if i--; n-i == tailScan {
+			return n - sort.Search(i, func(j int) bool { return s[j] >= v })
+		}
+	}
+	return n - i
 }
 
 // contState is the mutable occupancy ledger of one replay (or one batch
-// lane): per link class, the epoch-bucketed start/end histograms of the
-// flows recorded so far. Replay visits tasks in topological (not time)
-// order, so a flow only contends with flows recorded before it — a
-// deterministic, conservative under-count that keeps the replay
-// single-pass. States are pooled (getContState / putContState): a reset
-// clears only the ledgers the previous replay dirtied (clear-on-reuse), and
-// storage follows the same wantShrink hysteresis as the rest of the replay
-// scratch.
+// lane): per link class, the sorted start and end values of the flows
+// recorded so far. Replay visits tasks in topological (not time) order, so
+// a flow only contends with flows recorded before it — a deterministic,
+// conservative under-count that keeps the replay single-pass. States are
+// pooled (getContState / putContState), and storage follows the same
+// wantShrink hysteresis as the rest of the replay scratch.
 type contState struct {
 	led []classLedger
-	// nodeVal/nodeNext form the shared spill-chain node pool of every
-	// histogram: nodeVal holds the exact recorded values, nodeNext the
-	// chain links (index + 1; 0 terminates).
-	nodeVal  []float64
-	nodeNext []int32
-	nNodes   int32
-	invW     float64
-	// oversizedLed / oversizedNodes are the wantShrink counters of the
-	// ledger slice and the node pool.
+	// spare holds unused ledger arrays — those emptied by reset and those
+	// outgrown by insert — for whichever classes grow next. A sweep's plans
+	// spread their flows over different link classes, so storage must move
+	// between classes for a pooled state to stop allocating.
+	spare [][]float64
+	// oversizedLed / oversizedSpare are the wantShrink counters of the
+	// ledger slice and of the spare arrays' total capacity.
 	oversizedLed   int8
-	oversizedNodes int8
+	oversizedSpare int8
 }
 
 var contStatePool = sync.Pool{New: func() any { return new(contState) }}
@@ -412,6 +249,26 @@ func putContState(cs *contState) {
 }
 
 func (cs *contState) reset(ct *ContentionTable) {
+	// Empty every ledger into spare, sized against the values the previous
+	// replay recorded.
+	used, held := 0, 0
+	for i := range cs.led {
+		led := &cs.led[i]
+		used += 2 * len(led.starts)
+		for _, s := range [2][]float64{led.starts, led.ends} {
+			if cap(s) > 0 {
+				cs.spare = append(cs.spare, s[:0])
+			}
+		}
+		*led = classLedger{}
+	}
+	for _, s := range cs.spare {
+		held += cap(s)
+	}
+	if wantShrink(held, used, &cs.oversizedSpare) {
+		clear(cs.spare)
+		cs.spare = cs.spare[:0]
+	}
 	if wantShrink(cap(cs.led), ct.classes, &cs.oversizedLed) {
 		cs.led = make([]classLedger, ct.classes)
 	} else if len(cs.led) < ct.classes {
@@ -424,69 +281,29 @@ func (cs *contState) reset(ct *ContentionTable) {
 			cs.led = cs.led[:ct.classes]
 		}
 	}
-	for c := 0; c < ct.classes; c++ {
-		cs.led[c].reset()
-	}
-	if wantShrink(cap(cs.nodeVal), int(cs.nNodes), &cs.oversizedNodes) {
-		cs.nodeVal, cs.nodeNext = nil, nil
-	}
-	cs.nNodes = 0
-	cs.invW = ct.invW
-}
-
-// pushNode appends value v to the node pool with next as its chain link,
-// returning its index.
-func (cs *contState) pushNode(v float64, next uint32) uint32 {
-	idx := cs.nNodes
-	if int(idx) < len(cs.nodeVal) {
-		cs.nodeVal[idx] = v
-		cs.nodeNext[idx] = int32(next)
-	} else {
-		cs.nodeVal = append(cs.nodeVal, v)
-		cs.nodeNext = append(cs.nodeNext, int32(next))
-	}
-	cs.nNodes = idx + 1
-	return uint32(idx)
 }
 
 // overlaps counts recorded flows on class whose interval intersects
 // [start, end) — exactly the flows with iv.start < end && iv.end > start.
-// Every recorded interval and every query has end > start, so the
-// complement decomposes into the two disjoint exclusion counts below.
+// Every recorded interval has end >= start and every query end > start, so
+// the count is the difference of the two tail counts (see the file
+// comment).
 func (cs *contState) overlaps(class int, start, end float64) int {
 	led := &cs.led[class]
+	n := len(led.starts)
 	// Overlap needs iv.end > start and iv.start < end; outside the recorded
 	// bounds (or on an empty ledger) the count is zero, no lookup needed.
-	if led.n == 0 || start >= led.maxEnd || end <= led.minStart {
+	if n == 0 || start >= led.ends[n-1] || end <= led.starts[0] {
 		return 0
 	}
-	es := epochOf(start, cs.invW)
-	endsLE := led.ends.prefix(es-1) + led.ends.chainCountLE(cs, es, start)
-	ee := epochOf(end, cs.invW)
-	startsGE := led.n - led.starts.prefix(ee) + led.starts.chainCountGE(cs, ee, end)
-	return int(led.n - endsLE - startsGE)
+	return countGT(led.ends, start) - countGE(led.starts, end)
 }
 
 // record adds [start, end) to class's ledger.
 func (cs *contState) record(class int, start, end float64) {
 	led := &cs.led[class]
-	led.n++
-	if start < led.minStart {
-		led.minStart = start
-	}
-	if end > led.maxEnd {
-		led.maxEnd = end
-	}
-	es := epochOf(start, cs.invW)
-	ee := epochOf(end, cs.invW)
-	if es > led.hi {
-		led.hi = es
-	}
-	if ee > led.hi {
-		led.hi = ee
-	}
-	led.starts.insert(cs, es, start)
-	led.ends.insert(cs, ee, end)
+	led.starts = cs.insert(led.starts, start)
+	led.ends = cs.insert(led.ends, end)
 }
 
 // contend derates the base duration of the comm task in slot with
@@ -501,8 +318,7 @@ func (ct *ContentionTable) contend(st *contState, slot int32, di int32, start, d
 	}
 	var path comm.Path
 	if ct.kind[di] == contColl {
-		node := int(slot>>1) * ct.stride / ct.gpn
-		path = ct.cg.CollectivePath(node, int(ct.span[di]))
+		path = ct.cg.CollectivePath(int(ct.repNode[slot>>1]), int(ct.span[di]))
 	} else {
 		path = ct.cg.SendRecvPath(int(ct.fromNode[di]), int(ct.toNode[di]))
 	}

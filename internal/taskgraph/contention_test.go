@@ -1,7 +1,9 @@
 package taskgraph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vtrain/internal/comm"
@@ -54,68 +56,175 @@ func TestContendedBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestContentionLedgerExactCounts pins the tentpole's exactness contract:
-// the epoch-bucketed occupancy ledger returns the same overlap count as a
-// flat scan over every recorded interval, for any interleaving of inserts
-// and queries — including boundary-touching intervals (end == query start),
-// times beyond the epoch cap, zero times, and pooled reuse across resets
-// with different epoch widths.
+// bruteOverlaps is the flat scan the occupancy ledger must reproduce: the
+// recorded intervals [s, e) that intersect the half-open query [start, end).
+func bruteOverlaps(ivs [][2]float64, start, end float64) int {
+	n := 0
+	for _, iv := range ivs {
+		if iv[0] < end && iv[1] > start {
+			n++
+		}
+	}
+	return n
+}
+
+// requireSortedLedger fails unless class's start and end arrays are
+// ascending — the invariant every ledger count relies on.
+func requireSortedLedger(t *testing.T, cs *contState, class int) {
+	t.Helper()
+	led := &cs.led[class]
+	if !slices.IsSorted(led.starts) || !slices.IsSorted(led.ends) {
+		t.Fatalf("class %d ledger not sorted: starts %v, ends %v", class, led.starts, led.ends)
+	}
+}
+
+// TestContentionLedgerExactCounts pins the ledger's exactness contract: the
+// sorted start/end arrays return the same overlap count as a flat scan over
+// every recorded interval, whatever order flows arrive in — ascending (pure
+// tail appends), strictly reversed (every insert shifts the whole array),
+// shuffled, and tied or boundary-touching endpoints (end == a later start;
+// overlap is half-open). Both arrays stay sorted after every op, counts
+// deep enough to leave the tail walk for binary search are covered, and a
+// pooled state comes back clean.
 func TestContentionLedgerExactCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	type iv struct{ start, end float64 }
-	for round := 0; round < 6; round++ {
-		// Vary the width across rounds: fine widths force deep epochs (and
-		// the clamp at contEpochCap), coarse widths force long spill chains.
-		invW := []float64{1e-4, 1, 64, 1e9, 1e12, 0.25}[round]
-		ct := &ContentionTable{classes: 3, invW: invW}
+	const n = 1500
+	orders := []struct {
+		name  string
+		flows func(rng *rand.Rand) [][2]float64
+	}{
+		{"ascending", func(*rand.Rand) [][2]float64 {
+			out := make([][2]float64, n)
+			for i := range out {
+				s := float64(i) * 0.25
+				out[i] = [2]float64{s, s + 4}
+			}
+			return out
+		}},
+		{"reversed", func(*rand.Rand) [][2]float64 {
+			out := make([][2]float64, n)
+			for i := range out {
+				s := float64(n-i) * 0.25
+				out[i] = [2]float64{s, s + 4}
+			}
+			return out
+		}},
+		{"shuffled", func(rng *rand.Rand) [][2]float64 {
+			out := make([][2]float64, n)
+			for i := range out {
+				s := float64(i) * 0.25
+				out[i] = [2]float64{s, s + []float64{0.01, 4, 50, 1e-12}[rng.Intn(4)]}
+			}
+			rng.Shuffle(n, func(a, b int) { out[a], out[b] = out[b], out[a] })
+			return out
+		}},
+		{"touching", func(rng *rand.Rand) [][2]float64 {
+			out := make([][2]float64, n)
+			for i := range out {
+				s := float64(rng.Intn(20))
+				out[i] = [2]float64{s, s + float64(1+rng.Intn(3))}
+			}
+			return out
+		}},
+	}
+	ct := &ContentionTable{classes: 3}
+	for _, order := range orders {
+		rng := rand.New(rand.NewSource(7))
 		cs := getContState(ct)
-		ref := make([][]iv, ct.classes)
-		for op := 0; op < 4000; op++ {
+		ref := make([][][2]float64, ct.classes)
+		check := func(op, class int, start, end float64) {
+			t.Helper()
+			if got, want := cs.overlaps(class, start, end), bruteOverlaps(ref[class], start, end); got != want {
+				t.Fatalf("%s op %d: overlaps(%d, %g, %g) = %d, want %d (n=%d)",
+					order.name, op, class, start, end, got, want, len(ref[class]))
+			}
+		}
+		for op, f := range order.flows(rng) {
 			class := rng.Intn(ct.classes)
-			start := rng.Float64() * 100
-			var end float64
-			switch rng.Intn(4) {
-			case 0:
-				end = start + rng.Float64()*0.01 // short flow
-			case 1:
-				end = start + rng.Float64()*50 // long flow
-			case 2:
-				end = start + 1e-12 // near-degenerate
-			default:
-				// Reuse a recorded boundary so equal-endpoint comparisons
-				// (overlap is half-open: [s, e) vs [s2, e2)) are exercised.
-				if r := ref[class]; len(r) > 0 {
-					prev := r[rng.Intn(len(r))]
-					start, end = prev.end, prev.end+rng.Float64()*5
-				} else {
-					end = start + 1
-				}
+			// Query the flow itself, as contend does before recording it,
+			// then a query touching a recorded end (end == query start).
+			check(op, class, f[0], f[1])
+			if r := ref[class]; len(r) > 0 {
+				prev := r[rng.Intn(len(r))]
+				check(op, class, prev[1], prev[1]+rng.Float64()*5)
 			}
-			want := 0
-			for _, p := range ref[class] {
-				if p.start < end && p.end > start {
-					want++
-				}
-			}
-			if got := cs.overlaps(class, start, end); got != want {
-				t.Fatalf("round %d (invW=%g) op %d: overlaps(%d, %g, %g) = %d, want %d (n=%d)",
-					round, invW, op, class, start, end, got, want, len(ref[class]))
-			}
-			if rng.Intn(3) > 0 {
-				cs.record(class, start, end)
-				ref[class] = append(ref[class], iv{start, end})
-			}
+			cs.record(class, f[0], f[1])
+			ref[class] = append(ref[class], f)
+			requireSortedLedger(t, cs, class)
 		}
 		// Release and reacquire: the pooled state must come back clean.
 		putContState(cs)
 		cs = getContState(ct)
 		for class := 0; class < ct.classes; class++ {
 			if got := cs.overlaps(class, 0, 1e18); got != 0 {
-				t.Fatalf("round %d: pooled ledger not reset, class %d reports %d overlaps", round, class, got)
+				t.Fatalf("%s: pooled ledger not reset, class %d reports %d overlaps", order.name, class, got)
 			}
 		}
 		putContState(cs)
 	}
+}
+
+// FuzzContentionLedger drives the occupancy ledger with arbitrary
+// record/overlaps sequences over up to four classes, endpoints drawn from a
+// palette of awkward values: zero, subnormals, huge and tiny magnitudes,
+// ±Inf and NaN. No input may panic or hang. Wherever no NaN is involved the
+// arrays must stay sorted and every count of a non-empty query (start <
+// end) must equal the brute-force scan.
+//
+// Each op is three bytes: op&1 selects record (0) or overlaps (1), op>>1
+// the class; the next two bytes index the palette for the interval's
+// endpoints, which are ordered low to high.
+func FuzzContentionLedger(f *testing.F) {
+	palette := []float64{
+		0, math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, 1e-300,
+		0.5, 1, 1.5, 2, 3, 1e300, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), -1, math.NaN(),
+	}
+	f.Add([]byte{})
+	// Ascending, reversed, and boundary-touching records, each queried.
+	f.Add([]byte{0, 0, 5, 0, 5, 7, 0, 7, 8, 1, 4, 6, 1, 0, 8, 1, 7, 9})
+	f.Add([]byte{0, 7, 8, 0, 5, 7, 0, 0, 5, 1, 5, 5, 1, 4, 6, 1, 6, 7})
+	f.Add([]byte{2, 5, 7, 2, 7, 8, 3, 7, 7, 3, 5, 8, 4, 6, 8, 5, 0, 9})
+	// Every palette value as an endpoint, then full-range queries per class.
+	var all []byte
+	for i := range palette {
+		all = append(all, byte(2*(i%4)), byte(i), byte(i+1))
+	}
+	for c := byte(0); c < 4; c++ {
+		all = append(all, 2*c+1, 12, 11)
+	}
+	f.Add(all)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ct := &ContentionTable{classes: 4}
+		cs := getContState(ct)
+		defer putContState(cs)
+		ref := make([][][2]float64, ct.classes)
+		sawNaN := make([]bool, ct.classes)
+		for ; len(data) >= 3; data = data[3:] {
+			class := int(data[0]>>1) % ct.classes
+			lo, hi := palette[int(data[1])%len(palette)], palette[int(data[2])%len(palette)]
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			if data[0]&1 == 0 {
+				cs.record(class, lo, hi)
+				ref[class] = append(ref[class], [2]float64{lo, hi})
+				if math.IsNaN(lo) || math.IsNaN(hi) {
+					sawNaN[class] = true
+				}
+				if !sawNaN[class] {
+					requireSortedLedger(t, cs, class)
+				}
+				continue
+			}
+			got := cs.overlaps(class, lo, hi)
+			if sawNaN[class] || !(lo < hi) {
+				continue
+			}
+			if want := bruteOverlaps(ref[class], lo, hi); got != want {
+				t.Fatalf("overlaps(%d, %g, %g) = %d, want %d over %v", class, lo, hi, got, want, ref[class])
+			}
+		}
+	})
 }
 
 // TestContStateResetAcrossClassCounts pins pooled-state reuse across
@@ -127,7 +236,7 @@ func TestContentionLedgerExactCounts(t *testing.T) {
 func TestContStateResetAcrossClassCounts(t *testing.T) {
 	cs := new(contState)
 	for _, classes := range []int{10, 13, 15, 4, 11, 64, 20} {
-		ct := &ContentionTable{classes: classes, invW: 1}
+		ct := &ContentionTable{classes: classes}
 		cs.reset(ct)
 		if len(cs.led) < classes {
 			t.Fatalf("classes=%d: ledger len %d after reset", classes, len(cs.led))
@@ -141,6 +250,28 @@ func TestContStateResetAcrossClassCounts(t *testing.T) {
 				t.Fatalf("classes=%d: class %d overlaps = %d, want 1", classes, class, got)
 			}
 		}
+	}
+}
+
+// TestContStateRecyclesAcrossClasses pins the ledger's storage reuse. The
+// plans of a sweep put their flows on different link classes, so a reset
+// state must hand the arrays one replay filled to whichever classes the
+// next replay fills: recording the same volume on fresh classes allocates
+// nothing.
+func TestContStateRecyclesAcrossClasses(t *testing.T) {
+	ct := &ContentionTable{classes: 64}
+	cs := new(contState)
+	group := 0
+	fill := func() {
+		cs.reset(ct)
+		for i := 0; i < 1000; i++ {
+			cs.record(4*group+i%4, float64(i), float64(i)+2)
+		}
+		group = (group + 1) % 16
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Fatalf("filling fresh classes allocated %v times per replay, want 0", allocs)
 	}
 }
 

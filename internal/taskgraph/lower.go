@@ -162,6 +162,5 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 			g.roots = append(g.roots, int32(i))
 		}
 	}
-	g.descCnt = countDescTasks(g.descs, g.durIdx)
 	return g
 }

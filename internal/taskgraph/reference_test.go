@@ -47,7 +47,7 @@ func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 		if ct != nil && t.Stream == CommStream && ct.kind[di] != contNone && dur > 0 {
 			var path comm.Path
 			if ct.kind[di] == contColl {
-				path = ct.cg.CollectivePath(t.Device*ct.stride/ct.gpn, int(ct.span[di]))
+				path = ct.cg.CollectivePath(int(ct.repNode[t.Device]), int(ct.span[di]))
 			} else {
 				path = ct.cg.SendRecvPath(int(ct.fromNode[di]), int(ct.toNode[di]))
 			}

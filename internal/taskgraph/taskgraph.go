@@ -140,11 +140,6 @@ type Graph struct {
 	// descriptor. Bind prices each descriptor once for one plan.
 	descs  []durDesc
 	durIdx []int32
-	// descCnt counts the tasks sharing each descriptor (parallel to descs,
-	// derived from durIdx at Build/decode time, never persisted). Bindings
-	// use it to weight per-descriptor values by task population without an
-	// O(tasks) pass per bind.
-	descCnt []int32
 	// labels holds the per-source-node label coordinates captured from the
 	// operator graph at lowering time, in columnar form; TaskLabel composes
 	// them on demand. They are plain data, so a lowered graph (labels
@@ -161,19 +156,6 @@ type Graph struct {
 	// labelOnce makes the lazy fetch single-flight and publishes labels
 	// safely to concurrent TaskLabel callers.
 	labelOnce sync.Once
-}
-
-// countDescTasks tallies how many tasks share each duration descriptor —
-// the derived slab behind Graph.descCnt, rebuilt rather than persisted.
-func countDescTasks(descs []durDesc, durIdx []int32) []int32 {
-	if descs == nil {
-		return nil
-	}
-	cnt := make([]int32, len(descs))
-	for _, di := range durIdx {
-		cnt[di]++
-	}
-	return cnt
 }
 
 // NumTasks returns the number of tasks in the graph.
@@ -355,7 +337,6 @@ func (b *Builder) Build() *Graph {
 	if ident {
 		g.sources = nil
 	}
-	g.descCnt = countDescTasks(g.descs, g.durIdx)
 	for i := 0; i < n; i++ {
 		if g.indeg[i] == 0 {
 			g.roots = append(g.roots, int32(i))

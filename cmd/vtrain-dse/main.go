@@ -130,14 +130,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func dumpCSV(path string, c hw.Cluster, points []dse.Point, batch int, tokens uint64) error {
+func dumpCSV(path string, c hw.Cluster, points []dse.Point, batch int, tokens uint64) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	// A full disk or closed pipe can surface only at Flush or Close, so
+	// both errors are the function's.
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	w := csv.NewWriter(f)
-	defer w.Flush()
 	if err := w.Write([]string{"model", "t", "d", "p", "m", "gpus", "iter_s", "util", "days", "dollars"}); err != nil {
 		return err
 	}
@@ -157,5 +162,6 @@ func dumpCSV(path string, c hw.Cluster, points []dse.Point, batch int, tokens ui
 			return err
 		}
 	}
-	return nil
+	w.Flush()
+	return w.Error()
 }

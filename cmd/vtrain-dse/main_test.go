@@ -126,3 +126,17 @@ func TestBadFlags(t *testing.T) {
 		t.Fatal("unknown flag did not error")
 	}
 }
+
+// TestCSVWriteErrorSurfaces writes a small CSV to /dev/full: every write
+// fails with ENOSPC, but this CSV is smaller than the writer's buffer, so
+// the failure shows only at Flush. run must return it, not report success.
+func TestCSVWriteErrorSurfaces(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	args := []string{"-model", "megatron-3.6b", "-batch", "64", "-tokens", "20e9",
+		"-nodes", "1", "-max-gpus", "2", "-progress=false", "-csv", "/dev/full"}
+	if err := run(args, io.Discard, io.Discard); err == nil {
+		t.Fatal("writing the CSV to a full device did not error")
+	}
+}

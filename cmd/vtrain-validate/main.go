@@ -93,14 +93,19 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-func dump(path string, res validate.Result) error {
+func dump(path string, res validate.Result) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	// A full disk or closed pipe can surface only at Flush or Close, so
+	// both errors are the function's.
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	w := csv.NewWriter(f)
-	defer w.Flush()
 	if err := w.Write([]string{"measured_s", "predicted_s", "model", "plan"}); err != nil {
 		return err
 	}
@@ -115,5 +120,6 @@ func dump(path string, res validate.Result) error {
 			return err
 		}
 	}
-	return nil
+	w.Flush()
+	return w.Error()
 }

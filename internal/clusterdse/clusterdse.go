@@ -25,11 +25,8 @@ package clusterdse
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"vtrain/internal/core"
 	"vtrain/internal/cost"
@@ -225,20 +222,19 @@ func NewSimulator(s Space, opts ...core.Option) (*core.Simulator, error) {
 // core.Simulator.ForCluster) so they share one structural cache: the
 // hardware axes add design points but no lowerings. The sweep batches by
 // structural shape across candidates, not per candidate: every feasible
-// (candidate, plan) pair is enumerated up front, pairs sharing a shape —
-// regardless of which cluster they price — flush through
-// core.SimulateBatchAcross, and one lowered graph replays up to a full
-// batch of duration tables per pass. Within one candidate only a handful
-// of plans share a shape (t·d·p must equal the cluster's GPU count), so
-// cross-candidate grouping is what makes the batches wide;
+// (candidate, plan) pair is enumerated up front and handed to dse.Sweep,
+// so pairs sharing a shape — regardless of which cluster they price —
+// flush through one core.SimulateBatch, and one lowered graph replays up
+// to a full batch of duration tables per pass. Within one candidate only
+// a handful of plans share a shape (t·d·p must equal the cluster's GPU
+// count), so cross-candidate grouping is what makes the batches wide;
 // sim.CacheStats reports the shared structural and batching counters
 // after the sweep.
 //
 // Candidates on which the model has no valid, memory-feasible plan are
 // skipped; if every candidate is skipped the sweep returns an error. On a
 // simulation error the sweep stops without streaming any further point to
-// fn — in-flight batches suppress their output after a failure (see
-// dse.StreamGate).
+// fn (see dse.Sweep).
 func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) error {
 	if len(s.Offerings) == 0 || len(s.NodeCounts) == 0 {
 		return fmt.Errorf("clusterdse: space needs at least one offering and one node count")
@@ -247,17 +243,19 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 		return fmt.Errorf("clusterdse: space needs TotalTokens to price training runs")
 	}
 
-	// Pass 1: materialize every feasible (candidate, plan) pair in
-	// deterministic candidate-then-enumeration order, each carrying its
-	// sibling simulator and per-candidate pricing context.
+	// Enumerate every feasible (candidate, plan) pair in deterministic
+	// candidate-then-enumeration order: sims[i] simulates plans[i], and
+	// entries[i] carries its per-candidate pricing context.
 	type entry struct {
-		sim  *core.Simulator
 		cand Candidate
 		cl   hw.Cluster
 		res  resilience.Model
-		plan parallel.Plan
 	}
-	var entries []entry
+	var (
+		entries []entry
+		sims    []*core.Simulator
+		plans   []parallel.Plan
+	)
 	for _, off := range s.Offerings {
 		if err := off.Validate(); err != nil {
 			return fmt.Errorf("clusterdse: %w", err)
@@ -295,7 +293,9 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 			ps.MaxGPUs = 0
 			ps.ExactGPUs = cl.TotalGPUs()
 			for _, plan := range ps.Enumerate(m, sib) {
-				entries = append(entries, entry{sim: sib, cand: cand, cl: cl, res: resMod, plan: plan})
+				entries = append(entries, entry{cand: cand, cl: cl, res: resMod})
+				sims = append(sims, sib)
+				plans = append(plans, plan)
 			}
 		}
 	}
@@ -303,95 +303,22 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 		return fmt.Errorf("clusterdse: no feasible (offering, node count, plan) configuration for %s: %w", m.Name, dse.ErrNoValidPlan)
 	}
 
-	// Pass 2: group entries by structural shape across candidates,
-	// preserving entry order within and across groups so the batch
-	// composition is deterministic.
-	var (
-		batches  [][]int
-		shapeIdx = make(map[core.Shape]int)
-	)
-	for i, e := range entries {
-		sh := e.sim.PlanShape(m, e.plan)
-		bi, ok := shapeIdx[sh]
-		if !ok {
-			bi = len(batches)
-			shapeIdx[sh] = bi
-			batches = append(batches, nil)
+	err := dse.Sweep(m, sims, plans, func(i int, rep core.Report) {
+		e, plan := entries[i], plans[i]
+		tr := cost.Train(m, plan.GlobalBatch, rep.IterTime, plan.GPUs(), s.TotalTokens, e.cl)
+		pt := Point{Candidate: e.cand, Plan: plan, Report: rep, Training: tr}
+		if s.Resilience != nil {
+			pt.Resilience = cost.ApplyResilience(tr, e.res)
 		}
-		batches[bi] = append(batches[bi], i)
-	}
-
-	// Pass 3: evaluate shape batches on a bounded worker pool, streaming
-	// each batch's points under the gate. A shape-prefetch pool walks the
-	// batches alongside the workers and warms the shared structural cache
-	// through each batch's first entry, so cold lowerings (or persistent-
-	// tier disk loads) overlap the binding and replay of resident shapes;
-	// EnsureStructure shares the cache's single-flight entries, so no shape
-	// is ever lowered twice.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	var gate dse.StreamGate
-	waitWarm := dse.WarmShapes(len(batches), workers, gate.Stopped, func(bi int) {
-		e := entries[batches[bi][0]]
-		e.sim.EnsureStructure(m, e.plan)
+		fn(pt)
 	})
-	defer waitWarm()
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !gate.Stopped() {
-				bi := int(next.Add(1)) - 1
-				if bi >= len(batches) {
-					return
-				}
-				idx := batches[bi]
-				sims := make([]*core.Simulator, len(idx))
-				group := make([]parallel.Plan, len(idx))
-				for j, i := range idx {
-					sims[j], group[j] = entries[i].sim, entries[i].plan
-				}
-				reps, err := core.SimulateBatchAcross(m, sims, group)
-				if err != nil {
-					// Attribute the failure to its (candidate, plan); the
-					// unwrapped Err reads exactly like a sequential
-					// Simulate failure.
-					plan, cand := group[0], entries[idx[0]].cand
-					var pe *core.PlanError
-					if errors.As(err, &pe) {
-						plan, err = pe.Plan, pe.Err
-						for _, i := range idx {
-							if entries[i].plan == plan {
-								cand = entries[i].cand
-								break
-							}
-						}
-					}
-					gate.Fail(fmt.Errorf("clusterdse: %s under %s: %w", cand, plan, err))
-					return
-				}
-				gate.Publish(func() {
-					for j, i := range idx {
-						e := entries[i]
-						tr := cost.Train(m, e.plan.GlobalBatch, reps[j].IterTime, e.plan.GPUs(), s.TotalTokens, e.cl)
-						pt := Point{Candidate: e.cand, Plan: e.plan, Report: reps[j], Training: tr}
-						if s.Resilience != nil {
-							pt.Resilience = cost.ApplyResilience(tr, e.res)
-						}
-						fn(pt)
-					}
-				})
-			}
-		}()
+	var pe *core.PlanError
+	if errors.As(err, &pe) {
+		// Attribute the failure to its (candidate, plan); the unwrapped
+		// Err reads exactly like a sequential Simulate failure.
+		return fmt.Errorf("clusterdse: %s under %s: %w", entries[pe.Index].cand, pe.Plan, pe.Err)
 	}
-	wg.Wait()
-	return gate.FirstErr()
+	return err
 }
 
 // Explore runs the sweep and returns every point ranked cheapest-first

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vtrain/internal/hw"
-	"vtrain/internal/parallel"
 	"vtrain/internal/taskgraph"
 )
 
@@ -31,47 +30,6 @@ func mangleArtifacts(t *testing.T, dir string) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestEnsureStructurePrefetchAccounting pins the prefetch contract: warming
-// a shape ahead of demand must not perturb the demand-side hit/miss
-// counters — the first demand get of a prefetched entry counts as the miss
-// it would have been, later gets as hits — so sweep statistics are
-// byte-identical whether or not the prefetcher ran.
-func TestEnsureStructurePrefetchAccounting(t *testing.T) {
-	s := sim(t, 4, WithFidelity(taskgraph.OperatorLevel))
-	m, plan := forClusterModel(), forClusterPlan()
-
-	s.EnsureStructure(m, plan)
-	if st := s.CacheStats(); st.StructHits != 0 || st.StructMisses != 0 {
-		t.Fatalf("prefetch counted demand traffic: %+v", st)
-	}
-	if st := s.CacheStats(); st.Lowerings != 1 {
-		t.Fatalf("prefetch lowered %d graphs, want 1", st.Lowerings)
-	}
-
-	if _, err := s.Simulate(m, plan); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.CacheStats(); st.StructHits != 0 || st.StructMisses != 1 {
-		t.Fatalf("first demand get of a prefetched shape must count as the miss: %+v", st)
-	}
-	// Same shape (t/d widths don't change structure, microBatches stays
-	// 4), different plan: a structural hit.
-	plan2 := parallel.Plan{Tensor: 2, Data: 4, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2}
-	if _, err := s.Simulate(m, plan2); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.CacheStats(); st.StructHits != 1 || st.StructMisses != 1 || st.Lowerings != 1 {
-		t.Fatalf("after demand hit: %+v", st)
-	}
-
-	// Prefetching an invalid configuration is a silent no-op: the demand
-	// path will surface the error to the caller who can handle it.
-	s.EnsureStructure(m, parallel.Plan{})
-	if st := s.CacheStats(); st.Lowerings != 1 {
-		t.Fatalf("invalid prefetch changed counters: %+v", st)
 	}
 }
 

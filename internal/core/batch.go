@@ -32,12 +32,14 @@ func (s *Simulator) PlanShape(m model.Config, plan parallel.Plan) Shape {
 }
 
 // PlanError attributes a SimulateBatch failure to the plan that caused it.
-// Err is exactly the error an individual Simulate of that plan would have
-// returned, so callers that unwrap PlanError can report batched and
-// sequential failures identically.
+// Index is that plan's position in the plans argument, which tells apart
+// equal plans on different siblings. Err is exactly the error an
+// individual Simulate of that plan would have returned, so callers that
+// unwrap PlanError can report batched and sequential failures identically.
 type PlanError struct {
-	Plan parallel.Plan
-	Err  error
+	Index int
+	Plan  parallel.Plan
+	Err   error
 }
 
 // Error implements error.
@@ -54,51 +56,29 @@ type batchStats struct {
 	plans   atomic.Uint64
 }
 
-// SimulateBatch predicts the iteration time of m under every plan in plans,
-// returning reports in input order. It is equivalent to len(plans)
-// sequential Simulate calls — same reports (bit-identical; each lane of a
-// batched replay performs the sequential replay's float operations in the
-// same order), same report- and structural-cache accounting, single-flight
-// lowering preserved — but plans sharing a structural shape replay the
-// shared graph's CSR structure once for up to maxBatchWidth duration tables
-// at a time, which is what makes wide design-space sweeps cheap.
+// SimulateBatch predicts the iteration time of m under every plans[i] on
+// sims[i], returning reports in input order. It is equivalent to
+// len(plans) sequential sims[i].Simulate calls — same reports
+// (bit-identical; each lane of a batched replay performs the sequential
+// replay's float operations in the same order), same report- and
+// structural-cache accounting, single-flight lowering preserved — but plans
+// sharing a structural shape replay the shared graph's CSR structure once
+// for up to maxBatchWidth duration tables at a time, which is what makes
+// wide design-space sweeps cheap.
+//
+// Plans on different ForCluster siblings that share a shape batch into one
+// replay: the structure is hardware-invariant, only each lane's bound
+// durations differ. Siblings of one root share a structural cache;
+// unrelated simulators still produce correct reports but group into
+// disjoint batches.
 //
 // On error the returned reports are nil and the error is a *PlanError
 // naming the offending plan; reports of plans already simulated may have
 // been cached. Concurrent SimulateBatch calls (including ones sharing a
 // shape) are safe, like Simulate.
-func (s *Simulator) SimulateBatch(m model.Config, plans []parallel.Plan) ([]Report, error) {
-	return simulateBatchAcross(m, nil, s, plans)
-}
-
-// SimulateBatchAcross is SimulateBatch across ForCluster siblings: sims[i]
-// simulates plans[i] on its own cluster, and plans from different siblings
-// that share a structural shape batch into one replay — the structure is
-// hardware-invariant, only each lane's bound durations differ. Joint
-// (hardware x plan) sweeps use it to raise batch width far beyond what any
-// single candidate's plan grid allows.
-//
-// Every sims[i] must derive from one root simulator (see ForCluster) so the
-// siblings share a structural cache; unrelated simulators still produce
-// correct reports but group into disjoint batches. Reports, caching, and
-// errors follow the SimulateBatch contract, with each index served by its
-// own simulator.
-func SimulateBatchAcross(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]Report, error) {
+func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]Report, error) {
 	if len(sims) != len(plans) {
-		return nil, fmt.Errorf("core: SimulateBatchAcross got %d simulators for %d plans", len(sims), len(plans))
-	}
-	return simulateBatchAcross(m, sims, nil, plans)
-}
-
-// simulateBatchAcross implements SimulateBatch and SimulateBatchAcross.
-// Exactly one of sims (per-index simulator) and single (one simulator for
-// every index) is non-nil.
-func simulateBatchAcross(m model.Config, sims []*Simulator, single *Simulator, plans []parallel.Plan) ([]Report, error) {
-	simOf := func(i int) *Simulator {
-		if sims != nil {
-			return sims[i]
-		}
-		return single
+		return nil, fmt.Errorf("core: SimulateBatch got %d simulators for %d plans", len(sims), len(plans))
 	}
 	reports := make([]Report, len(plans))
 
@@ -115,7 +95,7 @@ func simulateBatchAcross(m model.Config, sims []*Simulator, single *Simulator, p
 	var dups []int
 	var seen map[seenKey]bool
 	for i, plan := range plans {
-		si := simOf(i)
+		si := sims[i]
 		if si.cache == nil {
 			pending = append(pending, i)
 			continue
@@ -148,9 +128,9 @@ func simulateBatchAcross(m model.Config, sims []*Simulator, single *Simulator, p
 	var groups []group
 	var byGraph map[*taskgraph.Graph]int
 	for _, i := range pending {
-		tg, err := simOf(i).structural(m, plans[i])
+		tg, err := sims[i].structural(m, plans[i])
 		if err != nil {
-			return nil, &PlanError{Plan: plans[i], Err: err}
+			return nil, &PlanError{Index: i, Plan: plans[i], Err: err}
 		}
 		if byGraph == nil {
 			byGraph = make(map[*taskgraph.Graph]int)
@@ -178,7 +158,7 @@ func simulateBatchAcross(m model.Config, sims []*Simulator, single *Simulator, p
 			// contention-free code path.
 			var cts []*taskgraph.ContentionTable
 			for j, i := range chunk {
-				si := simOf(i)
+				si := sims[i]
 				tables[j] = gr.tg.Bind(si.profiler, si.comm, plans[i], si.cluster)
 				if si.contention {
 					if cts == nil {
@@ -191,7 +171,7 @@ func simulateBatchAcross(m model.Config, sims []*Simulator, single *Simulator, p
 			// ForCluster siblings share one batchStats, so counting the
 			// chunk against its first lane's simulator records the whole
 			// sweep's batching in one place.
-			if st := simOf(chunk[0]).batches; st != nil {
+			if st := sims[chunk[0]].batches; st != nil {
 				st.replays.Add(1)
 				st.plans.Add(uint64(len(chunk)))
 			}
@@ -202,11 +182,11 @@ func simulateBatchAcross(m model.Config, sims []*Simulator, single *Simulator, p
 				// A replay error is structural: it afflicts every lane.
 				// Attribute it to the chunk's first plan, wrapped exactly
 				// as an individual Simulate would wrap it.
-				p := plans[chunk[0]]
-				return nil, &PlanError{Plan: p, Err: fmt.Errorf("core: simulating %s under %s: %w", m.Name, p, err)}
+				i, p := chunk[0], plans[chunk[0]]
+				return nil, &PlanError{Index: i, Plan: p, Err: fmt.Errorf("core: simulating %s under %s: %w", m.Name, p, err)}
 			}
 			for j, i := range chunk {
-				si := simOf(i)
+				si := sims[i]
 				rep := si.assembleReport(m, plans[i], results[j])
 				reports[i] = rep
 				if si.cache != nil {
@@ -222,9 +202,9 @@ func simulateBatchAcross(m model.Config, sims []*Simulator, single *Simulator, p
 	// call sequence would record — and a fresh simulation in the edge case
 	// where a tiny cache already evicted it, again like sequential calls.
 	for _, i := range dups {
-		rep, err := simOf(i).Simulate(m, plans[i])
+		rep, err := sims[i].Simulate(m, plans[i])
 		if err != nil {
-			return nil, &PlanError{Plan: plans[i], Err: err}
+			return nil, &PlanError{Index: i, Plan: plans[i], Err: err}
 		}
 		reports[i] = rep
 	}

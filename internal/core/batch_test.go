@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -26,6 +27,16 @@ func batchPlans() []parallel.Plan {
 	}
 }
 
+// repeatSim returns n copies of s: the sims argument of a SimulateBatch
+// whose plans all run on one simulator.
+func repeatSim(s *Simulator, n int) []*Simulator {
+	sims := make([]*Simulator, n)
+	for i := range sims {
+		sims[i] = s
+	}
+	return sims
+}
+
 // TestSimulateBatchEquivalence pins SimulateBatch to the sequential
 // contract: over a mixed batch — several shapes, mixed micro-batch sizes
 // within one shape, a duplicate plan, and the K=1 edge — it must return
@@ -47,7 +58,7 @@ func TestSimulateBatchEquivalence(t *testing.T) {
 	wantStats := seqSim.CacheStats()
 
 	batchSim := sim(t, 8, WithFidelity(taskgraph.OperatorLevel))
-	got, err := batchSim.SimulateBatch(m, plans)
+	got, err := SimulateBatch(m, repeatSim(batchSim, len(plans)), plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +79,7 @@ func TestSimulateBatchEquivalence(t *testing.T) {
 	// path and must be just as identical.
 	oneSim := sim(t, 8, WithFidelity(taskgraph.OperatorLevel))
 	for i, p := range plans[:3] {
-		reps, err := oneSim.SimulateBatch(m, []parallel.Plan{p})
+		reps, err := SimulateBatch(m, []*Simulator{oneSim}, []parallel.Plan{p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +89,7 @@ func TestSimulateBatchEquivalence(t *testing.T) {
 	}
 
 	// Empty batch: no reports, no error, no accounting.
-	if reps, err := batchSim.SimulateBatch(m, nil); len(reps) != 0 || err != nil {
+	if reps, err := SimulateBatch(m, nil, nil); len(reps) != 0 || err != nil {
 		t.Fatalf("empty batch: got (%v, %v)", reps, err)
 	}
 }
@@ -110,6 +121,7 @@ func TestSimulateBatchConcurrentSharedShape(t *testing.T) {
 	// Report caching off so every call re-binds and re-replays the shared
 	// structure instead of the first winner short-circuiting the rest.
 	s := sim(t, 8, WithFidelity(taskgraph.OperatorLevel), WithCacheSize(0))
+	sims := repeatSim(s, len(plans))
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -117,7 +129,7 @@ func TestSimulateBatchConcurrentSharedShape(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reps, err := s.SimulateBatch(m, plans)
+			reps, err := SimulateBatch(m, sims, plans)
 			if err != nil {
 				errs <- err
 				return
@@ -173,7 +185,7 @@ func TestSimulateBatchAcrossMatchesSequential(t *testing.T) {
 		}
 	}
 
-	got, err := SimulateBatchAcross(m, sims, plans)
+	got, err := SimulateBatch(m, sims, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +196,43 @@ func TestSimulateBatchAcrossMatchesSequential(t *testing.T) {
 		}
 	}
 
-	if _, err := SimulateBatchAcross(m, sims[:2], plans); err == nil {
+	if _, err := SimulateBatch(m, sims[:2], plans); err == nil {
 		t.Fatal("mismatched sims/plans lengths must be rejected")
+	}
+}
+
+// TestPlanErrorIndexAcrossSiblings pins PlanError.Index when one plan runs
+// on several siblings: the same 16-GPU plan is valid on a 4-node (32-GPU)
+// sibling and invalid on a 1-node (8-GPU) one, so only index 1 fails, and
+// the error must name that index rather than the first equal plan.
+func TestPlanErrorIndexAcrossSiblings(t *testing.T) {
+	m := model.Config{Name: "batch-index", Hidden: 256, Layers: 4, SeqLen: 128, Heads: 4, Vocab: 1024}
+	root := sim(t, 8, WithFidelity(taskgraph.OperatorLevel))
+	four, err := root.ForCluster(hw.PaperCluster(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := root.ForCluster(hw.PaperCluster(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := parallel.Plan{Tensor: 2, Data: 4, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2}
+	if err := plan.Validate(m, four.Cluster()); err != nil {
+		t.Fatalf("plan must fit the 4-node sibling: %v", err)
+	}
+	if plan.Validate(m, one.Cluster()) == nil {
+		t.Fatal("plan must not fit the 1-node sibling")
+	}
+
+	_, err = SimulateBatch(m, []*Simulator{four, one}, []parallel.Plan{plan, plan})
+	var pe *PlanError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want a *PlanError, got %v", err)
+	}
+	if pe.Index != 1 || pe.Plan != plan {
+		t.Fatalf("PlanError names index %d plan %s, want index 1 plan %s", pe.Index, pe.Plan, plan)
+	}
+	if _, want := one.Simulate(m, plan); want == nil || pe.Err.Error() != want.Error() {
+		t.Fatalf("PlanError.Err = %v, want the sequential error %v", pe.Err, want)
 	}
 }

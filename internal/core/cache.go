@@ -157,13 +157,6 @@ type structEntry struct {
 	once sync.Once
 	g    *taskgraph.Graph
 	err  error
-	// prefetched marks an entry inserted by ensure (the shape-prefetch
-	// planner) that no demand lookup has seen yet. The first demand get of
-	// such an entry counts as a miss — exactly what that get would have
-	// recorded had the prefetcher not run — so prefetching never changes
-	// the demand hit/miss totals a sweep reports. Guarded by
-	// structCache.mu.
-	prefetched bool
 }
 
 // structCache is the concurrency-safe, bounded shape → structural-graph
@@ -200,16 +193,7 @@ func (c *structCache) get(k shapeKey, build func() (*taskgraph.Graph, error)) (*
 	c.mu.Lock()
 	e, ok := c.entries[k]
 	if ok {
-		if e.prefetched {
-			// First demand lookup of a prefetched entry: the prefetcher
-			// paid for the lowering, but without it this get would have
-			// been the miss — count it as one, so demand accounting is
-			// indistinguishable from an unprefetched sweep.
-			e.prefetched = false
-			c.misses++
-		} else {
-			c.hits++
-		}
+		c.hits++
 	} else {
 		c.misses++
 		e = new(structEntry)
@@ -226,33 +210,6 @@ func (c *structCache) get(k shapeKey, build func() (*taskgraph.Graph, error)) (*
 	c.mu.Unlock()
 	e.once.Do(func() { e.g, e.err = build() })
 	return e.g, e.err
-}
-
-// ensure warms the entry for k without touching the demand hit/miss
-// counters — the shape-prefetch path. If the entry already exists, ensure
-// returns immediately; otherwise it inserts a prefetched entry (normal
-// FIFO eviction applies) and runs build through the entry's Once, so a
-// concurrent demand get for the same shape single-flights onto this
-// lowering instead of repeating it. Build errors are cached on the entry
-// exactly as get's are; the demand path surfaces them.
-func (c *structCache) ensure(k shapeKey, build func() (*taskgraph.Graph, error)) {
-	c.mu.Lock()
-	if _, ok := c.entries[k]; ok {
-		c.mu.Unlock()
-		return
-	}
-	e := &structEntry{prefetched: true}
-	if len(c.entries) < c.max {
-		c.entries[k] = e
-		c.order = append(c.order, k)
-	} else {
-		delete(c.entries, c.order[c.head])
-		c.entries[k] = e
-		c.order[c.head] = k
-		c.head = (c.head + 1) % c.max
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = build() })
 }
 
 func (c *structCache) stats() (hits, misses uint64) {

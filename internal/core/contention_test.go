@@ -112,7 +112,7 @@ func TestContentionBatchEquivalence(t *testing.T) {
 	}
 
 	batch := sim(t, 8, WithFidelity(taskgraph.OperatorLevel), WithContention(true))
-	got, err := batch.SimulateBatch(m, plans)
+	got, err := SimulateBatch(m, repeatSim(batch, len(plans)), plans)
 	if err != nil {
 		t.Fatal(err)
 	}

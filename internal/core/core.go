@@ -261,10 +261,11 @@ type CacheStats struct {
 	// StructHits / StructMisses count structural-graph cache lookups;
 	// both are zero while the report cache absorbs a repeated plan.
 	StructHits, StructMisses uint64
-	// BatchReplays counts batched replay passes (SimulateBatch calls issue
-	// one per shape group chunk) and BatchedPlans the plans they carried;
-	// BatchedPlans/BatchReplays is the sweep's mean batch width. Shared
-	// across ForCluster siblings, like the structural counters.
+	// BatchReplays counts batched replay passes (SimulateBatch issues one
+	// per chunk of at most 16 same-shape plans) and BatchedPlans the plans
+	// they carried; BatchedPlans/BatchReplays is the sweep's mean batch
+	// width. Shared across ForCluster siblings, like the structural
+	// counters.
 	BatchReplays, BatchedPlans uint64
 	// Lowerings counts actual graph lowerings (taskgraph.Lower runs).
 	// Without a persistent tier it equals StructMisses — every miss lowers;
@@ -431,27 +432,6 @@ func (s *Simulator) structural(m model.Config, plan parallel.Plan) (*taskgraph.G
 		return s.buildStructural(m, plan)
 	}
 	return s.structs.get(shapeOf(m, plan, s.fidelity), func() (*taskgraph.Graph, error) {
-		return s.buildStructural(m, plan)
-	})
-}
-
-// EnsureStructure warms the structural cache for (m, plan) without
-// simulating anything: the shape-prefetch planner in dse/clusterdse calls
-// it from a bounded pool so cold lowerings (or disk loads) overlap the
-// binding and replay of already-resident shapes. It shares the cache's
-// single-flight entries, so a concurrent demand miss for the same shape
-// joins this build instead of repeating it, and it never perturbs the
-// demand hit/miss accounting. A no-op when the structural cache is
-// disabled; invalid plans are skipped silently — the demand path surfaces
-// their errors.
-func (s *Simulator) EnsureStructure(m model.Config, plan parallel.Plan) {
-	if s.structs == nil {
-		return
-	}
-	if err := opgraph.Validate(m, plan, s.cluster); err != nil {
-		return
-	}
-	s.structs.ensure(shapeOf(m, plan, s.fidelity), func() (*taskgraph.Graph, error) {
 		return s.buildStructural(m, plan)
 	})
 }

@@ -173,10 +173,10 @@ func (p Point) Better(q Point) bool {
 	}
 }
 
-// StreamGate is the streaming discipline shared by the sweep drivers (this
-// package and clusterdse). It serializes point streaming and latches a
+// StreamGate is the streaming discipline of Sweep (and of the serving
+// layer's NDJSON streams). It serializes point streaming and latches a
 // sweep's first error:
-// once fail records an error, publish refuses every subsequent emission, so
+// once Fail records an error, Publish refuses every subsequent emission, so
 // callers never observe output after a failure — including output from
 // batches that were already in flight on other workers when the error hit.
 type StreamGate struct {
@@ -185,7 +185,7 @@ type StreamGate struct {
 	err    error
 }
 
-// publish runs emit under the gate's lock, unless a failure has been
+// Publish runs emit under the gate's lock, unless a failure has been
 // recorded; it reports whether emit ran.
 func (g *StreamGate) Publish(emit func()) bool {
 	g.mu.Lock()
@@ -197,7 +197,7 @@ func (g *StreamGate) Publish(emit func()) bool {
 	return true
 }
 
-// fail latches err as the sweep's error; only the first call wins.
+// Fail latches err as the sweep's error; only the first call wins.
 func (g *StreamGate) Fail(err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -206,88 +206,44 @@ func (g *StreamGate) Fail(err error) {
 	}
 }
 
-// stopped reports whether a failure has been latched.
+// Stopped reports whether a failure has been latched.
 func (g *StreamGate) Stopped() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.failed
 }
 
-// firstErr returns the latched error, nil if none.
+// FirstErr returns the latched error, nil if none.
 func (g *StreamGate) FirstErr() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
 }
 
-// WarmShapes runs warm(0..n-1) across a bounded pool of workers, in
-// ascending order, and returns a wait function the caller must invoke
-// before returning, so no warming goroutine outlives its sweep. It is the
-// shape-prefetch planner shared by this package and clusterdse: each warm
-// call drives one distinct structural shape through
-// core.Simulator.EnsureStructure, so cold lowerings (and persistent-tier
-// disk loads) proceed in parallel with the binding and replay of shapes
-// that are already resident. stopped is polled between items and aborts
-// the remaining work — sweeps pass their StreamGate so a failed sweep does
-// not keep warming shapes nobody will replay.
-func WarmShapes(n, workers int, stopped func() bool, warm func(batch int)) (wait func()) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 0 {
-		return func() {}
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stopped() {
-				bi := int(next.Add(1)) - 1
-				if bi >= n {
-					return
-				}
-				warm(bi)
-			}
-		}()
-	}
-	return wg.Wait
-}
-
-// ExploreFunc simulates every plan of the space with a bounded worker pool
-// and streams each evaluated Point to fn as it completes. Every streamed
-// point is feasible (Enumerate excludes plans that cannot fit memory).
-// Calls to fn are serialized (one at a time), so callers can rank
-// incrementally — keep a running best, feed a top-k heap — without holding
-// every point in memory. Completion order is nondeterministic; use
-// Point.Better for deterministic ranking.
+// Sweep simulates every plans[i] on sims[i] and passes each report to emit
+// with its index. It is the executor both sweep drivers (ExploreFunc and
+// clusterdse.ExploreFunc) share. Indices are grouped by structural shape
+// (core.Simulator.PlanShape), preserving input order within and across
+// groups so the batch composition is deterministic, and each group flushes
+// through one core.SimulateBatch on a bounded worker pool: every plan of a
+// shape — on any ForCluster sibling — replays the shared lowered graph in
+// columnar lockstep, and concurrent first requests for a shape
+// single-flight onto one lowering.
 //
-// Plans are grouped by structural shape (core.Simulator.PlanShape) and each
-// group flushes through one SimulateBatch call, so every plan of a shape
-// replays the shared lowered graph in columnar lockstep instead of
-// one-at-a-time; the workers additionally share the simulator's caches, so
-// repeated configurations across sweeps cost one simulation and concurrent
-// first requests for a shape single-flight onto one lowering.
-//
-// On a simulation error the sweep stops and the error is returned; no
-// point is streamed to fn after the failure, even from worker batches that
-// were still in flight when it occurred.
-func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) error {
-	plans := s.Enumerate(m, sim)
-	if len(plans) == 0 {
-		return fmt.Errorf("dse: %s: %w", m.Name, ErrNoValidPlan)
+// Calls to emit are serialized, a whole batch at a time, in nondeterministic
+// batch order. On a simulation error the sweep stops and returns a
+// *core.PlanError whose Index points into plans; no emit runs after the
+// failure, even for batches that were still in flight (see StreamGate).
+func Sweep(m model.Config, sims []*core.Simulator, plans []parallel.Plan, emit func(i int, rep core.Report)) error {
+	if len(sims) != len(plans) {
+		return fmt.Errorf("dse: Sweep got %d simulators for %d plans", len(sims), len(plans))
 	}
-	// Group plan indices by structural shape, preserving enumeration order
-	// within and across groups so the batch composition is deterministic.
 	var (
 		batches  [][]int
 		shapeIdx = make(map[core.Shape]int)
 	)
 	for i, p := range plans {
-		sh := sim.PlanShape(m, p)
+		sh := sims[i].PlanShape(m, p)
 		bi, ok := shapeIdx[sh]
 		if !ok {
 			bi = len(batches)
@@ -296,27 +252,12 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 		}
 		batches[bi] = append(batches[bi], i)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	var gate StreamGate
-	// Shape-prefetch planner: the distinct shapes of the space are known up
-	// front, so a second bounded pool walks them in batch order and warms
-	// the structural cache while the workers below bind and replay whatever
-	// is already resident — cold lowering (or disk loading) overlaps replay
-	// instead of serializing inside whichever worker first misses.
-	// EnsureStructure shares the cache's single-flight entries, so the two
-	// pools never lower one shape twice.
-	waitWarm := WarmShapes(len(batches), workers, gate.Stopped, func(bi int) {
-		sim.EnsureStructure(m, plans[batches[bi][0]])
-	})
-	defer waitWarm()
 	var (
+		gate StreamGate
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), len(batches)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -326,26 +267,25 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 					return
 				}
 				idx := batches[bi]
-				group := make([]parallel.Plan, len(idx))
+				bsims := make([]*core.Simulator, len(idx))
+				bplans := make([]parallel.Plan, len(idx))
 				for j, i := range idx {
-					group[j] = plans[i]
+					bsims[j], bplans[j] = sims[i], plans[i]
 				}
-				reps, err := sim.SimulateBatch(m, group)
+				reps, err := core.SimulateBatch(m, bsims, bplans)
 				if err != nil {
-					// SimulateBatch attributes failures to a plan; unwrap
-					// so the sweep error reads exactly like the sequential
-					// path's.
-					plan := group[0]
+					// SimulateBatch indexes its failure into the batch;
+					// re-index it into the sweep.
 					var pe *core.PlanError
 					if errors.As(err, &pe) {
-						plan, err = pe.Plan, pe.Err
+						pe.Index = idx[pe.Index]
 					}
-					gate.Fail(fmt.Errorf("dse: %s: %w", plan, err))
+					gate.Fail(err)
 					return
 				}
 				gate.Publish(func() {
-					for j := range idx {
-						fn(Point{Plan: group[j], Report: reps[j], Feasible: true})
+					for j, i := range idx {
+						emit(i, reps[j])
 					}
 				})
 			}
@@ -353,6 +293,38 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 	}
 	wg.Wait()
 	return gate.FirstErr()
+}
+
+// ExploreFunc simulates every plan of the space through Sweep and streams
+// each evaluated Point to fn as it completes. Every streamed point is
+// feasible (Enumerate excludes plans that cannot fit memory). Calls to fn
+// are serialized (one at a time), so callers can rank incrementally — keep
+// a running best, feed a top-k heap — without holding every point in
+// memory. Completion order is nondeterministic; use Point.Better for
+// deterministic ranking. The workers share the simulator's caches, so
+// repeated configurations across sweeps cost one simulation.
+//
+// On a simulation error the sweep stops and the error is returned; no
+// point is streamed to fn after the failure.
+func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) error {
+	plans := s.Enumerate(m, sim)
+	if len(plans) == 0 {
+		return fmt.Errorf("dse: %s: %w", m.Name, ErrNoValidPlan)
+	}
+	sims := make([]*core.Simulator, len(plans))
+	for i := range sims {
+		sims[i] = sim
+	}
+	err := Sweep(m, sims, plans, func(i int, rep core.Report) {
+		fn(Point{Plan: plans[i], Report: rep, Feasible: true})
+	})
+	var pe *core.PlanError
+	if errors.As(err, &pe) {
+		// Unwrap so the sweep error reads exactly like the sequential
+		// path's.
+		return fmt.Errorf("dse: %s: %w", pe.Plan, pe.Err)
+	}
+	return err
 }
 
 // Explore simulates every plan of the space in parallel and returns the

@@ -358,9 +358,9 @@ func (r *SweepRun) TotalTokens() uint64 { return r.tokens }
 func (r *SweepRun) CacheStats() core.CacheStats { return r.sim.CacheStats() }
 
 // Run executes the sweep, streaming each evaluated point to fn. Calls to
-// fn are serialized and stop at the first error — dse.ExploreFunc's
-// StreamGate guarantees no emission follows a failure, including from
-// batches already in flight on other workers.
+// fn are serialized and stop at the first error — dse.Sweep, the executor
+// under dse.ExploreFunc, guarantees no emission follows a failure,
+// including from batches already in flight on other workers.
 func (r *SweepRun) Run(fn func(dse.Point)) (SweepSummary, error) {
 	n := 0
 	err := dse.ExploreFunc(r.sim, r.model, r.space, func(p dse.Point) {

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vtrain/internal/opgraph"
 	"vtrain/internal/taskgraph"
 )
 
@@ -44,9 +43,8 @@ const (
 	magic      = "VTRNART\x01"
 	headerSize = 8 + 4 + 4 + 8 + 4
 
-	kindGraph  uint32 = 1
-	kindOps    uint32 = 2
-	kindLabels uint32 = 3
+	kindGraph uint32 = 1
+	kindOps   uint32 = 2
 )
 
 // castagnoli is the CRC-32C table; SSE4.2 / ARMv8 hosts compute it in
@@ -139,46 +137,21 @@ func (s *Store) LoadGraph(key string) (*taskgraph.Graph, bool) {
 	return nil, false
 }
 
-// SaveGraph persists a lowered structural graph under key: the structure
-// payload in one file, the label table in a companion file (labels are
-// over half the bytes and only traces read them, so warm sweeps load pure
-// structure). Failures are reported, not returned as errors: persistence
-// is an optimization, and a full disk must not fail the simulation that
-// produced the graph.
+// SaveGraph persists a lowered structural graph under key, as one file.
+// Failures are reported, not returned as errors: persistence is an
+// optimization, and a full disk must not fail the simulation that produced
+// the graph.
 func (s *Store) SaveGraph(key string, g *taskgraph.Graph) bool {
 	payload, err := g.MarshalArtifact()
-	if err != nil {
-		return false
-	}
-	if !s.write(graphFile(key), kindGraph, payload) {
+	if err != nil || !s.write(graphFile(key), kindGraph, payload) {
 		return false
 	}
 	s.writes.Add(1)
-	if labels, err := g.MarshalLabels(); err == nil && s.write(labelsFile(key), kindLabels, labels) {
-		s.writes.Add(1)
-	}
 	return true
 }
 
-// LoadLabels loads the label table stored under key, reporting false — and
-// counting a miss — if the file is absent, corrupt, or version-skewed.
-// Only trace rendering ever calls it, through the lazy label source a
-// loaded graph carries.
-func (s *Store) LoadLabels(key string) (*opgraph.LabelTable, bool) {
-	payload, ok := s.read(labelsFile(key), kindLabels)
-	if ok {
-		if t, err := taskgraph.UnmarshalLabels(payload); err == nil {
-			s.hits.Add(1)
-			return t, true
-		}
-	}
-	s.misses.Add(1)
-	return nil, false
-}
-
-func graphFile(key string) string  { return "g-" + key }
-func opsFile(key string) string    { return "ops-" + key }
-func labelsFile(key string) string { return "l-" + key }
+func graphFile(key string) string { return "g-" + key }
+func opsFile(key string) string   { return "ops-" + key }
 
 // read loads and unframes one artifact file; any problem is a silent miss.
 func (s *Store) read(name string, kind uint32) ([]byte, bool) {

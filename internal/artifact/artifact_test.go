@@ -91,21 +91,14 @@ func TestKeyIsLengthPrefixed(t *testing.T) {
 }
 
 // assertGraphEquivalent verifies a store-loaded graph reproduces the saved
-// one task for task, edge for edge, and label for label, fetching labels
-// through the store's companion label artifact exactly as a trace would.
-func assertGraphEquivalent(t *testing.T, st *Store, key string, got, want *taskgraph.Graph) {
+// one task for task and edge for edge.
+func assertGraphEquivalent(t *testing.T, got, want *taskgraph.Graph) {
 	t.Helper()
-	if got.NumTasks() != want.NumTasks() || got.LabelCount() != want.LabelCount() {
-		t.Fatalf("loaded graph has %d tasks / %d labels, want %d / %d",
-			got.NumTasks(), got.LabelCount(), want.NumTasks(), want.LabelCount())
+	if got.NumTasks() != want.NumTasks() {
+		t.Fatalf("loaded graph has %d tasks, want %d", got.NumTasks(), want.NumTasks())
 	}
-	got.SetLabelSource(func() *opgraph.LabelTable {
-		lt, _ := st.LoadLabels(key)
-		return lt
-	})
 	for id := 0; id < want.NumTasks(); id++ {
 		if got.TaskAt(id) != want.TaskAt(id) ||
-			got.TaskLabel(id) != want.TaskLabel(id) ||
 			!reflect.DeepEqual(got.Children(id), want.Children(id)) {
 			t.Fatalf("loaded graph differs from the saved one at task %d", id)
 		}
@@ -130,15 +123,14 @@ func TestGraphRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("load after save missed")
 	}
-	// One graph save writes two artifacts: structure and labels. The label
-	// load below (through assertGraphEquivalent's source) adds a hit.
-	if s := st.Stats(); s != (Stats{Hits: 1, Misses: 1, Writes: 2}) {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 2 writes", s)
+	// One graph save writes one file.
+	if s := st.Stats(); s != (Stats{Hits: 1, Misses: 1, Writes: 1}) {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 write", s)
 	}
-	assertGraphEquivalent(t, st, key, got, g)
-	if s := st.Stats(); s != (Stats{Hits: 2, Misses: 1, Writes: 2}) {
-		t.Fatalf("stats after label load = %+v, want 2 hits / 1 miss / 2 writes", s)
+	if files, err := os.ReadDir(st.Dir()); err != nil || len(files) != 1 || files[0].Name() != graphFile(key) {
+		t.Fatalf("store directory holds %v (err %v), want just %s", files, err, graphFile(key))
 	}
+	assertGraphEquivalent(t, got, g)
 
 	// A second store over the same directory starts cold on counters but
 	// warm on content: the cross-process case.
@@ -244,46 +236,8 @@ func TestCorruptArtifactsAreMisses(t *testing.T) {
 			if !ok {
 				t.Fatal("re-saved artifact did not recover")
 			}
-			assertGraphEquivalent(t, st, key, got, g)
+			assertGraphEquivalent(t, got, g)
 		})
-	}
-}
-
-// TestCorruptLabelArtifactIsMiss mangles the companion label file of an
-// intact graph artifact: the graph must still load (labels are not on the
-// sweeping path), the label load must be a silent miss, and a re-save must
-// recover it.
-func TestCorruptLabelArtifactIsMiss(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := testGraph(t)
-	key := Key("graph", "labels")
-	if !st.SaveGraph(key, g) {
-		t.Fatal("save failed")
-	}
-	lpath := filepath.Join(st.Dir(), labelsFile(key))
-	data, err := os.ReadFile(lpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[headerSize+(len(data)-headerSize)/2] ^= 0x40
-	if err := os.WriteFile(lpath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.LoadGraph(key); !ok {
-		t.Fatal("graph load should not depend on the label artifact")
-	}
-	if _, ok := st.LoadLabels(key); ok {
-		t.Fatal("corrupt label artifact loaded successfully")
-	}
-	if !st.SaveGraph(key, g) {
-		t.Fatal("re-save failed")
-	}
-	lt, ok := st.LoadLabels(key)
-	if !ok || lt.Len() != g.LabelCount() {
-		t.Fatal("re-saved label artifact did not recover")
 	}
 }
 

@@ -274,11 +274,13 @@ type CacheStats struct {
 	// disk pins to zero. Shared across ForCluster siblings.
 	Lowerings uint64
 	// DiskHits / DiskMisses / DiskWrites count the persistent artifact
-	// tier's loads and stores (all zero when WithArtifactDir is unset). A
-	// corrupt, truncated, or version-skewed artifact counts as a miss and
-	// falls back to lowering; it is never an error. The counters live on
-	// the artifact store, so simulators sharing one store (ForCluster
-	// siblings, a serving pool) report the same store-wide totals.
+	// tier's file loads and writes (all zero when WithArtifactDir is
+	// unset): a persisted graph is one file, as is each operator-table
+	// save. A corrupt, truncated, or version-skewed artifact counts as a
+	// miss and falls back to lowering; it is never an error. The counters
+	// live on the artifact store, so simulators sharing one store
+	// (ForCluster siblings, a serving pool) report the same store-wide
+	// totals.
 	DiskHits, DiskMisses, DiskWrites uint64
 }
 
@@ -406,7 +408,15 @@ func (s *Simulator) simulate(m model.Config, plan parallel.Plan, capture bool) (
 		spans []taskgraph.Span
 	)
 	if capture {
-		res, spans, err = tg.ReplayTrace(tbl, ct)
+		// Timings come from the (possibly shared or disk-loaded) structure;
+		// span labels come from an operator graph of the same shape, built
+		// for this trace alone and recycled once the spans are composed.
+		og, berr := opgraph.Build(m, plan, s.cluster)
+		if berr != nil {
+			return Report{}, nil, berr
+		}
+		res, spans, err = tg.ReplayTrace(tbl, ct, og)
+		og.Recycle()
 	} else {
 		res, err = tg.Replay(tbl, ct)
 	}
@@ -445,21 +455,6 @@ func (s *Simulator) buildStructural(m model.Config, plan parallel.Plan) (*taskgr
 	}
 	key := s.graphKey(m, plan)
 	if g, ok := s.artifacts.LoadGraph(key); ok {
-		// The structure artifact carries no labels (sweeps never render
-		// one); traces fetch them lazily from the companion label file. A
-		// missing, corrupt, or short label artifact falls back to a full
-		// re-lowering — slow, but correct, and only ever paid by a trace
-		// whose label file was damaged after the graph file was written.
-		g.SetLabelSource(func() *opgraph.LabelTable {
-			if t, ok := s.artifacts.LoadLabels(key); ok && t.Len() >= g.LabelCount() {
-				return t
-			}
-			fresh, err := s.lower(m, plan)
-			if err != nil {
-				return nil
-			}
-			return fresh.Labels()
-		})
 		return g, nil
 	}
 	g, err := s.lower(m, plan)
@@ -484,9 +479,8 @@ func (s *Simulator) lower(m model.Config, plan parallel.Plan) (*taskgraph.Graph,
 		return nil, err
 	}
 	tg := taskgraph.Lower(og, s.profiler, s.fidelity)
-	// Lower copies everything the task graph needs (structure, label
-	// records), so the operator graph goes straight back to the
-	// construction pool.
+	// Lower copies everything the task graph needs, so the operator graph
+	// goes straight back to the construction pool.
 	og.Recycle()
 	if s.lowerings != nil {
 		s.lowerings.Add(1)

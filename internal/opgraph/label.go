@@ -68,137 +68,41 @@ var labelSpecs = [...]struct {
 	lbWeightUpdate:  {"WeightUpdate ", formS},
 }
 
-// NumLabelKinds bounds the valid label-format selectors: a LabelRec with
-// Kind >= NumLabelKinds is invalid and composes to "". Decoders reading
-// label records from untrusted bytes reject such records up front.
-const NumLabelKinds = len(labelSpecs)
-
-// LabelRec is the complete coordinate set a label renders: the one-byte
-// format selector plus the node fields the formats reference. It exists so
-// labels can outlive the graph (see Graph.LabelRecs) at a few bytes per
-// node instead of retaining the whole arena, and — unlike a closure — it
-// can be serialized, which is what lets lowered task graphs round-trip
-// through the on-disk artifact store with their labels intact.
-type LabelRec struct {
-	Kind                                         uint8
-	Stage, Micro, Chunk, Layer, LayerEnd, Bucket int32
-}
-
-// Valid reports whether the record's format selector is in range.
-func (r LabelRec) Valid() bool { return int(r.Kind) < NumLabelKinds }
-
-// rec extracts the node's label coordinates.
-func (n *Node) rec() LabelRec {
-	return LabelRec{
-		Kind:  uint8(n.label),
-		Stage: n.Stage, Micro: n.Micro, Chunk: n.Chunk,
-		Layer: n.Layer, LayerEnd: n.LayerEnd, Bucket: n.Bucket,
-	}
-}
-
-// Compose renders the record's human-readable label. Invalid records
-// compose to the empty string rather than panicking.
-func (r LabelRec) Compose() string {
-	if !r.Valid() {
-		return ""
-	}
-	sp := &labelSpecs[r.Kind]
-	buf := make([]byte, 0, 48)
-	buf = append(buf, sp.prefix...)
-	switch sp.form {
-	case formMB:
-		buf = append(buf, 'm', 'b')
-		buf = strconv.AppendInt(buf, int64(r.Micro), 10)
-	case formCMB:
-		buf = append(buf, 'c')
-		buf = strconv.AppendInt(buf, int64(r.Chunk), 10)
-		buf = append(buf, ' ', 'm', 'b')
-		buf = strconv.AppendInt(buf, int64(r.Micro), 10)
-	case formLMB:
-		buf = append(buf, 'L')
-		buf = strconv.AppendInt(buf, int64(r.Layer), 10)
-		buf = append(buf, ' ', 'm', 'b')
-		buf = strconv.AppendInt(buf, int64(r.Micro), 10)
-	case formS:
-		buf = append(buf, 's')
-		buf = strconv.AppendInt(buf, int64(r.Stage), 10)
-	case formBucket:
-		buf = append(buf, "bucket"...)
-		buf = strconv.AppendInt(buf, int64(r.Bucket), 10)
-		buf = append(buf, ' ', 'L', '[')
-		buf = strconv.AppendInt(buf, int64(r.Layer), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(r.LayerEnd), 10)
-		buf = append(buf, ')', ' ', 's')
-		buf = strconv.AppendInt(buf, int64(r.Stage), 10)
-	}
-	return string(buf)
-}
-
 // Label composes the node's human-readable tag, e.g. "Fwd MHA L3 mb2".
 // Labels are lazy: nothing is formatted at graph-construction time, and the
 // output is byte-identical to the eager fmt.Sprintf labels earlier versions
 // stored on every node. Only trace rendering and tests should call this; the
 // simulation hot path never does.
-func (n *Node) Label() string { return n.rec().Compose() }
-
-// LabelRecs copies the per-node label coordinates out of the graph: a
-// LabelRec per node, composable into the exact string Node.Label returns,
-// without retaining the graph's arena or CSR storage.
-func (g *Graph) LabelRecs() []LabelRec {
-	recs := make([]LabelRec, g.NumNodes())
-	for i := range recs {
-		recs[i] = g.arena.at(i).rec()
+func (n *Node) Label() string {
+	sp := &labelSpecs[n.label]
+	buf := make([]byte, 0, 48)
+	buf = append(buf, sp.prefix...)
+	switch sp.form {
+	case formMB:
+		buf = append(buf, 'm', 'b')
+		buf = strconv.AppendInt(buf, int64(n.Micro), 10)
+	case formCMB:
+		buf = append(buf, 'c')
+		buf = strconv.AppendInt(buf, int64(n.Chunk), 10)
+		buf = append(buf, ' ', 'm', 'b')
+		buf = strconv.AppendInt(buf, int64(n.Micro), 10)
+	case formLMB:
+		buf = append(buf, 'L')
+		buf = strconv.AppendInt(buf, int64(n.Layer), 10)
+		buf = append(buf, ' ', 'm', 'b')
+		buf = strconv.AppendInt(buf, int64(n.Micro), 10)
+	case formS:
+		buf = append(buf, 's')
+		buf = strconv.AppendInt(buf, int64(n.Stage), 10)
+	case formBucket:
+		buf = append(buf, "bucket"...)
+		buf = strconv.AppendInt(buf, int64(n.Bucket), 10)
+		buf = append(buf, ' ', 'L', '[')
+		buf = strconv.AppendInt(buf, int64(n.Layer), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(n.LayerEnd), 10)
+		buf = append(buf, ')', ' ', 's')
+		buf = strconv.AppendInt(buf, int64(n.Stage), 10)
 	}
-	return recs
-}
-
-// LabelSnapshot returns a label resolver equivalent to Graph.Label that
-// does not retain the graph: it wraps LabelRecs in a closure for callers
-// that want a function rather than the records themselves.
-func (g *Graph) LabelSnapshot() func(id int) string {
-	recs := g.LabelRecs()
-	return func(id int) string { return recs[id].Compose() }
-}
-
-// LabelTable is the columnar form of LabelRecs: one flat column per
-// coordinate instead of a slice of structs. Lowered task graphs carry
-// their labels in this form because it is exactly the artifact store's
-// on-disk layout — a disk-loaded graph aliases the columns straight out
-// of the read buffer, with no per-record assembly loop — and the columns
-// compress a record's padding away in memory too. Columns are read-only
-// once built; At materializes a record on demand (trace rendering only).
-type LabelTable struct {
-	Kinds                                        []uint8
-	Stage, Micro, Chunk, Layer, LayerEnd, Bucket []int32
-}
-
-// Len returns the number of records in the table.
-func (t *LabelTable) Len() int { return len(t.Kinds) }
-
-// At materializes record i.
-func (t *LabelTable) At(i int) LabelRec {
-	return LabelRec{
-		Kind:  t.Kinds[i],
-		Stage: t.Stage[i], Micro: t.Micro[i], Chunk: t.Chunk[i],
-		Layer: t.Layer[i], LayerEnd: t.LayerEnd[i], Bucket: t.Bucket[i],
-	}
-}
-
-// LabelTable copies the per-node label coordinates out of the graph in
-// columnar form, without retaining the graph's arena or CSR storage.
-func (g *Graph) LabelTable() *LabelTable {
-	n := g.NumNodes()
-	t := &LabelTable{
-		Kinds: make([]uint8, n),
-		Stage: make([]int32, n), Micro: make([]int32, n), Chunk: make([]int32, n),
-		Layer: make([]int32, n), LayerEnd: make([]int32, n), Bucket: make([]int32, n),
-	}
-	for i := 0; i < n; i++ {
-		nd := g.arena.at(i)
-		t.Kinds[i] = uint8(nd.label)
-		t.Stage[i], t.Micro[i], t.Chunk[i] = nd.Stage, nd.Micro, nd.Chunk
-		t.Layer[i], t.LayerEnd[i], t.Bucket[i] = nd.Layer, nd.LayerEnd, nd.Bucket
-	}
-	return t
+	return string(buf)
 }

@@ -226,9 +226,8 @@ func Build(m model.Config, plan parallel.Plan, c hw.Cluster) (*Graph, error) {
 // construction pool for reuse by a future Build. Only an exclusive owner may
 // call it, and the graph — including every Node pointer and Deps slice
 // obtained from it — is invalid afterwards. A lowering that copies what it
-// needs out of the graph (taskgraph.Lower does, label snapshot included)
-// recycles it to keep sweep allocation flat; a graph that is retained must
-// simply never be recycled.
+// needs out of the graph (taskgraph.Lower does) recycles it to keep sweep
+// allocation flat; a graph that is retained must simply never be recycled.
 func (g *Graph) Recycle() {
 	graphPool.Put(g)
 }

@@ -65,6 +65,29 @@ var opKindNames = [...]string{
 	WeightUpdate: "WeightUpdate",
 }
 
+// kernelCounts is indexed by OpKind: the length of the kernel sequence
+// Profile returns for the kind, which no operator dimension changes.
+var kernelCounts = [...]int{
+	FwdEmbedding: 3,
+	BwdEmbedding: 2,
+	FwdMHA:       9,
+	BwdMHA:       13,
+	FwdFFN:       5,
+	BwdFFN:       7,
+	FwdLMHead:    4,
+	BwdLMHead:    4,
+	WeightUpdate: 1,
+}
+
+// KernelCount returns the number of kernels an operator of kind k
+// decomposes into, or 0 for an unknown kind.
+func KernelCount(k OpKind) int {
+	if k >= 0 && int(k) < len(kernelCounts) {
+		return kernelCounts[k]
+	}
+	return 0
+}
+
 // String implements fmt.Stringer.
 func (k OpKind) String() string {
 	if k >= 0 && int(k) < len(opKindNames) {

@@ -46,6 +46,27 @@ func TestDecompositionKernelCounts(t *testing.T) {
 	}
 }
 
+// TestKernelCountMatchesProfile pins KernelCount to the decompositions:
+// every kind launches exactly that many kernels at any shape, which is what
+// lets artifact decoding bound kernel descriptor indices without a profiler.
+func TestKernelCountMatchesProfile(t *testing.T) {
+	p := newProfiler()
+	for _, m := range []model.Config{model.Megatron3_6B(), model.GPT3175B()} {
+		for kind := FwdEmbedding; kind <= WeightUpdate; kind++ {
+			for _, tp := range []int{1, 8} {
+				o := op(kind, m, 2, tp)
+				o.Params = 1 << 20
+				if got, want := len(p.Profile(o)), KernelCount(kind); got != want {
+					t.Errorf("%v (t=%d): %d kernels, KernelCount says %d", kind, tp, got, want)
+				}
+			}
+		}
+	}
+	if KernelCount(-1) != 0 || KernelCount(WeightUpdate+1) != 0 {
+		t.Error("unknown kinds must count 0 kernels")
+	}
+}
+
 func TestBackwardCostsRoughlyTwiceForward(t *testing.T) {
 	p := newProfiler()
 	m := model.Megatron39_1B()

@@ -4,12 +4,14 @@ package taskgraph
 // lowered structural Graph that the persistent artifact tier
 // (internal/artifact) writes to disk. The layout mirrors the in-memory
 // representation exactly — value slabs, CSR adjacency, a deduplicated
-// descriptor table, columnar label coordinates — and every slab section is
+// descriptor table — and every slab section is
 // padded to a 4-byte payload offset, so on little-endian hosts a load
 // aliases the slabs straight out of the read buffer: no per-task decode
 // loop, no bulk copies, O(#slabs) pointer work plus validation scans.
 // Durations are not stored: a structural graph has none, which is exactly
-// why one artifact serves every plan of its shape on any hardware.
+// why one artifact serves every plan of its shape on any hardware. Nor are
+// labels: a trace composes them from the operator graph it renders (see
+// ReplayTrace), so nothing about them is ever persisted.
 //
 // The container around this payload (magic, format version, checksum) is
 // internal/artifact's concern; UnmarshalArtifact still validates every
@@ -23,7 +25,6 @@ import (
 	"unsafe"
 
 	"vtrain/internal/model"
-	"vtrain/internal/opgraph"
 	"vtrain/internal/profiler"
 )
 
@@ -31,17 +32,12 @@ import (
 // Graph.MarshalArtifact. It is embedded in the payload and in the artifact
 // store's content hash, so a version bump makes old files silent cache
 // misses instead of misdecodes.
-const EncodingVersion = 1
+const EncodingVersion = 2
 
 // ErrBadArtifact is returned by UnmarshalArtifact for any malformed
 // payload: wrong version, truncated data, trailing bytes, or an index out
 // of range. Callers treat it as a cache miss and re-lower.
 var ErrBadArtifact = errors.New("taskgraph: malformed artifact payload")
-
-// maxDescKernel bounds the kernel index a decoded descriptor may carry; the
-// largest real operator decomposition is 13 kernels, so anything near the
-// bound signals corruption.
-const maxDescKernel = 64
 
 // hostLittle reports whether the host stores integers little-endian, in
 // which case slab encode/decode is a single byte-reinterpreting copy.
@@ -84,26 +80,17 @@ func pad4(b []byte) []byte {
 	return b
 }
 
-// MarshalArtifact serializes a lowered structural graph — structure only.
-// Labels are deliberately excluded (see MarshalLabels): they are over half
-// the graph's bytes and only trace rendering reads them, so the sweeping
-// hot path should never pay to load them. The payload still records the
-// label count, which bounds the source indices and tells a lazy label
-// loader how many records to expect. Only graphs produced by Lower
-// qualify: hand-built graphs carry literal durations the encoding cannot
-// represent.
+// MarshalArtifact serializes a lowered structural graph. Only graphs
+// produced by Lower qualify: hand-built graphs carry literal durations the
+// encoding cannot represent.
 func (g *Graph) MarshalArtifact() ([]byte, error) {
-	if g.labels == nil {
-		return nil, errors.New("taskgraph: only lowered structural graphs can be marshaled")
-	}
 	for i := range g.descs {
 		if g.descs[i].kind == descLiteral {
 			return nil, errors.New("taskgraph: graphs with literal durations cannot be marshaled")
 		}
 	}
 	n := g.NumTasks()
-	nL := g.labels.Len()
-	size := 4 + 4 + len(g.Model.Name) + 6*8 + 6*8 +
+	size := 4 + 4 + len(g.Model.Name) + 6*8 + 5*8 +
 		len(g.descs)*33 + 4*(4*n+1) + 4 + 4*len(g.children) + 8
 	for _, c := range g.classes {
 		size += 4 + len(c)
@@ -117,7 +104,7 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 	}
 	// A zero source count means the identity mapping (operator-level
 	// graphs), costing nothing on disk instead of 4 bytes per task.
-	for _, v := range []int{n, len(g.children), len(g.classes), len(g.descs), nL, len(g.sources)} {
+	for _, v := range []int{n, len(g.children), len(g.classes), len(g.descs), len(g.sources)} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
 	}
 	for _, c := range g.classes {
@@ -140,58 +127,6 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 	buf = appendInt32Slab(buf, g.childStart)
 	buf = appendInt32Slab(buf, g.children)
 	return buf, nil
-}
-
-// MarshalLabels serializes the graph's label table as a standalone
-// payload: the artifact store keeps labels in their own file so warm
-// sweeps — which never render a label — load pure structure, and traces
-// fetch the label bytes on first use (see SetLabelSource). The columns are
-// already the on-disk layout, so encoding is a handful of slab dumps.
-func (g *Graph) MarshalLabels() ([]byte, error) {
-	if g.labels == nil {
-		return nil, errors.New("taskgraph: graph carries no label table")
-	}
-	nL := g.labels.Len()
-	buf := make([]byte, 0, 4+8+nL*25+4)
-	buf = binary.LittleEndian.AppendUint32(buf, EncodingVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(nL))
-	buf = append(buf, g.labels.Kinds...)
-	buf = pad4(buf)
-	for _, c := range [6][]int32{
-		g.labels.Stage, g.labels.Micro, g.labels.Chunk,
-		g.labels.Layer, g.labels.LayerEnd, g.labels.Bucket,
-	} {
-		buf = appendInt32Slab(buf, c)
-	}
-	return buf, nil
-}
-
-// UnmarshalLabels decodes a payload produced by MarshalLabels, aliasing
-// the columns out of data where alignment allows (the caller must not
-// modify data afterwards). Any malformed input returns ErrBadArtifact.
-func UnmarshalLabels(data []byte) (*opgraph.LabelTable, error) {
-	r := &artifactReader{data: data}
-	if v := r.u32(); r.bad || v != EncodingVersion {
-		return nil, fmt.Errorf("%w: version", ErrBadArtifact)
-	}
-	nL := r.count()
-	t := &opgraph.LabelTable{Kinds: r.u8Slab(nL)}
-	r.align4()
-	t.Stage = r.i32Slab(nL)
-	t.Micro = r.i32Slab(nL)
-	t.Chunk = r.i32Slab(nL)
-	t.Layer = r.i32Slab(nL)
-	t.LayerEnd = r.i32Slab(nL)
-	t.Bucket = r.i32Slab(nL)
-	if r.bad || r.off != len(r.data) {
-		return nil, fmt.Errorf("%w: truncated or trailing bytes", ErrBadArtifact)
-	}
-	for _, k := range t.Kinds {
-		if int(k) >= opgraph.NumLabelKinds {
-			return nil, fmt.Errorf("%w: label kind", ErrBadArtifact)
-		}
-	}
-	return t, nil
 }
 
 // artifactReader walks an artifact payload, latching the first failure so
@@ -271,19 +206,6 @@ func (r *artifactReader) align4() {
 	r.off += pad
 }
 
-// u8Slab returns the next n bytes, aliasing the payload buffer: decoded
-// slabs are read-only (Graph is immutable once built), so sharing the
-// buffer is safe and saves the copy.
-func (r *artifactReader) u8Slab(n int) []byte {
-	if r.bad || n < 0 || r.off+n > len(r.data) {
-		r.fail()
-		return nil
-	}
-	out := r.data[r.off : r.off+n : r.off+n]
-	r.off += n
-	return out
-}
-
 // i32Slab returns the next n little-endian int32s. On a little-endian host
 // with the section 4-aligned in memory — the encoder pads sections so any
 // heap-backed buffer qualifies — the slab is a pointer reinterpretation of
@@ -319,11 +241,10 @@ func (r *artifactReader) i32Slab(n int) []int32 {
 
 // UnmarshalArtifact decodes a payload produced by MarshalArtifact into a
 // structural Graph equivalent to the freshly lowered one: same tasks, same
-// CSR adjacency, same descriptor table. Labels are not part of the
-// structure payload — the graph comes back label-less, and callers that
-// render traces install a lazy source via SetLabelSource. The dependency
-// counts and roots are recomputed from the adjacency rather than trusted
-// from the payload. Any malformed input returns ErrBadArtifact.
+// CSR adjacency, same descriptor table. The dependency counts and roots
+// are recomputed from the adjacency rather than trusted from the payload.
+// Any malformed input — including one Bind or Replay could not run — returns
+// ErrBadArtifact.
 //
 // The returned Graph aliases data where alignment allows: the caller must
 // not modify the payload afterwards. The artifact store reads a fresh
@@ -347,19 +268,18 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	nEdges := r.count()
 	nClasses := r.count()
 	nDescs := r.count()
-	nLabels := r.count()
 	nSources := r.count()
 	if r.bad || nTasks < 1 || g.Devices < 1 || g.Devices > nTasks {
 		return nil, fmt.Errorf("%w: header", ErrBadArtifact)
 	}
-	// Sources are either absent (identity mapping: every task labels
-	// through its own node, so nLabels must cover the task range) or one
-	// per task.
+	// Bind divides and sizes by the model's dimensions, so a model that
+	// could not have been lowered must not load.
+	if g.Model.Validate() != nil {
+		return nil, fmt.Errorf("%w: model", ErrBadArtifact)
+	}
+	// Sources are either absent (the identity mapping) or one per task.
 	if nSources != 0 && nSources != nTasks {
 		return nil, fmt.Errorf("%w: source count", ErrBadArtifact)
-	}
-	if nSources == 0 && nLabels != nTasks {
-		return nil, fmt.Errorf("%w: label count", ErrBadArtifact)
 	}
 
 	g.classes = make([]string, nClasses)
@@ -384,10 +304,9 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 		}
 		switch d.kind {
 		case descOperator, descKernel:
-			if d.op < 0 || d.op > profiler.WeightUpdate {
-				return nil, fmt.Errorf("%w: descriptor operator", ErrBadArtifact)
-			}
-			if d.kernel < 0 || d.kernel >= maxDescKernel {
+			// Kernel counts are fixed per operator kind (and zero for an
+			// unknown one), so this bounds Bind's kernel lookup exactly.
+			if d.kernel < 0 || int(d.kernel) >= profiler.KernelCount(d.op) {
 				return nil, fmt.Errorf("%w: descriptor kernel", ErrBadArtifact)
 			}
 		case descAllReduceTP:
@@ -416,13 +335,8 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	if r.bad || r.off != len(r.data) {
 		return nil, fmt.Errorf("%w: truncated or trailing bytes", ErrBadArtifact)
 	}
-	// Labels live in their own artifact (see MarshalLabels); the decoded
-	// graph records only their count, and composes none until a label
-	// source is installed (SetLabelSource) and a trace asks for one.
-	g.nLabels = nLabels
-
-	// Index validation: everything the replay loop, Bind, and TaskLabel
-	// will dereference must be in range.
+	// Index validation: everything the replay loop and Bind will
+	// dereference must be in range.
 	if g.childStart[0] != 0 || int(g.childStart[nTasks]) != nEdges {
 		return nil, fmt.Errorf("%w: adjacency bounds", ErrBadArtifact)
 	}
@@ -436,8 +350,11 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 			return nil, fmt.Errorf("%w: task indices", ErrBadArtifact)
 		}
 	}
+	// Every operator lowers to at least one task, so a source index is
+	// below nTasks; ReplayTrace checks sources against the operator graph
+	// it labels from.
 	for _, s := range g.sources {
-		if uint32(s) >= uint32(nLabels) {
+		if uint32(s) >= uint32(nTasks) {
 			return nil, fmt.Errorf("%w: task source", ErrBadArtifact)
 		}
 	}

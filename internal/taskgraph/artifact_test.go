@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func artifactPlans() []parallel.Plan {
 // TestArtifactRoundTrip pins the on-disk encoding to the in-memory graph:
 // marshal → unmarshal must reproduce the freshly lowered graph exactly
 // (reflect.DeepEqual over every slab), at both fidelities, and the decoded
-// graph must bind, replay, and label identically.
+// graph must bind and replay identically.
 func TestArtifactRoundTrip(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
@@ -53,30 +54,6 @@ func TestArtifactRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fid %v plan %s: unmarshal: %v", fid, plan, err)
 			}
-
-			// Labels travel as their own payload; round-trip them too, then
-			// graft the decoded table onto the decoded graph so the final
-			// DeepEqual covers every slab of both payloads.
-			ldata, err := g.MarshalLabels()
-			if err != nil {
-				t.Fatalf("fid %v plan %s: marshal labels: %v", fid, plan, err)
-			}
-			lagain, err := g.MarshalLabels()
-			if err != nil || !bytes.Equal(ldata, lagain) {
-				t.Fatalf("fid %v plan %s: label marshal is not deterministic", fid, plan)
-			}
-			lt, err := UnmarshalLabels(ldata)
-			if err != nil {
-				t.Fatalf("fid %v plan %s: unmarshal labels: %v", fid, plan, err)
-			}
-			if !reflect.DeepEqual(lt, g.labels) {
-				t.Fatalf("fid %v plan %s: decoded labels differ from lowered labels", fid, plan)
-			}
-			if got.labels != nil || got.LabelCount() != g.LabelCount() {
-				t.Fatalf("fid %v plan %s: decoded graph label count %d (resident %v), want %d lazy",
-					fid, plan, got.LabelCount(), got.labels != nil, g.LabelCount())
-			}
-			got.labels, got.nLabels = lt, 0
 			if !reflect.DeepEqual(got, g) {
 				t.Fatalf("fid %v plan %s: decoded graph differs from lowered graph", fid, plan)
 			}
@@ -92,12 +69,6 @@ func TestArtifactRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(res, ref) {
 				t.Fatalf("fid %v plan %s: replay of decoded graph = %+v, want %+v", fid, plan, res, ref)
 			}
-			for i := 0; i < g.NumTasks(); i++ {
-				if got.TaskLabel(i) != g.TaskLabel(i) {
-					t.Fatalf("fid %v plan %s: task %d label %q, want %q",
-						fid, plan, i, got.TaskLabel(i), g.TaskLabel(i))
-				}
-			}
 		}
 	}
 }
@@ -108,7 +79,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 // the freshly lowered graph's. The table comparison covers every
 // topology-derived field (kind/span/fromNode/toNode, repNode, classes) —
 // any descriptor field the codec failed to round-trip would surface here
-// as a diverging classification or a diverging report.
+// as a diverging classification or a diverging report. Traces of both
+// graphs, labeled from the same operator graph, must match span for span.
 func TestArtifactContentionEquivalence(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
@@ -138,11 +110,11 @@ func TestArtifactContentionEquivalence(t *testing.T) {
 					fid, plan, dct, ct)
 			}
 
-			ref, refSpans, err := g.ReplayTrace(tbl, ct)
+			ref, refSpans, err := g.ReplayTrace(tbl, ct, og)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSpans, err := dec.ReplayTrace(dtbl, dct)
+			got, gotSpans, err := dec.ReplayTrace(dtbl, dct, og)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,14 +122,8 @@ func TestArtifactContentionEquivalence(t *testing.T) {
 				t.Fatalf("fid %v plan %s: contended replay of decoded graph = %+v, want %+v",
 					fid, plan, got, ref)
 			}
-			for s := range refSpans {
-				if gotSpans[s].Device != refSpans[s].Device ||
-					gotSpans[s].Stream != refSpans[s].Stream ||
-					gotSpans[s].Start != refSpans[s].Start ||
-					gotSpans[s].End != refSpans[s].End {
-					t.Fatalf("fid %v plan %s span %d: decoded %+v, fresh %+v",
-						fid, plan, s, gotSpans[s], refSpans[s])
-				}
+			if !reflect.DeepEqual(gotSpans, refSpans) {
+				t.Fatalf("fid %v plan %s: trace of decoded graph differs from fresh", fid, plan)
 			}
 			tbl.Release()
 			dtbl.Release()
@@ -165,94 +131,75 @@ func TestArtifactContentionEquivalence(t *testing.T) {
 	}
 }
 
-// TestLazyLabelSource pins the deferred label path a disk-loaded graph
-// takes: TaskLabel must fetch the table through the installed source
-// exactly once, labels must match the lowered graph's, and a source that
-// fails (returns nil) must degrade to empty labels, never panic.
-func TestLazyLabelSource(t *testing.T) {
-	c := hw.PaperCluster(8)
-	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
-	plan := artifactPlans()[1]
-	og, err := opgraph.Build(tinyModel(), plan, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Lower(og, prof, OperatorLevel)
-	data, err := g.MarshalArtifact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldata, err := g.MarshalLabels()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := UnmarshalArtifact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	got.SetLabelSource(func() *opgraph.LabelTable {
-		calls++
-		lt, err := UnmarshalLabels(ldata)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lt
-	})
-	for i := 0; i < g.NumTasks(); i++ {
-		if got.TaskLabel(i) != g.TaskLabel(i) {
-			t.Fatalf("task %d label %q, want %q", i, got.TaskLabel(i), g.TaskLabel(i))
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("label source ran %d times, want 1", calls)
-	}
-
-	broken, err := UnmarshalArtifact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	broken.SetLabelSource(func() *opgraph.LabelTable { return nil })
-	if lbl := broken.TaskLabel(0); lbl != "" {
-		t.Fatalf("label with failed source = %q, want empty", lbl)
-	}
-}
-
 // TestMarshalArtifactRejectsHandBuilt: hand-built graphs carry literal
 // durations the encoding cannot represent; marshaling one must error rather
-// than silently drop information — even when it carries a label table.
+// than silently drop information.
 func TestMarshalArtifactRejectsHandBuilt(t *testing.T) {
 	b := NewBuilder(1)
 	b.AddTask(Task{Class: "X"}, 1)
-	if _, err := b.Build().MarshalArtifact(); err == nil {
-		t.Fatal("marshaling a hand-built graph should fail")
-	}
-
-	b = NewBuilder(1)
-	b.AddTask(Task{Class: "X"}, 1)
-	one := []int32{0}
-	b.SetLabels(&opgraph.LabelTable{Kinds: []uint8{0}, Stage: one, Micro: one, Chunk: one, Layer: one, LayerEnd: one, Bucket: one})
 	if _, err := b.Build().MarshalArtifact(); err == nil || !strings.Contains(err.Error(), "literal") {
-		t.Fatalf("marshaling a labeled hand-built graph: err = %v, want a literal-duration rejection", err)
+		t.Fatalf("marshaling a hand-built graph: err = %v, want a literal-duration rejection", err)
+	}
+}
+
+// TestUnmarshalRejectsUnbindable: payloads that are well-formed and
+// in-range by every count, but that Bind could not price — a kernel index
+// past its operator's decomposition, a model dimension of zero — must be
+// rejected at decode, so the artifact tier treats them as a disk miss
+// instead of handing a sweep a graph that panics.
+func TestUnmarshalRejectsUnbindable(t *testing.T) {
+	c := hw.PaperCluster(8)
+	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
+	og, err := opgraph.Build(tinyModel(), artifactPlans()[1], c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(g *Graph){
+		"kernel past its operator": func(g *Graph) {
+			for i := range g.descs {
+				if d := &g.descs[i]; d.kind == descKernel {
+					d.kernel = int32(profiler.KernelCount(d.op))
+					return
+				}
+			}
+			t.Fatal("no kernel descriptor to corrupt")
+		},
+		"unknown operator": func(g *Graph) { g.descs[0].kind, g.descs[0].op = descOperator, profiler.WeightUpdate+1 },
+		"zero heads":       func(g *Graph) { g.Model.Heads = 0 },
+		"zero hidden":      func(g *Graph) { g.Model.Hidden = 0 },
+		"negative vocab":   func(g *Graph) { g.Model.Vocab = -1 },
+	} {
+		g := Lower(og, prof, TaskLevel)
+		corrupt(g)
+		data, err := g.MarshalArtifact()
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", name, err)
+		}
+		if _, err := UnmarshalArtifact(data); !errors.Is(err, ErrBadArtifact) {
+			t.Errorf("%s: decode err = %v, want ErrBadArtifact", name, err)
+		}
 	}
 }
 
 // FuzzUnmarshalArtifact throws mutated encodings at the decoder: whatever
 // the bytes, it must return a graph or ErrBadArtifact — never panic and
-// never hang on an attacker-chosen allocation size. Seeded with real
-// encodings so mutations explore the format's interior, not just the
-// header.
+// never hang on an attacker-chosen allocation size. Every graph it accepts
+// must then bind (with a real profiler and communication model), replay,
+// and trace without panicking; errors are fine. Seeded with real encodings
+// so mutations explore the format's interior, not just the header.
 func FuzzUnmarshalArtifact(f *testing.F) {
 	c := hw.PaperCluster(8)
-	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
-	for _, plan := range artifactPlans()[:2] {
+	cm := comm.NewModel(c)
+	plans := artifactPlans()[:2]
+	var ogs []*opgraph.Graph
+	for _, plan := range plans {
 		og, err := opgraph.Build(tinyModel(), plan, c)
 		if err != nil {
 			f.Fatal(err)
 		}
+		ogs = append(ogs, og)
 		for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
-			data, err := Lower(og, prof, fid).MarshalArtifact()
+			data, err := Lower(og, profiler.New(gpu.NewDevice(c.Node.GPU)), fid).MarshalArtifact()
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -262,32 +209,23 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := UnmarshalArtifact(data)
-		if err == nil && g == nil {
+		if err != nil {
+			if !errors.Is(err, ErrBadArtifact) {
+				t.Fatalf("decode error %v is not ErrBadArtifact", err)
+			}
+			return
+		}
+		if g == nil {
 			t.Fatal("nil graph without error")
 		}
-	})
-}
-
-// FuzzUnmarshalLabels is FuzzUnmarshalArtifact for the label payload.
-func FuzzUnmarshalLabels(f *testing.F) {
-	c := hw.PaperCluster(8)
-	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
-	og, err := opgraph.Build(tinyModel(), artifactPlans()[1], c)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
-		data, err := Lower(og, prof, fid).MarshalLabels()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lt, err := UnmarshalLabels(data)
-		if err == nil && lt == nil {
-			t.Fatal("nil label table without error")
+		// A fresh profiler per input: decoded model dimensions are
+		// arbitrary, and a shared one would cache every shape tried.
+		prof := profiler.New(gpu.NewDevice(c.Node.GPU))
+		for i, plan := range plans {
+			tbl := g.Bind(prof, cm, plan, c)
+			g.Replay(tbl, nil)
+			g.ReplayTrace(tbl, nil, ogs[i])
+			tbl.Release()
 		}
 	})
 }

@@ -114,12 +114,12 @@ func (sc *batchScratch) reset(n, devices, classes, k int) {
 // replay, so one shared structural graph may be replayed under many tables
 // concurrently.
 func (g *Graph) Replay(tbl *DurationTable, ct *ContentionTable) (Result, error) {
-	res, _, err := g.replayOne(tbl, ct, false)
+	res, _, err := g.replayOne(tbl, ct, nil)
 	return res, err
 }
 
-func (g *Graph) replayOne(tbl *DurationTable, ct *ContentionTable, capture bool) (Result, []Span, error) {
-	results, spans, err := g.replayBatch([]*DurationTable{tbl}, []*ContentionTable{ct}, capture)
+func (g *Graph) replayOne(tbl *DurationTable, ct *ContentionTable, label func(id int) string) (Result, []Span, error) {
+	results, spans, err := g.replayBatch([]*DurationTable{tbl}, []*ContentionTable{ct}, label)
 	if results == nil {
 		return Result{}, nil, err
 	}
@@ -139,15 +139,16 @@ func (g *Graph) replayOne(tbl *DurationTable, ct *ContentionTable, capture bool)
 // carries its own occupancy ledger — lanes are independent simulated
 // clusters and never contend with each other. An empty batch returns nil.
 func (g *Graph) ReplayBatchContended(tables []*DurationTable, cts []*ContentionTable) ([]Result, error) {
-	results, _, err := g.replayBatch(tables, cts, false)
+	results, _, err := g.replayBatch(tables, cts, nil)
 	return results, err
 }
 
 // replayBatch runs Algorithm 1 for every lane over the immutable graph using
 // pooled scratch state. It never writes to g, the tables, or the contention
-// tables, so concurrent replays of one graph are safe. capture records the
-// execution timeline and is only honored at width 1.
-func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, capture bool) ([]Result, []Span, error) {
+// tables, so concurrent replays of one graph are safe. A non-nil label
+// records the execution timeline, naming each span label(task id); it is
+// only honored at width 1.
+func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, label func(id int) string) ([]Result, []Span, error) {
 	k := len(tables)
 	if cts != nil && len(cts) != k {
 		return nil, nil, fmt.Errorf("taskgraph: batch has %d tables but %d contention tables", k, len(cts))
@@ -217,7 +218,7 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, cap
 		if states != nil {
 			st = states[0]
 		}
-		if capture {
+		if label != nil {
 			spans = make([]Span, 0, n)
 		}
 		flopsSum := 0.0
@@ -240,8 +241,8 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, cap
 			sc.classSec[g.classOf[id]] += d
 			flopsSum += v.flops
 			executed++
-			if capture {
-				spans = append(spans, Span{Device: int(slot >> 1), Stream: Stream(slot & 1), Start: start, End: finish, Label: tbl.taskLabel(g, int(id))})
+			if label != nil {
+				spans = append(spans, Span{Device: int(slot >> 1), Stream: Stream(slot & 1), Start: start, End: finish, Label: label(int(id))})
 			}
 			for _, cid := range g.Children(int(id)) {
 				if sc.ref[cid] == g.indeg[cid] {

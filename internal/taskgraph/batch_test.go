@@ -85,7 +85,7 @@ func checkLanes(t *testing.T, g *Graph, tables []*DurationTable, cts []*Contenti
 			t.Fatal(err)
 		}
 		requireIdentical(t, i, got, want[i])
-		traced, spans, err := g.ReplayTrace(tbl, ctOf(i))
+		traced, spans, err := g.ReplayTrace(tbl, ctOf(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

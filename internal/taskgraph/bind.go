@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"vtrain/internal/hw"
+	"vtrain/internal/opgraph"
 	"vtrain/internal/parallel"
 	"vtrain/internal/profiler"
 )
@@ -199,10 +200,14 @@ func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, 
 }
 
 // taskLabel composes the trace label of task id under this binding: the
-// structural base label qualified by the bound plan's kernel symbol for
-// kernel-granularity tasks. Only trace capture calls it.
-func (t *DurationTable) taskLabel(g *Graph, id int) string {
-	base := g.TaskLabel(id)
+// label of its source operator in og ("" when og is nil) qualified by the
+// bound plan's kernel symbol for kernel-granularity tasks. Only trace
+// capture calls it.
+func (t *DurationTable) taskLabel(g *Graph, og *opgraph.Graph, id int) string {
+	base := ""
+	if og != nil {
+		base = og.Label(g.source(id))
+	}
 	d := &g.descs[g.durIdx[id]]
 	if d.kind != descKernel {
 		return base

@@ -303,7 +303,7 @@ func TestContentionMonotone(t *testing.T) {
 	if base <= 0 {
 		t.Fatalf("ideal All-Reduce duration %v, want > 0", base)
 	}
-	_, spans, err := g.ReplayTrace(tbl, ct)
+	_, spans, err := g.ReplayTrace(tbl, ct, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,12 +331,12 @@ func TestContentionMonotone(t *testing.T) {
 	// iteration time never shrinks.
 	plan = parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2}
 	bg := lower(t, plan, OperatorLevel)
-	ideal, idealSpans, err := bg.g.ReplayTrace(bg.tbl, nil)
+	ideal, idealSpans, err := bg.g.ReplayTrace(bg.tbl, nil, bg.og)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lct := bg.g.BindContention(plan, c, bg.tbl)
-	cont, contSpans, err := bg.g.ReplayTrace(bg.tbl, lct)
+	cont, contSpans, err := bg.g.ReplayTrace(bg.tbl, lct, bg.og)
 	if err != nil {
 		t.Fatal(err)
 	}

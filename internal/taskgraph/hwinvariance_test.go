@@ -89,10 +89,18 @@ func TestStructureHardwareInvariance(t *testing.T) {
 				t.Fatalf("fidelity %v: %s differs between clusters", fid, name)
 			}
 		}
-		// Labels resolve through the source operator graph; they must not
-		// embed hardware either.
+		// Labels compose from the source operator graph at trace time;
+		// they must not embed hardware either.
+		ogA, err := opgraph.Build(m, plan, cA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ogB, err := opgraph.Build(m, plan, cB)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for id := 0; id < gA.NumTasks(); id++ {
-			if la, lb := gA.TaskLabel(id), gB.TaskLabel(id); la != lb {
+			if la, lb := ogA.Label(gA.source(id)), ogB.Label(gB.source(id)); la != lb {
 				t.Fatalf("fidelity %v: task %d label %q != %q", fid, id, la, lb)
 			}
 		}

@@ -28,7 +28,6 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 	g := &Graph{
 		Devices: og.Stages,
 		Model:   og.Model,
-		labels:  og.LabelTable(),
 	}
 	g.classOf = make([]int32, n)
 	g.durIdx = make([]int32, n)

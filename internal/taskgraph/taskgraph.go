@@ -40,7 +40,6 @@ package taskgraph
 
 import (
 	"fmt"
-	"sync"
 
 	"vtrain/internal/comm"
 	"vtrain/internal/model"
@@ -140,22 +139,6 @@ type Graph struct {
 	// descriptor. Bind prices each descriptor once for one plan.
 	descs  []durDesc
 	durIdx []int32
-	// labels holds the per-source-node label coordinates captured from the
-	// operator graph at lowering time, in columnar form; TaskLabel composes
-	// them on demand. They are plain data, so a lowered graph (labels
-	// included) can round-trip through the on-disk artifact store — and
-	// because the columns match the on-disk layout, a loaded graph aliases
-	// them out of the read buffer with zero copies.
-	// Disk-loaded graphs start label-less (labels are over half a graph's
-	// bytes and sweeps never render one): labels stays nil, nLabels records
-	// how many records the label artifact holds, and labelSrc — installed
-	// via SetLabelSource — fetches them once, on the first TaskLabel call.
-	labels   *opgraph.LabelTable
-	nLabels  int
-	labelSrc func() *opgraph.LabelTable
-	// labelOnce makes the lazy fetch single-flight and publishes labels
-	// safely to concurrent TaskLabel callers.
-	labelOnce sync.Once
 }
 
 // NumTasks returns the number of tasks in the graph.
@@ -184,45 +167,6 @@ func (g *Graph) TaskAt(id int) Task {
 // Children returns the dependent task IDs of task id.
 func (g *Graph) Children(id int) []int32 {
 	return g.children[g.childStart[id]:g.childStart[id+1]]
-}
-
-// SetLabelSource installs a lazy fetcher for a disk-loaded graph's label
-// table. The artifact tier stores labels separately from structure, so a
-// loaded graph defers their cost until a trace actually composes a label;
-// the source runs at most once, and its result is shared by all callers.
-// Call before the graph is published to other goroutines.
-func (g *Graph) SetLabelSource(f func() *opgraph.LabelTable) { g.labelSrc = f }
-
-// LabelCount returns the number of label records the graph's label table
-// holds (or, for a disk-loaded graph whose labels are not yet resident,
-// will hold). Source indices are always below this bound.
-func (g *Graph) LabelCount() int {
-	if g.labels != nil {
-		return g.labels.Len()
-	}
-	return g.nLabels
-}
-
-// Labels returns the graph's label table, fetching it through the lazy
-// source on first use. Nil when the graph carries no labels and no source.
-func (g *Graph) Labels() *opgraph.LabelTable {
-	if g.labelSrc != nil {
-		g.labelOnce.Do(func() { g.labels = g.labelSrc() })
-	}
-	return g.labels
-}
-
-// TaskLabel composes the human-readable base tag of task id from its source
-// operator's label coordinates; trace capture qualifies it with the bound
-// plan's kernel name at task granularity. Labels are formatted only when
-// this is called — plain replays never pay for them, and a disk-loaded
-// graph does not even load its label bytes until the first call. Graphs
-// without labels (hand-built ones) label every task "".
-func (g *Graph) TaskLabel(id int) string {
-	if labels := g.Labels(); labels != nil {
-		return labels.At(g.source(id)).Compose()
-	}
-	return ""
 }
 
 // Builder accumulates tasks and dependency edges and finalizes them into an
@@ -293,14 +237,6 @@ func (b *Builder) AddTask(t Task, duration float64) int {
 // AddEdge records that task to depends on task from.
 func (b *Builder) AddEdge(from, to int) {
 	b.edges = append(b.edges, [2]int32{int32(from), int32(to)})
-}
-
-// SetLabels installs the per-source label coordinates lowered graphs
-// resolve TaskLabel through; Lower copies them out of the operator graph.
-// The label table is serializable, which is what lets a lowered graph
-// round-trip through the artifact store.
-func (b *Builder) SetLabels(t *opgraph.LabelTable) {
-	b.g.labels = t
 }
 
 // Build finalizes the accumulated tasks and edges into CSR form. The
@@ -385,11 +321,6 @@ func Lower(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Graph {
 // reference implementation the operator-level fast path is tested against.
 func lowerBuilder(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Graph {
 	b := NewBuilder(g.Stages)
-	// Lowered tasks resolve labels lazily through a copy of the operator
-	// graph's label coordinates: no label string exists until a trace is
-	// rendered, and the (cacheable, long-lived) task graph does not pin
-	// the operator graph's storage.
-	b.SetLabels(g.LabelTable())
 	b.g.Model = g.Model
 	nNodes := g.NumNodes()
 	// Pre-count tasks and edges so the arena and edge list are allocated

@@ -24,6 +24,7 @@ func tinyModel() model.Config {
 type boundGraph struct {
 	g   *Graph
 	tbl *DurationTable
+	og  *opgraph.Graph // the operator graph g was lowered from, when lowered
 }
 
 func lower(t *testing.T, plan parallel.Plan, fid Fidelity) boundGraph {
@@ -35,7 +36,7 @@ func lower(t *testing.T, plan parallel.Plan, fid Fidelity) boundGraph {
 	}
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
 	g := Lower(og, prof, fid)
-	return boundGraph{g: g, tbl: g.Bind(prof, comm.NewModel(c), plan, c)}
+	return boundGraph{g: g, tbl: g.Bind(prof, comm.NewModel(c), plan, c), og: og}
 }
 
 func simulate(t *testing.T, b boundGraph) Result {
@@ -229,7 +230,7 @@ func TestZeroTaskGraphErrors(t *testing.T) {
 		if _, err := g.Replay(tb, nil); err == nil {
 			t.Fatal("Replay on a zero-task graph must error")
 		}
-		if _, _, err := g.ReplayTrace(tb, nil); err == nil {
+		if _, _, err := g.ReplayTrace(tb, nil, nil); err == nil {
 			t.Fatal("ReplayTrace on a zero-task graph must error")
 		}
 		if _, err := g.ReplayBatchContended([]*DurationTable{tb}, nil); err == nil {
@@ -253,7 +254,7 @@ func TestStructuralGraphRequiresBinding(t *testing.T) {
 	if _, err := b.g.Replay(nil, nil); err == nil {
 		t.Fatal("Replay(nil) on a structural graph must error")
 	}
-	if _, _, err := b.g.ReplayTrace(nil, nil); err == nil {
+	if _, _, err := b.g.ReplayTrace(nil, nil, b.og); err == nil {
 		t.Fatal("ReplayTrace(nil) on a structural graph must error")
 	}
 	other := lower(t, parallel.Plan{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 2}, OperatorLevel)

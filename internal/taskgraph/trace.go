@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"vtrain/internal/opgraph"
 )
 
 // Span is one executed task on the simulated timeline.
@@ -18,11 +20,20 @@ type Span struct {
 }
 
 // ReplayTrace is Replay plus the full execution timeline. Span labels
-// resolve through the table's binding, so kernel names reflect the bound
-// plan's tensor shapes exactly as a from-scratch lowering would; under
-// contention, span durations reflect the derated comm tasks.
-func (g *Graph) ReplayTrace(tbl *DurationTable, ct *ContentionTable) (Result, []Span, error) {
-	return g.replayOne(tbl, ct, true)
+// compose from og, the operator graph the trace renders: each task takes
+// its source operator's label, qualified at task granularity by the kernel
+// name the table bound, so kernel names reflect the bound plan's tensor
+// shapes exactly as a from-scratch lowering would. Any operator graph of
+// the task graph's structural shape labels it identically; a nil og labels
+// every span "". Under contention, span durations reflect the derated comm
+// tasks. An og without a node for some task's source is an error.
+func (g *Graph) ReplayTrace(tbl *DurationTable, ct *ContentionTable, og *opgraph.Graph) (Result, []Span, error) {
+	for id := 0; og != nil && id < g.NumTasks(); id++ {
+		if s := g.source(id); s < 0 || s >= og.NumNodes() {
+			return Result{}, nil, fmt.Errorf("taskgraph: task %d's source operator %d is not in the %d-node operator graph", id, s, og.NumNodes())
+		}
+	}
+	return g.replayOne(tbl, ct, func(id int) string { return tbl.taskLabel(g, og, id) })
 }
 
 // chromeEvent is one Chrome trace-event-format record ("X" complete event).

@@ -37,11 +37,11 @@ func TestContendedTraceGolden(t *testing.T) {
 	defer tbl.Release()
 	ct := g.BindContention(plan, c, tbl)
 
-	ideal, idealSpans, err := g.ReplayTrace(tbl, nil)
+	ideal, idealSpans, err := g.ReplayTrace(tbl, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, spans, err := g.ReplayTrace(tbl, ct)
+	res, spans, err := g.ReplayTrace(tbl, ct, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

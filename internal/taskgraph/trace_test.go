@@ -3,17 +3,20 @@ package taskgraph
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"sort"
 	"testing"
 
+	"vtrain/internal/opgraph"
 	"vtrain/internal/parallel"
+	"vtrain/internal/profiler"
 )
 
 func traceGraph(t *testing.T) (boundGraph, Result, []Span) {
 	t.Helper()
 	plan := parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2}
 	g := lower(t, plan, TaskLevel)
-	res, spans, err := g.g.ReplayTrace(g.tbl, nil)
+	res, spans, err := g.g.ReplayTrace(g.tbl, nil, g.og)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +34,63 @@ func TestSimulateTraceMatchesSimulate(t *testing.T) {
 	}
 	if len(spans) != res.Executed {
 		t.Fatalf("spans = %d, executed = %d", len(spans), res.Executed)
+	}
+}
+
+// TestReplayTraceLabelsFromOperatorGraph pins where span labels come from:
+// each span carries its task's source operator label in the operator graph
+// passed to ReplayTrace, plus the bound kernel name at task granularity. A
+// nil operator graph labels every span "" and leaves the timeline as is;
+// one without a node for every task's source is an error, not a panic.
+func TestReplayTraceLabelsFromOperatorGraph(t *testing.T) {
+	plan := parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2}
+	small := lower(t, parallel.Plan{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 2}, OperatorLevel)
+	for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
+		g := lower(t, plan, fid)
+		res, spans, err := g.g.ReplayTrace(g.tbl, nil, g.og)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := map[string]bool{}
+		for _, sp := range spans {
+			labels[sp.Label] = true
+		}
+		for id := 0; id < g.og.NumNodes(); id++ {
+			base := g.og.Label(id)
+			// Multi-kernel operators lower to one task per kernel at task
+			// granularity; the first carries kernel 0's name.
+			if n := g.og.Node(id); fid == TaskLevel && n.Kind == opgraph.Compute && profiler.KernelCount(n.Op) > 1 {
+				base += "/" + g.tbl.prof.Profile(g.og.OperatorOf(n))[0].Kernel.Name
+			}
+			if !labels[base] {
+				t.Fatalf("fidelity %v: no span labeled %q for operator %d", fid, base, id)
+			}
+		}
+
+		bare, bareSpans, err := g.g.ReplayTrace(g.tbl, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bare, res) || len(bareSpans) != len(spans) {
+			t.Fatalf("fidelity %v: a nil operator graph changed the replay", fid)
+		}
+		for i, sp := range bareSpans {
+			if fid == OperatorLevel && sp.Label != "" {
+				t.Fatalf("fidelity %v: span %d labeled %q without an operator graph", fid, i, sp.Label)
+			}
+			sp.Label = spans[i].Label
+			if sp != spans[i] {
+				t.Fatalf("fidelity %v: span %d = %+v without labels, %+v with", fid, i, sp, spans[i])
+			}
+		}
+
+		if small.og.NumNodes() >= g.og.NumNodes() {
+			t.Fatal("the small operator graph must have fewer nodes")
+		}
+		if _, _, err := g.g.ReplayTrace(g.tbl, nil, small.og); err == nil {
+			t.Fatalf("fidelity %v: an operator graph of %d nodes labeled a %d-node lowering",
+				fid, small.og.NumNodes(), g.og.NumNodes())
+		}
 	}
 }
 

@@ -32,11 +32,11 @@ import (
 // internally synchronized, and the graphs built per simulation are
 // immutable.
 type Simulator struct {
-	cluster    hw.Cluster
-	device     *gpu.Device
-	profiler   *profiler.Profiler
-	comm       taskgraph.CommTimer
-	fidelity   taskgraph.Fidelity
+	cluster  hw.Cluster
+	device   *gpu.Device
+	profiler *profiler.Profiler
+	comm     taskgraph.CommTimer
+	fidelity taskgraph.Fidelity
 	// contention enables the topology-aware congestion fidelity level:
 	// replays derate communication tasks that share fat-tree links with
 	// concurrently in-flight ones (see taskgraph.BindContention). Off by

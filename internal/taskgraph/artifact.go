@@ -3,8 +3,8 @@ package taskgraph
 // Artifact encoding: the flat, versioned, little-endian serialization of a
 // lowered structural Graph that the persistent artifact tier
 // (internal/artifact) writes to disk. The layout mirrors the in-memory
-// representation exactly — value slabs, CSR adjacency, a deduplicated
-// descriptor table — and every slab section is
+// representation exactly — value slabs in dispatch order, the parents CSR,
+// a deduplicated descriptor table — and every slab section is
 // padded to a 4-byte payload offset, so on little-endian hosts a load
 // aliases the slabs straight out of the read buffer: no per-task decode
 // loop, no bulk copies, O(#slabs) pointer work plus validation scans.
@@ -32,7 +32,7 @@ import (
 // Graph.MarshalArtifact. It is embedded in the payload and in the artifact
 // store's content hash, so a version bump makes old files silent cache
 // misses instead of misdecodes.
-const EncodingVersion = 2
+const EncodingVersion = 3
 
 // ErrBadArtifact is returned by UnmarshalArtifact for any malformed
 // payload: wrong version, truncated data, trailing bytes, or an index out
@@ -90,8 +90,8 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 		}
 	}
 	n := g.NumTasks()
-	size := 4 + 4 + len(g.Model.Name) + 6*8 + 5*8 +
-		len(g.descs)*33 + 4*(4*n+1) + 4 + 4*len(g.children) + 8
+	size := 4 + 4 + len(g.Model.Name) + 6*8 + 4*8 +
+		len(g.descs)*33 + 3 + 4*(5*n+1+len(g.parents))
 	for _, c := range g.classes {
 		size += 4 + len(c)
 	}
@@ -102,9 +102,7 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 	for _, v := range []int{g.Model.Hidden, g.Model.Layers, g.Model.SeqLen, g.Model.Heads, g.Model.Vocab, g.Devices} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
 	}
-	// A zero source count means the identity mapping (operator-level
-	// graphs), costing nothing on disk instead of 4 bytes per task.
-	for _, v := range []int{n, len(g.children), len(g.classes), len(g.descs), len(g.sources)} {
+	for _, v := range []int{n, len(g.parents), len(g.classes), len(g.descs)} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
 	}
 	for _, c := range g.classes {
@@ -124,8 +122,8 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 	buf = appendInt32Slab(buf, g.classOf)
 	buf = appendInt32Slab(buf, g.durIdx)
 	buf = appendInt32Slab(buf, g.slotOf)
-	buf = appendInt32Slab(buf, g.childStart)
-	buf = appendInt32Slab(buf, g.children)
+	buf = appendInt32Slab(buf, g.parentStart)
+	buf = appendInt32Slab(buf, g.parents)
 	return buf, nil
 }
 
@@ -240,11 +238,10 @@ func (r *artifactReader) i32Slab(n int) []int32 {
 }
 
 // UnmarshalArtifact decodes a payload produced by MarshalArtifact into a
-// structural Graph equivalent to the freshly lowered one: same tasks, same
-// CSR adjacency, same descriptor table. The dependency counts and roots
-// are recomputed from the adjacency rather than trusted from the payload.
-// Any malformed input — including one Bind or Replay could not run — returns
-// ErrBadArtifact.
+// structural Graph equivalent to the freshly lowered one: same tasks in the
+// same dispatch order, same parents CSR, same descriptor table. Any
+// malformed input — including one Bind or Replay could not run, such as a
+// parent that does not precede its task — returns ErrBadArtifact.
 //
 // The returned Graph aliases data where alignment allows: the caller must
 // not modify the payload afterwards. The artifact store reads a fresh
@@ -268,7 +265,6 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	nEdges := r.count()
 	nClasses := r.count()
 	nDescs := r.count()
-	nSources := r.count()
 	if r.bad || nTasks < 1 || g.Devices < 1 || g.Devices > nTasks {
 		return nil, fmt.Errorf("%w: header", ErrBadArtifact)
 	}
@@ -276,10 +272,6 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	// could not have been lowered must not load.
 	if g.Model.Validate() != nil {
 		return nil, fmt.Errorf("%w: model", ErrBadArtifact)
-	}
-	// Sources are either absent (the identity mapping) or one per task.
-	if nSources != 0 && nSources != nTasks {
-		return nil, fmt.Errorf("%w: source count", ErrBadArtifact)
 	}
 
 	g.classes = make([]string, nClasses)
@@ -324,59 +316,40 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	}
 
 	r.align4()
-	if nSources > 0 {
-		g.sources = r.i32Slab(nSources)
-	}
+	g.sources = r.i32Slab(nTasks)
 	g.classOf = r.i32Slab(nTasks)
 	g.durIdx = r.i32Slab(nTasks)
 	g.slotOf = r.i32Slab(nTasks)
-	g.childStart = r.i32Slab(nTasks + 1)
-	g.children = r.i32Slab(nEdges)
+	g.parentStart = r.i32Slab(nTasks + 1)
+	g.parents = r.i32Slab(nEdges)
 	if r.bad || r.off != len(r.data) {
 		return nil, fmt.Errorf("%w: truncated or trailing bytes", ErrBadArtifact)
 	}
 	// Index validation: everything the replay loop and Bind will
-	// dereference must be in range.
-	if g.childStart[0] != 0 || int(g.childStart[nTasks]) != nEdges {
+	// dereference must be in range. Every parent preceding its task both
+	// bounds each edge and proves the graph acyclic, in dispatch order.
+	if g.parentStart[0] != 0 || int(g.parentStart[nTasks]) != nEdges {
 		return nil, fmt.Errorf("%w: adjacency bounds", ErrBadArtifact)
 	}
 	for i := 0; i < nTasks; i++ {
-		if g.childStart[i] > g.childStart[i+1] {
+		lo, hi := g.parentStart[i], g.parentStart[i+1]
+		if lo > hi || int(hi) > nEdges {
 			return nil, fmt.Errorf("%w: adjacency order", ErrBadArtifact)
+		}
+		for _, p := range g.parents[lo:hi] {
+			if p < 0 || int(p) >= i {
+				return nil, fmt.Errorf("%w: parent %d of task %d does not precede it", ErrBadArtifact, p, i)
+			}
 		}
 		if uint32(g.classOf[i]) >= uint32(nClasses) ||
 			uint32(g.durIdx[i]) >= uint32(nDescs) ||
-			uint32(g.slotOf[i]) >= uint32(2*g.Devices) {
+			uint32(g.slotOf[i]) >= uint32(2*g.Devices) ||
+			// Every operator lowers to at least one task, so a source
+			// index is below nTasks; ReplayTrace checks sources against
+			// the operator graph it labels from.
+			uint32(g.sources[i]) >= uint32(nTasks) {
 			return nil, fmt.Errorf("%w: task indices", ErrBadArtifact)
 		}
-	}
-	// Every operator lowers to at least one task, so a source index is
-	// below nTasks; ReplayTrace checks sources against the operator graph
-	// it labels from.
-	for _, s := range g.sources {
-		if uint32(s) >= uint32(nTasks) {
-			return nil, fmt.Errorf("%w: task source", ErrBadArtifact)
-		}
-	}
-	// Rebuild the derived slabs (indeg, roots) instead of trusting them
-	// from disk: recomputing from the validated adjacency guarantees
-	// internal consistency, and the recomputation doubles as the edge-target
-	// bounds check. A graph is its slabs (see Graph), so the artifact loads
-	// with O(#slabs) work plus these validation scans.
-	g.indeg = make([]int32, nTasks)
-	for _, c := range g.children {
-		if uint32(c) >= uint32(nTasks) {
-			return nil, fmt.Errorf("%w: edge target", ErrBadArtifact)
-		}
-		g.indeg[c]++
-	}
-	for i := 0; i < nTasks; i++ {
-		if g.indeg[i] == 0 {
-			g.roots = append(g.roots, int32(i))
-		}
-	}
-	if len(g.roots) == 0 {
-		return nil, fmt.Errorf("%w: no roots", ErrBadArtifact)
 	}
 	return g, nil
 }

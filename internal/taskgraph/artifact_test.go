@@ -137,16 +137,18 @@ func TestArtifactContentionEquivalence(t *testing.T) {
 func TestMarshalArtifactRejectsHandBuilt(t *testing.T) {
 	b := NewBuilder(1)
 	b.AddTask(Task{Class: "X"}, 1)
-	if _, err := b.Build().MarshalArtifact(); err == nil || !strings.Contains(err.Error(), "literal") {
+	if _, err := mustBuild(t, b).MarshalArtifact(); err == nil || !strings.Contains(err.Error(), "literal") {
 		t.Fatalf("marshaling a hand-built graph: err = %v, want a literal-duration rejection", err)
 	}
 }
 
 // TestUnmarshalRejectsUnbindable: payloads that are well-formed and
-// in-range by every count, but that Bind could not price — a kernel index
-// past its operator's decomposition, a model dimension of zero — must be
+// in-range by every count, but that Bind or Replay could not run — a kernel
+// index past its operator's decomposition, a model dimension of zero, a
+// parent that does not precede its task (a cycle or an out-of-order edge),
+// parent offsets out of order, a source past the task count — must be
 // rejected at decode, so the artifact tier treats them as a disk miss
-// instead of handing a sweep a graph that panics.
+// instead of handing a sweep a graph that panics or hangs.
 func TestUnmarshalRejectsUnbindable(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
@@ -168,6 +170,19 @@ func TestUnmarshalRejectsUnbindable(t *testing.T) {
 		"zero heads":       func(g *Graph) { g.Model.Heads = 0 },
 		"zero hidden":      func(g *Graph) { g.Model.Hidden = 0 },
 		"negative vocab":   func(g *Graph) { g.Model.Vocab = -1 },
+		"parent not before its task: self-edge": func(g *Graph) {
+			i := firstWithParent(t, g)
+			g.parents[g.parentStart[i]] = int32(i)
+		},
+		"parent not before its task: forward edge": func(g *Graph) {
+			i := firstWithParent(t, g)
+			g.parents[g.parentStart[i]] = int32(i + 1)
+		},
+		"parent starts out of order": func(g *Graph) {
+			i := firstWithParent(t, g) + 1
+			g.parentStart[i+1] = g.parentStart[i] - 1
+		},
+		"source out of range": func(g *Graph) { g.sources[len(g.sources)-1] = int32(g.NumTasks()) },
 	} {
 		g := Lower(og, prof, TaskLevel)
 		corrupt(g)
@@ -179,6 +194,17 @@ func TestUnmarshalRejectsUnbindable(t *testing.T) {
 			t.Errorf("%s: decode err = %v, want ErrBadArtifact", name, err)
 		}
 	}
+}
+
+// firstWithParent returns the first task of g that has a parent.
+func firstWithParent(t *testing.T, g *Graph) int {
+	for i := 0; i < g.NumTasks(); i++ {
+		if g.parentStart[i+1] > g.parentStart[i] {
+			return i
+		}
+	}
+	t.Fatal("no task with a parent to corrupt")
+	return 0
 }
 
 // FuzzUnmarshalArtifact throws mutated encodings at the decoder: whatever

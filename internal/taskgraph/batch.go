@@ -30,7 +30,7 @@ func wantShrink(c, need int, oversized *int8) bool {
 
 // fitZero returns a zeroed slice of length n, reusing s's storage unless it
 // is too small or drop demands oversized capacity be shed.
-func fitZero[T int32 | float64](s []T, n int, drop bool) []T {
+func fitZero[T int32 | float64 | taskOffsets](s []T, n int, drop bool) []T {
 	if cap(s) < n || drop {
 		return make([]T, n)
 	}
@@ -41,33 +41,26 @@ func fitZero[T int32 | float64](s []T, n int, drop bool) []T {
 
 // fitRaw is fitZero without the zeroing, for buffers the caller fully
 // overwrites before reading.
-func fitRaw[T int32 | float64 | descVal](s []T, n int, drop bool) []T {
+func fitRaw[T int32 | float64 | descVal | provTask](s []T, n int, drop bool) []T {
 	if cap(s) < n || drop {
 		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// batchScratch holds all mutable state of one replay: the shared structural
-// traversal (ref counts, FIFO queue — one per call, since topological order
-// is structure-only) plus the columnar per-lane clocks. The per-task columns
-// are lane-major ([task][lane] flattened), so the hot inner loop advances k
-// adjacent lanes with contiguous loads and stores.
+// batchScratch holds all mutable state of one replay: the columnar
+// per-lane clocks. The per-task columns are lane-major ([task][lane]
+// flattened), so the hot inner loop advances k adjacent lanes with
+// contiguous loads and stores.
 type batchScratch struct {
-	// ref and queue drive the single shared traversal (Algorithm 1's
-	// dependency counts and FIFO queue, shared by every lane).
-	ref   []int32
-	queue []int32
 	// vals[di*k+lane] is lane's bound value of descriptor di: the lanes'
 	// tables gathered descriptor-major (a few dozen rows), so each task
 	// reads its k lane values from one contiguous row. Width-1 replays read
 	// their table directly and leave it unused.
 	vals []descVal
-	// ready[id*k+lane] is lane's earliest dependency-permitted start. Not
-	// pre-zeroed: a task's row is written in full by its first incoming
-	// edge (detected via the untouched ref count), and root rows — which
-	// have no incoming edge — are cleared explicitly before the walk.
-	ready []float64
+	// finish[id*k+lane] is lane's finish time of task id. Not pre-zeroed:
+	// the replay writes each task's row before any child reads it.
+	finish []float64
 	// free[slot*k+lane] is lane's timeline for slot = 2*device+stream.
 	free []float64
 	// busy[slot*k+lane] accumulates lane's busy seconds per slot.
@@ -89,15 +82,10 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // reset sizes the scratch for k lanes over a graph with n tasks, devices
 // devices, and classes distinct classes, zeroing what the replay reads.
 // Oversized pooled storage is shed per the hysteretic policy of wantShrink,
-// driven by ready — the scratch's largest buffer.
+// driven by finish — the scratch's largest buffer.
 func (sc *batchScratch) reset(n, devices, classes, k int) {
-	drop := wantShrink(cap(sc.ready), n*k, &sc.oversized)
-	sc.ref = fitRaw(sc.ref, n, drop)
-	if cap(sc.queue) < n || drop {
-		sc.queue = make([]int32, 0, n)
-	}
-	sc.queue = sc.queue[:0]
-	sc.ready = fitRaw(sc.ready, n*k, drop)
+	drop := wantShrink(cap(sc.finish), n*k, &sc.oversized)
+	sc.finish = fitRaw(sc.finish, n*k, drop)
 	sc.free = fitZero(sc.free, 2*devices*k, drop)
 	sc.busy = fitZero(sc.busy, 2*devices*k, drop)
 	sc.classSec = fitZero(sc.classSec, classes*k, drop)
@@ -105,14 +93,15 @@ func (sc *batchScratch) reset(n, devices, classes, k int) {
 }
 
 // Replay simulates the graph per Algorithm 1 under the per-plan durations
-// bound in tbl: a FIFO ready queue, per-device timelines (split into compute
-// and communication streams), and dependency reference counts. ct, when
-// non-nil, selects the contention fidelity level: communication tasks
-// sharing fat-tree links with concurrently in-flight ones run slower by the
-// congestion model's derate factors. A nil ct performs exactly the ideal
-// replay's float operations. The graph and tables are read-only during
-// replay, so one shared structural graph may be replayed under many tables
-// concurrently.
+// bound in tbl, over per-device timelines split into compute and
+// communication streams. Tasks dispatch in id order, which is Algorithm 1's
+// FIFO order (see Graph): each starts once its parents have finished and
+// its stream is free. ct, when non-nil, selects the contention fidelity
+// level: communication tasks sharing fat-tree links with concurrently
+// in-flight ones run slower by the congestion model's derate factors. A nil
+// ct performs exactly the ideal replay's float operations. The graph and
+// tables are read-only during replay, so one shared structural graph may be
+// replayed under many tables concurrently.
 func (g *Graph) Replay(tbl *DurationTable, ct *ContentionTable) (Result, error) {
 	res, _, err := g.replayOne(tbl, ct, nil)
 	return res, err
@@ -127,11 +116,11 @@ func (g *Graph) replayOne(tbl *DurationTable, ct *ContentionTable, label func(id
 }
 
 // ReplayBatchContended replays the graph under every table in tables,
-// walking the CSR structure once while advancing len(tables) simulated
-// clocks in lockstep. Results[i] is bit-identical to Replay(tables[i],
-// cts[i]): each lane performs exactly the floating-point operations of a
+// walking the structure once while advancing len(tables) simulated clocks
+// in lockstep. Results[i] is bit-identical to Replay(tables[i], cts[i]):
+// each lane performs exactly the floating-point operations of a
 // single-lane replay, in the same order — batching shares only the
-// structure-determined work (FIFO traversal, dependency counting, task
+// structure-determined work (the walk over tasks and their parents, task
 // decoding), which is identical across lanes.
 //
 // cts may be nil, and any cts[i] may be nil; such lanes replay ideally, so
@@ -144,10 +133,10 @@ func (g *Graph) ReplayBatchContended(tables []*DurationTable, cts []*ContentionT
 }
 
 // replayBatch runs Algorithm 1 for every lane over the immutable graph using
-// pooled scratch state. It never writes to g, the tables, or the contention
-// tables, so concurrent replays of one graph are safe. A non-nil label
-// records the execution timeline, naming each span label(task id); it is
-// only honored at width 1.
+// pooled scratch state: one forward pass over the tasks in dispatch order.
+// It never writes to g, the tables, or the contention tables, so concurrent
+// replays of one graph are safe. A non-nil label records the execution
+// timeline, naming each span label(task id); it is only honored at width 1.
 func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, label func(id int) string) ([]Result, []Span, error) {
 	k := len(tables)
 	if cts != nil && len(cts) != k {
@@ -191,29 +180,23 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 		states[l] = getContState(ct)
 	}
 
+	vals := tables[0].vals
 	if k > 1 {
 		sc.vals = fitRaw(sc.vals, len(g.descs)*k, false)
+		vals = sc.vals
 		for l, tbl := range tables {
 			for di, v := range tbl.vals {
-				sc.vals[di*k+l] = v
+				vals[di*k+l] = v
 			}
 		}
 	}
 
-	copy(sc.ref, g.indeg)
-	queue := append(sc.queue, g.roots...)
-	for _, r := range g.roots {
-		clear(sc.ready[int(r)*k : int(r)*k+k]) // rows no edge will write
-	}
-
 	var spans []Span
-	executed := 0
 	if k == 1 {
 		// Width-1 replays (single simulations, and shape groups with one
 		// pending plan) skip the lane machinery: the scalar loop below
 		// performs the identical float operations on the same columnar state
 		// with lane subscripts collapsed away, and alone captures spans.
-		tbl := tables[0]
 		var st *contState
 		if states != nil {
 			st = states[0]
@@ -222,13 +205,19 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 			spans = make([]Span, 0, n)
 		}
 		flopsSum := 0.0
-		for head := 0; head < len(queue); head++ {
-			id := queue[head] // fetch in FIFO order
+		for id := 0; id < n; id++ {
 			slot := g.slotOf[id]
 			di := g.durIdx[id]
-			v := &tbl.vals[di]
+			v := &vals[di]
 			d := v.dur
-			start := sc.ready[id]
+			// The ready time, max(0, parents' finish times). Every parent
+			// has a smaller id, so its finish time is final.
+			start := 0.0
+			for _, p := range g.parents[g.parentStart[id]:g.parentStart[id+1]] {
+				if f := sc.finish[p]; f > start {
+					start = f
+				}
+			}
 			if f := sc.free[slot]; f > start {
 				start = f
 			}
@@ -236,82 +225,52 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 				d = cts[0].contend(st, slot, di, start, d)
 			}
 			finish := start + d
+			sc.finish[id] = finish
 			sc.free[slot] = finish // proceed the timeline
 			sc.busy[slot] += d
 			sc.classSec[g.classOf[id]] += d
 			flopsSum += v.flops
-			executed++
 			if label != nil {
-				spans = append(spans, Span{Device: int(slot >> 1), Stream: Stream(slot & 1), Start: start, End: finish, Label: label(int(id))})
-			}
-			for _, cid := range g.Children(int(id)) {
-				if sc.ref[cid] == g.indeg[cid] {
-					r := 0.0
-					if finish > 0 {
-						r = finish
-					}
-					sc.ready[cid] = r
-				} else if finish > sc.ready[cid] {
-					sc.ready[cid] = finish // update the child task
-				}
-				sc.ref[cid]--
-				if sc.ref[cid] == 0 {
-					queue = append(queue, cid) // update the task queue
-				}
+				spans = append(spans, Span{Device: int(slot >> 1), Stream: Stream(slot & 1), Start: start, End: finish, Label: label(id)})
 			}
 		}
 		sc.flopsSum[0] = flopsSum
 	}
-	for head := 0; k > 1 && head < len(queue); head++ {
-		id := queue[head] // fetch in FIFO order
+	for id := 0; k > 1 && id < n; id++ {
 		slot := int(g.slotOf[id])
 		di := g.durIdx[id]
 		// Row subslices fix the bounds once, so the lane loops below are
 		// check-free.
-		vals := sc.vals[int(di)*k : int(di)*k+k]
-		ready := sc.ready[int(id)*k : int(id)*k+k]
+		row := vals[int(di)*k : int(di)*k+k]
+		finish := sc.finish[id*k : id*k+k]
 		free := sc.free[slot*k : slot*k+k]
 		busy := sc.busy[slot*k : slot*k+k]
 		classSec := sc.classSec[int(g.classOf[id])*k : int(g.classOf[id])*k+k]
+		// Lane by lane as in the scalar loop, the ready time collects in
+		// the task's own row.
+		clear(finish)
+		for _, p := range g.parents[g.parentStart[id]:g.parentStart[id+1]] {
+			pf := sc.finish[int(p)*k:][:len(finish)]
+			for l := range finish {
+				if f := pf[l]; f > finish[l] {
+					finish[l] = f
+				}
+			}
+		}
 		for l := 0; l < k; l++ {
-			dur := vals[l].dur
-			start := ready[l]
+			dur := row[l].dur
+			start := finish[l]
 			if f := free[l]; f > start {
 				start = f
 			}
 			if states != nil && states[l] != nil && slot&1 == int(CommStream) {
 				dur = cts[l].contend(states[l], int32(slot), di, start, dur)
 			}
-			free[l] = start + dur // proceed lane l's timeline
+			finish[l] = start + dur
+			free[l] = finish[l] // proceed lane l's timeline
 			busy[l] += dur
 			classSec[l] += dur
-			sc.flopsSum[l] += vals[l].flops
-		}
-		executed++
-		for _, cid := range g.Children(int(id)) {
-			cready := sc.ready[int(cid)*k : int(cid)*k+k]
-			if sc.ref[cid] == g.indeg[cid] {
-				// First incoming edge: initialize the child's row as
-				// max(0, free) — exactly what folding into a zeroed row
-				// computes, without pre-zeroing the whole array.
-				for l := 0; l < k; l++ {
-					v := 0.0
-					if f := free[l]; f > 0 {
-						v = f
-					}
-					cready[l] = v
-				}
-			} else {
-				for l := 0; l < k; l++ {
-					if f := free[l]; f > cready[l] {
-						cready[l] = f // update the child task, lane l
-					}
-				}
-			}
-			sc.ref[cid]--
-			if sc.ref[cid] == 0 {
-				queue = append(queue, cid) // update the shared task queue
-			}
+			sc.flopsSum[l] += row[l].flops
 		}
 	}
 
@@ -331,22 +290,17 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 			}
 		}
 		res.FLOPs = sc.flopsSum[l]
-		res.Executed = executed
+		res.Executed = n
 		res.ClassSeconds = make(map[string]float64, len(g.classes))
 		for c, name := range g.classes {
 			res.ClassSeconds[name] = sc.classSec[c*k+l]
 		}
 	}
 
-	sc.queue = queue[:0]
 	for l := range states {
 		putContState(states[l])
 		states[l] = nil
 	}
 	batchScratchPool.Put(sc)
-
-	if executed != n {
-		return results, spans, fmt.Errorf("taskgraph: deadlock, executed %d of %d tasks", executed, n)
-	}
 	return results, spans, nil
 }

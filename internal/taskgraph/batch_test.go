@@ -1,6 +1,8 @@
 package taskgraph
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -184,4 +186,148 @@ func TestReplayBatchValidation(t *testing.T) {
 	if _, err := g.Replay(wrong[0], nil); err == nil || !strings.Contains(err.Error(), "binds") {
 		t.Fatalf("mis-sized table (Replay): err = %v", err)
 	}
+}
+
+// fuzzPalette holds the literal durations FuzzReplay draws from: zero, the
+// smallest subnormal, and magnitudes from a nanosecond to 1e300.
+var fuzzPalette = [...]float64{0, 5e-324, 1e-9, 1, 1e300}
+
+// fuzzDAG decodes data into the inputs of a hand-built DAG: the device
+// count (1-4) and a shuffle seed from the first two bytes, then two bytes
+// per task (at most 48): the first picks the device, stream, class and
+// duration, the second is a mask over the eight previously added tasks,
+// each set bit adding an edge from that task. Edges are returned in a
+// shuffled insertion order.
+func fuzzDAG(data []byte) (devices int, tasks []Task, durs []float64, edges [][2]int) {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	devices = 1 + int(at(0)%4)
+	for i := 0; 2+2*i+1 < len(data) && i < 48; i++ {
+		a, mask := at(2+2*i), at(3+2*i)
+		tasks = append(tasks, Task{Device: int(a) % devices, Stream: Stream(a / 4 % 2), Source: i, Class: fmt.Sprint("c", a/8%3)})
+		durs = append(durs, fuzzPalette[int(a/24)%len(fuzzPalette)])
+		for j := 0; j < 8 && j < i; j++ {
+			if mask&(1<<j) != 0 {
+				edges = append(edges, [2]int{i - 1 - j, i})
+			}
+		}
+	}
+	rand.New(rand.NewSource(int64(at(1)))).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return devices, tasks, durs, edges
+}
+
+// buildFuzzDAG hand-builds the decoded DAG, plus any extra edges.
+func buildFuzzDAG(devices int, tasks []Task, durs []float64, edges [][2]int, extra ...[2]int) (*Graph, error) {
+	b := NewBuilder(devices)
+	for i, t := range tasks {
+		b.AddTask(t, durs[i])
+	}
+	for _, e := range append(edges, extra...) {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.Build()
+}
+
+// FuzzReplay is the replay engine's fuzzer. Over hand-built DAGs with
+// shuffled edge-insertion order it checks that Build numbers tasks in
+// Algorithm 1's FIFO order (roots in insertion order, children in
+// edge-insertion order), that Replay matches referenceReplay bit for bit
+// under several duration tables, that every lane of ReplayBatchContended
+// at widths 1-17 matches Replay, that IterTime bounds every slot's busy
+// seconds, and that a back edge makes Build fail.
+func FuzzReplay(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{1, 7, 0, 0, 5, 1, 24, 1, 48, 3, 72, 6, 96, 5})
+	f.Add([]byte{3, 42, 1, 0, 2, 0, 3, 0, 4, 15, 13, 1, 30, 2, 55, 12, 80, 255, 101, 128})
+	f.Add([]byte{2, 9, 4, 0, 29, 1, 4, 1, 53, 2, 12, 3, 77, 4, 100, 9, 4, 0, 117, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		devices, tasks, durs, edges := fuzzDAG(data)
+		if len(tasks) == 0 {
+			return
+		}
+		g, err := buildFuzzDAG(devices, tasks, durs, edges)
+		if err != nil {
+			t.Fatalf("acyclic graph: %v", err)
+		}
+
+		// The FIFO order over insertion ids, computed naively.
+		children := make([][]int, len(tasks))
+		ref := make([]int, len(tasks))
+		for _, e := range edges {
+			children[e[0]] = append(children[e[0]], e[1])
+			ref[e[1]]++
+		}
+		var order []int
+		for i := range tasks {
+			if ref[i] == 0 {
+				order = append(order, i)
+			}
+		}
+		for head := 0; head < len(order); head++ {
+			for _, c := range children[order[head]] {
+				if ref[c]--; ref[c] == 0 {
+					order = append(order, c)
+				}
+			}
+		}
+		for id, src := range order {
+			if got := g.TaskAt(id).Source; got != src {
+				t.Fatalf("task %d has source %d, want FIFO order %v", id, got, order)
+			}
+		}
+
+		// Lane 0 is the literal binding; the others cycle each
+		// descriptor's duration and FLOPs through the palette.
+		const widest = 17
+		tables := []*DurationTable{bindLiteral(g)}
+		for l := 1; l < widest; l++ {
+			tbl := &DurationTable{vals: make([]descVal, len(g.descs)), durIdx: g.durIdx}
+			for di, d := range g.descs {
+				p := 0
+				for fuzzPalette[p] != d.literal {
+					p++
+				}
+				tbl.vals[di] = descVal{fuzzPalette[(p+l)%len(fuzzPalette)], fuzzPalette[(p+2*l)%len(fuzzPalette)]}
+			}
+			tables = append(tables, tbl)
+		}
+		want := make([]Result, widest)
+		for l, tbl := range tables {
+			if want[l], err = g.Replay(tbl, nil); err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, l, want[l], referenceReplay(g, tbl, nil))
+			for d := 0; d < devices; d++ {
+				if want[l].ComputeBusy[d] > want[l].IterTime || want[l].CommBusy[d] > want[l].IterTime {
+					t.Fatalf("lane %d: device %d is busy longer than the iteration %v", l, d, want[l].IterTime)
+				}
+			}
+		}
+		traced, spans, err := g.ReplayTrace(tables[0], nil, nil)
+		if err != nil || len(spans) != len(tasks) {
+			t.Fatalf("ReplayTrace: %d spans, err %v", len(spans), err)
+		}
+		requireIdentical(t, 0, traced, want[0])
+		for k := 1; k <= widest; k++ {
+			got, err := g.ReplayBatchContended(tables[:k], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := range got {
+				requireIdentical(t, l, got[l], want[l])
+			}
+		}
+
+		back := [2]int{0, 0} // a self-loop when there is no edge to reverse
+		if len(edges) > 0 {
+			back = [2]int{edges[0][1], edges[0][0]}
+		}
+		if _, err := buildFuzzDAG(devices, tasks, durs, edges, back); err == nil {
+			t.Fatalf("back edge %v: Build accepted a cycle", back)
+		}
+	})
 }

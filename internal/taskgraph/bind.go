@@ -206,7 +206,7 @@ func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, 
 func (t *DurationTable) taskLabel(g *Graph, og *opgraph.Graph, id int) string {
 	base := ""
 	if og != nil {
-		base = og.Label(g.source(id))
+		base = og.Label(int(g.sources[id]))
 	}
 	d := &g.descs[g.durIdx[id]]
 	if d.kind != descKernel {

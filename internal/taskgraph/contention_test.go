@@ -289,7 +289,7 @@ func TestContentionMonotone(t *testing.T) {
 	for dev := 0; dev < stages; dev++ {
 		b.addTaskDesc(Task{Device: dev, Stream: CommStream, Class: "AllReduceDP"}, desc)
 	}
-	g := b.Build()
+	g := mustBuild(t, b)
 
 	// Data width 2 at stride 2 on 8-GPU nodes: the group is node-local, so
 	// every stage's collective shares node 0's NVSwitch.
@@ -380,7 +380,7 @@ func TestHierarchicalAllReduceParticipants(t *testing.T) {
 	b := NewBuilder(1)
 	b.addTaskDesc(Task{Device: 0, Stream: CommStream, Class: "AllReduceDP"},
 		durDesc{kind: descAllReduceDP, stageParams: stageParams, buckets: 1})
-	g := b.Build()
+	g := mustBuild(t, b)
 
 	plan := parallel.Plan{Tensor: 1, Data: 8, Pipeline: 1, MicroBatch: 1, GlobalBatch: 8}
 	m := comm.NewModel(c)

@@ -71,19 +71,17 @@ func TestStructureHardwareInvariance(t *testing.T) {
 		if gA.Devices != gB.Devices || gA.Model != gB.Model {
 			t.Fatalf("fidelity %v: graph headers differ", fid)
 		}
-		// CSR adjacency, indegrees, roots, class interning, and the
-		// deduplicated duration-descriptor table must match exactly.
+		// The parents CSR, dispatch order (sources), class interning, and
+		// the deduplicated duration-descriptor table must match exactly.
 		for name, pair := range map[string][2]any{
-			"childStart": {gA.childStart, gB.childStart},
-			"children":   {gA.children, gB.children},
-			"indeg":      {gA.indeg, gB.indeg},
-			"roots":      {gA.roots, gB.roots},
-			"classes":    {gA.classes, gB.classes},
-			"classOf":    {gA.classOf, gB.classOf},
-			"descs":      {gA.descs, gB.descs},
-			"durIdx":     {gA.durIdx, gB.durIdx},
-			"slotOf":     {gA.slotOf, gB.slotOf},
-			"sources":    {gA.sources, gB.sources},
+			"parentStart": {gA.parentStart, gB.parentStart},
+			"parents":     {gA.parents, gB.parents},
+			"classes":     {gA.classes, gB.classes},
+			"classOf":     {gA.classOf, gB.classOf},
+			"descs":       {gA.descs, gB.descs},
+			"durIdx":      {gA.durIdx, gB.durIdx},
+			"slotOf":      {gA.slotOf, gB.slotOf},
+			"sources":     {gA.sources, gB.sources},
 		} {
 			if !reflect.DeepEqual(pair[0], pair[1]) {
 				t.Fatalf("fidelity %v: %s differs between clusters", fid, name)
@@ -100,7 +98,7 @@ func TestStructureHardwareInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for id := 0; id < gA.NumTasks(); id++ {
-			if la, lb := ogA.Label(gA.source(id)), ogB.Label(gB.source(id)); la != lb {
+			if la, lb := ogA.Label(gA.TaskAt(id).Source), ogB.Label(gB.TaskAt(id).Source); la != lb {
 				t.Fatalf("fidelity %v: task %d label %q != %q", fid, id, la, lb)
 			}
 		}

@@ -7,18 +7,17 @@ import (
 )
 
 // lowerOperatorLevel is the operator-granularity lowering fast path. At
-// OperatorLevel every operator-graph node lowers to exactly one task, so the
-// task graph is isomorphic to the operator graph: task id == node id, the
-// children CSR is the transpose of the dependency CSR, and indeg[i] is
-// len(Deps(i)). That lets the lowering write the graph's flat slices
-// directly — no builder, no edge list, no per-task map lookups — while
-// producing a Graph identical (task for task, edge for edge, descriptor for
-// descriptor) to what the builder path would build:
+// OperatorLevel every operator-graph node lowers to exactly one task, so
+// before finalize orders it the task graph is isomorphic to the operator
+// graph: provisional task id == node id, and the edges are the dependency
+// lists. That lets the lowering write finalize's inputs directly — no
+// builder, no per-task map lookups — while producing a Graph identical
+// (task for task, edge for edge, descriptor for descriptor) to what the
+// builder path would build:
 //
-//   - children of task f are filled by scanning nodes in ascending id and
-//     appending each to its dependencies' child lists, which reproduces the
-//     builder's edge-insertion order (edges were emitted per consumer node
-//     in ascending id, per dependency in Deps order);
+//   - edges are emitted per consumer node in ascending id, per dependency
+//     in Deps order, which is the builder's edge-insertion order, so
+//     finalize derives the same dispatch order;
 //   - classes and descriptors intern in first-appearance order, like the
 //     builder's maps — but through tiny per-kind caches (the operator kinds
 //     are a dense enum) with a map fallback only for the rare
@@ -29,11 +28,10 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 		Devices: og.Stages,
 		Model:   og.Model,
 	}
-	g.classOf = make([]int32, n)
-	g.durIdx = make([]int32, n)
-	g.indeg = make([]int32, n)
-	g.slotOf = make([]int32, n)
-	g.childStart = make([]int32, n+1)
+	sc := finalizeScratchPool.Get().(*finalizeScratch)
+	defer finalizeScratchPool.Put(sc)
+	sc.tasks = fitRaw(sc.tasks, n, false)
+	tasks, edges := sc.tasks, sc.edges[:0]
 
 	// Per-kind intern caches, -1 = not seen. opClass/opDesc cover the dense
 	// profiler.OpKind range; kindClass covers the communication node kinds.
@@ -72,23 +70,17 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 		return di
 	}
 
-	nEdges := 0
 	for id := 0; id < n; id++ {
 		nd := og.Node(id)
-		deps := og.Deps(id)
-		nEdges += len(deps)
-		g.indeg[id] = int32(len(deps))
-		for _, d := range deps {
-			g.childStart[d+1]++
+		for _, d := range og.Deps(id) {
+			edges = append(edges, [2]int32{int32(d), int32(id)})
 		}
-
-		// Task id lowers from node id (the isomorphism): Source is the
-		// identity mapping, which the Graph encodes as a nil sources slab.
 		stream := ComputeStream
+		var ci, di int32
 		switch nd.Kind {
 		case opgraph.Compute:
 			op := int(nd.Op)
-			ci := int32(-1)
+			ci = -1
 			if op >= 0 && op < len(opClass) {
 				ci = opClass[op]
 			}
@@ -98,7 +90,7 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 					opClass[op] = ci
 				}
 			}
-			di := int32(-1)
+			di = -1
 			if nd.StageParams == 0 && op >= 0 && op < len(opDesc) {
 				di = opDesc[op]
 			}
@@ -108,10 +100,9 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 					opDesc[op] = di
 				}
 			}
-			g.classOf[id], g.durIdx[id] = ci, di
 		case opgraph.AllReduceTP:
 			stream = CommStream
-			ci := kindClass[nd.Kind]
+			ci = kindClass[nd.Kind]
 			if ci < 0 {
 				ci = internClass(nd.Kind.String())
 				kindClass[nd.Kind] = ci
@@ -119,47 +110,32 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 			if tpDesc < 0 {
 				tpDesc = internDesc(durDesc{kind: descAllReduceTP})
 			}
-			g.classOf[id], g.durIdx[id] = ci, tpDesc
+			di = tpDesc
 		case opgraph.AllReduceDP:
 			stream = CommStream
-			ci := kindClass[nd.Kind]
+			ci = kindClass[nd.Kind]
 			if ci < 0 {
 				ci = internClass(nd.Kind.String())
 				kindClass[nd.Kind] = ci
 			}
-			di := internDesc(durDesc{kind: descAllReduceDP, stageParams: nd.StageParams, buckets: nd.Buckets})
-			g.classOf[id], g.durIdx[id] = ci, di
+			di = internDesc(durDesc{kind: descAllReduceDP, stageParams: nd.StageParams, buckets: nd.Buckets})
 		case opgraph.P2P:
 			stream = CommStream
-			ci := kindClass[nd.Kind]
+			ci = kindClass[nd.Kind]
 			if ci < 0 {
 				ci = internClass(nd.Kind.String())
 				kindClass[nd.Kind] = ci
 			}
-			di := internDesc(durDesc{kind: descP2P, from: nd.FromStage, to: nd.Stage})
-			g.classOf[id], g.durIdx[id] = ci, di
+			di = internDesc(durDesc{kind: descP2P, from: nd.FromStage, to: nd.Stage})
 		default:
 			panic(fmt.Sprintf("taskgraph: unknown node kind %v", nd.Kind))
 		}
-		g.slotOf[id] = 2*nd.Stage + int32(stream)
+		tasks[id] = provTask{ci, 2*nd.Stage + int32(stream), int32(id), di}
 	}
 
-	for i := 0; i < n; i++ {
-		g.childStart[i+1] += g.childStart[i]
-	}
-	g.children = make([]int32, nEdges)
-	cursor := make([]int32, n)
-	copy(cursor, g.childStart[:n])
-	for id := 0; id < n; id++ {
-		for _, d := range og.Deps(id) {
-			g.children[cursor[d]] = int32(id)
-			cursor[d]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		if g.indeg[i] == 0 {
-			g.roots = append(g.roots, int32(i))
-		}
+	sc.edges = edges
+	if err := sc.finalize(g, tasks, edges); err != nil {
+		panic(err) // unreachable: operator-graph dependencies point backward
 	}
 	return g
 }

@@ -13,8 +13,8 @@ import (
 
 // TestOperatorLowerFastPathMatchesBuilder pins the operator-level fast path
 // to the builder-based reference lowering: every slice of the structural
-// graph — tasks, CSR adjacency, class and descriptor tables — must match
-// exactly, across schedules, interleaving, uneven layer splits, and
+// graph — tasks in dispatch order, the parents CSR, source operators,
+// class and descriptor tables — must match exactly, across schedules, interleaving, uneven layer splits, and
 // recomputation.
 func TestOperatorLowerFastPathMatchesBuilder(t *testing.T) {
 	c := hw.PaperCluster(8)
@@ -44,10 +44,8 @@ func TestOperatorLowerFastPathMatchesBuilder(t *testing.T) {
 		}
 		check("Devices", fast.Devices, ref.Devices)
 		check("Model", fast.Model, ref.Model)
-		check("childStart", fast.childStart, ref.childStart)
-		check("children", fast.children, ref.children)
-		check("indeg", fast.indeg, ref.indeg)
-		check("roots", fast.roots, ref.roots)
+		check("parentStart", fast.parentStart, ref.parentStart)
+		check("parents", fast.parents, ref.parents)
 		check("classes", fast.classes, ref.classes)
 		check("classOf", fast.classOf, ref.classOf)
 		check("descs", fast.descs, ref.descs)

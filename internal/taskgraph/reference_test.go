@@ -7,12 +7,20 @@ import (
 )
 
 // referenceReplay is a deliberately naive Algorithm 1 that the optimized
-// replay loops are checked against bit for bit: maps instead of slabs, a
-// FIFO slice, and — under contention — a brute-force overlap count against
-// every flow recorded earlier on each link, priced through comm.Congestion's
-// paths and Derate. It shares no replay code with the package: only the
-// graph's structure, the table's bound values, and the contention table's
-// bind-time classification.
+// replay loops are checked against bit for bit: maps instead of slabs, its
+// own dependency counts and FIFO queue, and — under contention — a
+// brute-force overlap count against every flow recorded earlier on each
+// link, priced through comm.Congestion's paths and Derate. It shares no
+// replay code with the package: only the graph's structure, the table's
+// bound values, and the contention table's bind-time classification.
+//
+// It derives each task's children by transposing the parents CSR, so
+// children list in ascending id, and seeds the queue with the roots in
+// ascending id. That tie-breaking reproduces the stored dispatch order:
+// Build numbered the tasks in FIFO order, so roots hold the smallest ids
+// and the children a task releases were numbered in the order they were
+// queued. The FIFO order of the renumbered graph is therefore the id order,
+// which the optimized loops walk directly.
 func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 	type link struct{ kind, node int } // kind 0 = NVSwitch, 1 = HCA, 2 = spine
 	type flow struct{ start, end float64 }
@@ -21,10 +29,12 @@ func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 		CommBusy:     make([]float64, g.Devices),
 		ClassSeconds: map[string]float64{},
 	}
+	children := map[int32][]int32{}
 	ref := map[int32]int{}
 	for id := 0; id < g.NumTasks(); id++ {
-		for _, c := range g.Children(id) {
-			ref[c]++
+		for _, p := range g.parents[g.parentStart[id]:g.parentStart[id+1]] {
+			children[p] = append(children[p], int32(id))
+			ref[int32(id)]++
 		}
 	}
 	var queue []int32
@@ -86,7 +96,7 @@ func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 		res.ClassSeconds[t.Class] += dur
 		res.FLOPs += flops
 		res.Executed++
-		for _, c := range g.Children(int(id)) {
+		for _, c := range children[id] {
 			ready[c] = math.Max(ready[c], finish)
 			if ref[c]--; ref[c] == 0 {
 				queue = append(queue, c)

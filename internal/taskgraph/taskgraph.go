@@ -31,15 +31,16 @@
 // literal duration is interned as a descriptor that every binding prices
 // verbatim.
 //
-// A lowered Graph is immutable: all per-replay state (dependency reference
-// counts, earliest-start times, resource timelines) lives in a pooled
-// scratch structure, and all per-plan numbers live in the DurationTable,
-// so one graph can be bound and replayed repeatedly and from many
-// goroutines concurrently — the property design-space sweeps rely on.
+// A lowered Graph is immutable: all per-replay state (finish times,
+// resource timelines) lives in a pooled scratch structure, and all per-plan
+// numbers live in the DurationTable, so one graph can be bound and replayed
+// repeatedly and from many goroutines concurrently — the property
+// design-space sweeps rely on.
 package taskgraph
 
 import (
 	"fmt"
+	"sync"
 
 	"vtrain/internal/comm"
 	"vtrain/internal/model"
@@ -91,8 +92,13 @@ type Task struct {
 }
 
 // Graph is the task-granularity execution graph: flat per-task slabs plus
-// CSR-style adjacency. Once built it is never mutated, so it is safe to
-// share across goroutines and replay any number of times.
+// a CSR of each task's parents. Once built it is never mutated, so it is
+// safe to share across goroutines and replay any number of times.
+//
+// Task ids are the graph's dispatch order: the FIFO order in which
+// Algorithm 1 pops tasks, fixed once when the graph is built (see
+// finalize). Every parent therefore has a smaller id than its child, and
+// replay is one forward pass over ids 0..n-1.
 //
 // Every per-task attribute lives in a flat slice (slotOf, classOf, durIdx,
 // sources). A task would carry nothing but indices — its durations bind
@@ -109,15 +115,11 @@ type Graph struct {
 	// depends on it — so Bind prices operators against it directly.
 	Model model.Config
 
-	// CSR adjacency: the children of task i are
-	// children[childStart[i]:childStart[i+1]], in edge-insertion order.
-	childStart []int32
-	children   []int32
-	// indeg is the dependency count of each task (the initial "ref" of
-	// Algorithm 1); copied into replay scratch, never mutated.
-	indeg []int32
-	// roots are the zero-dependency tasks in ID order, seeding the queue.
-	roots []int32
+	// CSR adjacency: the parents of task i are
+	// parents[parentStart[i]:parentStart[i+1]], in ascending id, each
+	// below i.
+	parentStart []int32
+	parents     []int32
 	// classes interns the distinct Class strings; classOf maps each task
 	// to its class index so replay accumulates into a flat slice instead
 	// of a map.
@@ -129,10 +131,8 @@ type Graph struct {
 	// cost a cache miss per task. It is filled for every graph and doubles
 	// as the per-task length (see NumTasks).
 	slotOf []int32
-	// sources maps each task to its originating operator-graph node. A nil
-	// slice means the identity mapping — at operator granularity the task
-	// graph is isomorphic to the operator graph, so storing 4 bytes per
-	// task (in memory and in every disk artifact) would encode nothing.
+	// sources maps each task to its originating operator-graph node (for
+	// hand-built graphs, the Task.Source it was added with).
 	sources []int32
 	// descs is the compact duration-descriptor table: every distinct way a
 	// task can be priced, deduplicated. durIdx maps each task to its
@@ -144,14 +144,6 @@ type Graph struct {
 // NumTasks returns the number of tasks in the graph.
 func (g *Graph) NumTasks() int { return len(g.slotOf) }
 
-// source returns the operator-graph node task id lowered from.
-func (g *Graph) source(id int) int {
-	if g.sources == nil {
-		return id
-	}
-	return int(g.sources[id])
-}
-
 // TaskAt assembles the task value for id from the slabs.
 func (g *Graph) TaskAt(id int) Task {
 	slot := g.slotOf[id]
@@ -159,14 +151,9 @@ func (g *Graph) TaskAt(id int) Task {
 		ID:     id,
 		Device: int(slot / 2),
 		Stream: Stream(slot % 2),
-		Source: g.source(id),
+		Source: int(g.sources[id]),
 		Class:  g.classes[g.classOf[id]],
 	}
-}
-
-// Children returns the dependent task IDs of task id.
-func (g *Graph) Children(id int) []int32 {
-	return g.children[g.childStart[id]:g.childStart[id+1]]
 }
 
 // Builder accumulates tasks and dependency edges and finalizes them into an
@@ -174,10 +161,15 @@ func (g *Graph) Children(id int) []int32 {
 // graphs.
 type Builder struct {
 	g       Graph
+	tasks   []provTask
 	edges   [][2]int32
 	classID map[string]int32
 	descID  map[durDesc]int32
 }
+
+// provTask is a task's slab entries under its provisional id, before
+// finalize places them in dispatch order.
+type provTask struct{ class, slot, source, desc int32 }
 
 // NewBuilder starts a graph over the given number of logical devices.
 func NewBuilder(devices int) *Builder {
@@ -191,10 +183,7 @@ func NewBuilder(devices int) *Builder {
 // Reserve pre-allocates capacity for the given task and edge counts,
 // avoiding append-doubling waste when the caller knows the graph size.
 func (b *Builder) Reserve(tasks, edges int) {
-	b.g.classOf = make([]int32, 0, tasks)
-	b.g.slotOf = make([]int32, 0, tasks)
-	b.g.sources = make([]int32, 0, tasks)
-	b.g.durIdx = make([]int32, 0, tasks)
+	b.tasks = make([]provTask, 0, tasks)
 	b.edges = make([][2]int32, 0, edges)
 }
 
@@ -210,26 +199,22 @@ func (b *Builder) intern(name string) int32 {
 }
 
 // addTaskDesc appends a task together with its interned duration
-// descriptor, returning the task's ID (t.ID is ignored).
+// descriptor, returning its provisional ID (t.ID is ignored).
 func (b *Builder) addTaskDesc(t Task, d durDesc) int {
-	id := len(b.g.classOf)
-	b.g.classOf = append(b.g.classOf, b.intern(t.Class))
-	b.g.slotOf = append(b.g.slotOf, int32(2*t.Device)+int32(t.Stream))
-	b.g.sources = append(b.g.sources, int32(t.Source))
 	di, ok := b.descID[d]
 	if !ok {
 		di = int32(len(b.g.descs))
 		b.g.descs = append(b.g.descs, d)
 		b.descID[d] = di
 	}
-	b.g.durIdx = append(b.g.durIdx, di)
-	return id
+	b.tasks = append(b.tasks, provTask{b.intern(t.Class), int32(2*t.Device) + int32(t.Stream), int32(t.Source), di})
+	return len(b.tasks) - 1
 }
 
 // AddTask appends a hand-built task that runs for duration seconds under
-// every binding, returning its ID (t.ID is ignored). The duration is
-// interned as a literal descriptor, so hand-built graphs bind and replay
-// exactly like lowered ones.
+// every binding, returning its provisional ID for AddEdge (t.ID is
+// ignored). The duration is interned as a literal descriptor, so hand-built
+// graphs bind and replay exactly like lowered ones.
 func (b *Builder) AddTask(t Task, duration float64) int {
 	return b.addTaskDesc(t, durDesc{kind: descLiteral, literal: duration})
 }
@@ -239,46 +224,117 @@ func (b *Builder) AddEdge(from, to int) {
 	b.edges = append(b.edges, [2]int32{int32(from), int32(to)})
 }
 
-// Build finalizes the accumulated tasks and edges into CSR form. The
-// builder must not be reused afterwards.
-func (b *Builder) Build() *Graph {
-	g := &b.g
-	n := len(g.classOf)
-	g.childStart = make([]int32, n+1)
-	g.indeg = make([]int32, n)
-	for _, e := range b.edges {
-		g.childStart[e[0]+1]++
-		g.indeg[e[1]]++
+// Build finalizes the accumulated tasks and edges into a Graph whose task
+// ids are the dispatch order, so the provisional IDs AddTask returned do
+// not survive: identify a built task by its Task.Source. A dependency
+// cycle, or an edge naming an unknown task, is an error. The builder must
+// not be reused afterwards.
+//
+// Build's scratch is not pooled: builders serve task-level lowerings and
+// hand-built graphs, one-offs whose large temporaries a pool would pin.
+func (b *Builder) Build() (*Graph, error) {
+	g := b.g // a copy, so the graph does not keep the builder alive
+	var sc finalizeScratch
+	if err := sc.finalize(&g, b.tasks, b.edges); err != nil {
+		return nil, err
 	}
+	return &g, nil
+}
+
+// finalizeScratch holds the temporaries of finalize, and the provisional
+// tasks and edges of an operator-level lowering. The operator-level
+// lowering pools them because sweeps lower many graphs, and only the
+// finished slabs outlive a lowering.
+type finalizeScratch struct {
+	tasks                 []provTask
+	edges                 [][2]int32
+	at                    []taskOffsets
+	children, deps, order []int32
+}
+
+// taskOffsets locates one provisional task's rows during finalize: its
+// children start at children[child] and its dependency row at deps[dep].
+// next is the fill cursor, first of the children row, then of the
+// dependency row. Each row ends where the following task's begins, so one
+// record and its neighbour hold every offset the traversal needs.
+type taskOffsets struct{ child, dep, next int32 }
+
+var finalizeScratchPool = sync.Pool{New: func() any { return new(finalizeScratch) }}
+
+// finalize builds g's task slabs and parents CSR from tasks and edges,
+// given by provisional id, with edges as (from, to) pairs in insertion
+// order. Task ids become the dispatch order: Algorithm 1's FIFO order,
+// roots in id order, then each task as soon as its last dependency has
+// dispatched, visiting each task's children in edge-insertion order. The
+// order depends only on the structure, so it is fixed here once rather than
+// on every replay. A task that never becomes ready lies on or behind a
+// dependency cycle, which is an error.
+func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, edges [][2]int32) error {
+	n := len(tasks)
+	sc.at = fitZero(sc.at, n+1, false)
+	sc.children = fitRaw(sc.children, len(edges), false)
+	sc.deps = fitRaw(sc.deps, len(edges), false)
+	at, children, deps := sc.at, sc.children, sc.deps
+
+	// Row offsets, the children CSR, and the roots in id order.
+	for _, e := range edges {
+		if uint32(e[0]) >= uint32(n) || uint32(e[1]) >= uint32(n) {
+			return fmt.Errorf("taskgraph: edge %d -> %d names a task outside [0, %d)", e[0], e[1], n)
+		}
+		at[e[0]+1].child++
+		at[e[1]+1].dep++
+	}
+	order := fitRaw(sc.order, n, false)[:0]
 	for i := 0; i < n; i++ {
-		g.childStart[i+1] += g.childStart[i]
+		at[i+1].child += at[i].child
+		if at[i+1].dep += at[i].dep; at[i+1].dep == at[i].dep {
+			order = append(order, int32(i))
+		}
+		at[i].next = at[i].child
 	}
-	g.children = make([]int32, len(b.edges))
-	cursor := make([]int32, n)
-	copy(cursor, g.childStart[:n])
-	for _, e := range b.edges {
-		g.children[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
+	for _, e := range edges {
+		children[at[e[0]].next] = e[1]
+		at[e[0]].next++
 	}
-	// Normalize an identity source mapping to nil so operator-level graphs
-	// — isomorphic to their operator graph — don't carry (or persist) a
-	// slab that encodes nothing.
-	ident := true
-	for i, s := range g.sources {
-		if int(s) != i {
-			ident = false
-			break
+	for i := range at {
+		at[i].next = at[i].dep
+	}
+
+	// The FIFO traversal: order[i] is the provisional id dispatched i-th.
+	// A task is released while its last parent dispatches, taking the next
+	// final id; its parents row is written then, in final order. Its other
+	// parents, recorded in its dependency row as they dispatched, precede
+	// the last, so each row lists its parents in ascending final id.
+	classOf, slotOf, sources, durIdx := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+	parentStart, parents := make([]int32, n+1), make([]int32, len(edges))
+	for head := 0; head < len(order); head++ {
+		o := order[head]
+		t := tasks[o]
+		classOf[head], slotOf[head], sources[head], durIdx[head] = t.class, t.slot, t.source, t.desc
+		for _, c := range children[at[o].child:at[o+1].child] {
+			if at[c].next+1 < at[c+1].dep {
+				deps[at[c].next] = int32(head)
+				at[c].next++
+				continue
+			}
+			f := len(order)
+			order = append(order, c)
+			k := parentStart[f]
+			for _, p := range deps[at[c].dep:at[c].next] {
+				parents[k] = p
+				k++
+			}
+			parents[k] = int32(head)
+			parentStart[f+1] = k + 1
 		}
 	}
-	if ident {
-		g.sources = nil
+	sc.order = order
+	if len(order) != n {
+		return fmt.Errorf("taskgraph: dependency cycle: %d of %d tasks can never dispatch", n-len(order), n)
 	}
-	for i := 0; i < n; i++ {
-		if g.indeg[i] == 0 {
-			g.roots = append(g.roots, int32(i))
-		}
-	}
-	return g
+	g.classOf, g.slotOf, g.sources, g.durIdx = classOf, slotOf, sources, durIdx
+	g.parentStart, g.parents = parentStart, parents
+	return nil
 }
 
 // CommTimer prices communication operators during duration binding.
@@ -398,7 +454,11 @@ func lowerBuilder(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Grap
 			b.AddEdge(lastTask[d], firstTask[nid])
 		}
 	}
-	return b.Build()
+	tg, err := b.Build()
+	if err != nil {
+		panic(err) // unreachable: operator-graph dependencies point backward
+	}
+	return tg
 }
 
 // Result summarizes one simulated iteration.

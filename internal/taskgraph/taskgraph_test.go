@@ -2,6 +2,8 @@ package taskgraph
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -224,7 +226,7 @@ func TestZeroTaskGraphErrors(t *testing.T) {
 	// an all-zero Result, which core then dressed up as a plausible
 	// all-zero Report. It must be an explicit error on every replay path,
 	// bound or not.
-	g := NewBuilder(1).Build()
+	g := mustBuild(t, NewBuilder(1))
 	tbl := bindLiteral(g)
 	for _, tb := range []*DurationTable{nil, tbl} {
 		if _, err := g.Replay(tb, nil); err == nil {
@@ -300,32 +302,68 @@ func TestBindSharedGraphAcrossPlans(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetection(t *testing.T) {
-	// A hand-built cyclic graph must be reported, not spin.
+// mustBuild finalizes a hand-built graph, failing the test on a Build error.
+func mustBuild(t testing.TB, b *Builder) *Graph {
+	t.Helper()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestBuildRejectsCycle(t *testing.T) {
+	// A hand-built cyclic graph must be reported, not spin. Build fixes the
+	// dispatch order, so a cycle is found there, before any replay.
+	for name, edges := range map[string][][2]int{
+		"two-cycle":          {{0, 1}, {1, 0}},
+		"self-loop":          {{0, 0}},
+		"cycle behind roots": {{2, 0}, {0, 1}, {1, 0}, {1, 3}},
+	} {
+		b := NewBuilder(1)
+		for i := 0; i < 4; i++ {
+			b.AddTask(Task{Source: i}, 1)
+		}
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+		}
+		if g, err := b.Build(); err == nil || !strings.Contains(err.Error(), "cycle") {
+			t.Fatalf("%s: Build = (%v, %v), want a cycle error", name, g, err)
+		}
+	}
 	b := NewBuilder(1)
-	x := b.AddTask(Task{}, 1)
-	y := b.AddTask(Task{}, 1)
-	b.AddEdge(x, y)
-	b.AddEdge(y, x)
-	g := b.Build()
-	if _, err := g.Replay(bindLiteral(g), nil); err == nil {
-		t.Fatal("cycle must produce a deadlock error")
+	b.AddTask(Task{}, 1)
+	b.AddEdge(0, 1)
+	if _, err := b.Build(); err == nil {
+		t.Fatal("an edge to an unknown task must be a Build error")
 	}
 }
 
 func TestBuilderAdjacency(t *testing.T) {
+	// Tasks are added out of dispatch order: c and d depend on a, which is
+	// added second, and e depends on d then c. Build renumbers them into
+	// Algorithm 1's FIFO order a, c, d, e, which Task.Source identifies.
 	b := NewBuilder(1)
-	a := b.AddTask(Task{Class: "A"}, 1)
-	c := b.AddTask(Task{Class: "B"}, 1)
-	d := b.AddTask(Task{Class: "A"}, 1)
+	c := b.AddTask(Task{Source: 1, Class: "B"}, 1)
+	a := b.AddTask(Task{Source: 0, Class: "A"}, 1)
+	d := b.AddTask(Task{Source: 2, Class: "A"}, 1)
+	e := b.AddTask(Task{Source: 3, Class: "C"}, 1)
 	b.AddEdge(a, c)
 	b.AddEdge(a, d)
-	g := b.Build()
-	if got := g.Children(a); len(got) != 2 || got[0] != int32(c) || got[1] != int32(d) {
-		t.Fatalf("Children(%d) = %v, want [%d %d]", a, got, c, d)
+	b.AddEdge(d, e)
+	b.AddEdge(c, e)
+	g := mustBuild(t, b)
+	for id := 0; id < g.NumTasks(); id++ {
+		if src := g.TaskAt(id).Source; src != id {
+			t.Fatalf("task %d has source %d, want dispatch order a, c, d, e", id, src)
+		}
 	}
-	if len(g.Children(c)) != 0 {
-		t.Fatal("leaf has children")
+	if want := []int32{0, 0, 1, 2, 4}; !reflect.DeepEqual(g.parentStart, want) {
+		t.Fatalf("parentStart = %v, want %v", g.parentStart, want)
+	}
+	// e's parents list in ascending id although d -> e was added first.
+	if want := []int32{0, 0, 1, 2}; !reflect.DeepEqual(g.parents, want) {
+		t.Fatalf("parents = %v, want %v", g.parents, want)
 	}
 	tbl := bindLiteral(g)
 	res, err := g.Replay(tbl, nil)
@@ -333,7 +371,7 @@ func TestBuilderAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, 0, res, referenceReplay(g, tbl, nil))
-	if res.Executed != 3 || res.ClassSeconds["A"] != 2 || res.ClassSeconds["B"] != 1 {
+	if res.Executed != 4 || res.ClassSeconds["A"] != 2 || res.ClassSeconds["B"] != 1 || res.IterTime != 4 {
 		t.Fatalf("unexpected result %+v", res)
 	}
 }

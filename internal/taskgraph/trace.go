@@ -29,7 +29,7 @@ type Span struct {
 // tasks. An og without a node for some task's source is an error.
 func (g *Graph) ReplayTrace(tbl *DurationTable, ct *ContentionTable, og *opgraph.Graph) (Result, []Span, error) {
 	for id := 0; og != nil && id < g.NumTasks(); id++ {
-		if s := g.source(id); s < 0 || s >= og.NumNodes() {
+		if s := int(g.sources[id]); s < 0 || s >= og.NumNodes() {
 			return Result{}, nil, fmt.Errorf("taskgraph: task %d's source operator %d is not in the %d-node operator graph", id, s, og.NumNodes())
 		}
 	}

@@ -30,7 +30,7 @@ func TestContendedTraceGolden(t *testing.T) {
 	for dev := 0; dev < stages; dev++ {
 		b.addTaskDesc(Task{Device: dev, Stream: CommStream, Class: "AllReduceDP"}, desc)
 	}
-	g := b.Build()
+	g := mustBuild(t, b)
 
 	plan := parallel.Plan{Tensor: 1, Data: 2, Pipeline: stages, MicroBatch: 1, GlobalBatch: 2 * stages}
 	tbl := g.Bind(nil, comm.NewModel(c), plan, c)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"vtrain/internal/hw"
 	"vtrain/internal/model"
 	"vtrain/internal/parallel"
 	"vtrain/internal/profiler"
@@ -22,7 +21,6 @@ type builder struct {
 	g    *Graph
 	m    model.Config
 	plan parallel.Plan
-	c    hw.Cluster
 	nmb  int
 	v    int // virtual stages per device (1 = no interleaving)
 
@@ -62,7 +60,7 @@ var builderPool = sync.Pool{New: func() any { return new(builder) }}
 // Recycle and the next Build.
 var graphPool = sync.Pool{New: func() any { return new(Graph) }}
 
-func newBuilder(m model.Config, plan parallel.Plan, c hw.Cluster, nmb int) *builder {
+func newBuilder(m model.Config, plan parallel.Plan, nmb int) *builder {
 	v := plan.VirtualStages
 	if v < 1 {
 		v = 1
@@ -78,7 +76,7 @@ func newBuilder(m model.Config, plan parallel.Plan, c hw.Cluster, nmb int) *buil
 	}
 	b := builderPool.Get().(*builder)
 	b.g = g
-	b.m, b.plan, b.c = m, plan, c
+	b.m, b.plan = m, plan
 	b.nmb, b.v = nmb, v
 	b.edges = b.edges[:0]
 	b.fwdOut = fitRaw(b.fwdOut, plan.Pipeline*v*nmb)
@@ -170,29 +168,6 @@ func (b *builder) virtualCoords(s int) (stage, chunk int) {
 
 // lastVirtual is the id of the final virtual stage.
 func (b *builder) lastVirtual() int { return b.plan.Pipeline*b.v - 1 }
-
-// activationBytes is the FP16 activation tensor crossing block and stage
-// boundaries: micro-batch x sequence x hidden.
-func (b *builder) activationBytes() float64 {
-	return 2 * float64(b.plan.MicroBatch) * float64(b.m.SeqLen) * float64(b.m.Hidden)
-}
-
-// tpIntraNode reports whether the tensor-parallel group fits on NVLink.
-func (b *builder) tpIntraNode() bool { return b.plan.Tensor <= b.c.Node.GPUsPerNode }
-
-// dpIntraNode reports whether a data-parallel group fits inside one node
-// (group stride t, size d, contiguous placement).
-func (b *builder) dpIntraNode() bool {
-	return b.plan.Tensor*b.plan.Data <= b.c.Node.GPUsPerNode
-}
-
-// devicesSameNode reports whether two pipeline devices share a server node
-// for the representative (tensor 0, data 0) replica.
-func (b *builder) devicesSameNode(a, bdev int) bool {
-	stride := b.plan.Tensor * b.plan.Data
-	gpn := b.c.Node.GPUsPerNode
-	return (a*stride)/gpn == (bdev*stride)/gpn
-}
 
 // chunkRange returns the global index of the first decoder layer of
 // (stage, chunk) and the number of layers it holds.
@@ -288,15 +263,12 @@ func (b *builder) tpAllReduce(stage, chunk, micro, layer int, tail int32, lk lab
 		return tail
 	}
 	id := b.add(Node{
-		Kind:      AllReduceTP,
-		Stage:     int32(stage),
-		Micro:     int32(micro),
-		Chunk:     int32(chunk),
-		Layer:     int32(layer),
-		Bytes:     b.activationBytes(),
-		Group:     int32(b.plan.Tensor),
-		IntraNode: b.tpIntraNode(),
-		label:     lk,
+		Kind:  AllReduceTP,
+		Stage: int32(stage),
+		Micro: int32(micro),
+		Chunk: int32(chunk),
+		Layer: int32(layer),
+		label: lk,
 	})
 	b.edge(tail, id)
 	return id
@@ -326,9 +298,6 @@ func (b *builder) recv(stage, chunk, micro, from int, producer, prev int32, lk l
 		Micro:     int32(micro),
 		Chunk:     int32(chunk),
 		FromStage: int32(from),
-		Bytes:     b.activationBytes(),
-		Group:     2,
-		IntraNode: b.devicesSameNode(from, stage),
 		label:     lk,
 	})
 	b.edge(producer, id)
@@ -425,7 +394,6 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 		if stage == 0 || stage == b.plan.Pipeline-1 {
 			stageParams += uint64(b.m.Vocab) * h // embedding / tied LM head
 		}
-		shardParams := stageParams / uint64(b.plan.Tensor)
 
 		var syncs []int32
 		if b.plan.Data > 1 {
@@ -447,7 +415,6 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			for bk := 0; bk < buckets; bk++ {
 				lo := layerList[bk*layers/buckets]
 				hi := layerList[(bk+1)*layers/buckets-1] + 1
-				bucketParams := shardParams / uint64(buckets)
 				ar := b.add(Node{
 					Kind:        AllReduceDP,
 					Stage:       int32(stage),
@@ -457,9 +424,6 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 					Bucket:      int32(bk),
 					Buckets:     int32(buckets),
 					StageParams: stageParams,
-					Bytes:       2 * float64(bucketParams), // FP16 gradients
-					Group:       int32(b.plan.Data),
-					IntraNode:   b.dpIntraNode(),
 					label:       lbARDP,
 				})
 				// Ready when the earliest layer of the bucket has
@@ -478,7 +442,6 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			Stage:       int32(stage),
 			Micro:       -1,
 			Op:          profiler.WeightUpdate,
-			Params:      max(shardParams, 1),
 			StageParams: stageParams,
 			label:       lbWeightUpdate,
 		})

@@ -35,7 +35,11 @@
 // index slices finalized by a two-pass builder, and node labels are lazy —
 // a node carries only its (kind, op, stage, chunk, micro, layer)
 // coordinates, and Node.Label composes the human-readable string on demand
-// for trace rendering and tests. A built Graph is immutable: nothing in
+// for trace rendering and tests. Nodes also carry no per-plan numbers
+// (transfer sizes, shard sizes, group widths, node placement): every field
+// is the same for all plans sharing the graph's structural shape, and
+// duration binding in internal/taskgraph derives the numbers for a
+// concrete plan. A built Graph is immutable: nothing in
 // this package mutates it after Build returns, so it is safe to share
 // across goroutines.
 package opgraph
@@ -82,8 +86,9 @@ func (k NodeKind) String() string {
 
 // Node is one layer-node of the operator-granularity graph. Nodes are plain
 // values stored in the graph's slab arena; they carry no label string (see
-// Node.Label) and no adjacency (see Graph.Deps). A Node is immutable once
-// Build returns.
+// Node.Label), no adjacency (see Graph.Deps), and only shape-invariant
+// fields: nothing that depends on the plan's tensor or data width or
+// micro-batch size. A Node is immutable once Build returns.
 type Node struct {
 	// ID is the node's dense index in the graph: 0 <= ID < NumNodes().
 	ID int32
@@ -107,37 +112,18 @@ type Node struct {
 	// nodes). Together with StageParams it lets a lowering price the bucket
 	// for any plan sharing this graph's structural shape.
 	Buckets int32
-	// FromStage is the producing pipeline stage of a P2P node. Unlike
-	// IntraNode (which bakes in this plan's tensor/data widths), the stage
-	// pair is shape-invariant, so duration binding can re-derive node
-	// placement for any plan sharing the structure.
+	// FromStage is the producing pipeline stage of a P2P node, from which
+	// duration binding derives node placement for the bound plan.
 	FromStage int32
 	// label selects the lazy label format (see label.go).
 	label labelKind
-	// Op is the computation operator kind (Kind == Compute). The full
-	// profiler.Operator is graph-wide state plus this kind and Params;
-	// Graph.OperatorOf composes it.
+	// Op is the computation operator kind (Kind == Compute).
 	Op profiler.OpKind
-	// Params is the parameter-shard size of WeightUpdate nodes, already
-	// divided by this plan's tensor width. Valid only for the plan the
-	// graph was built from; shape-sharing lowerings derive the shard from
-	// StageParams instead.
-	Params uint64
 	// StageParams is the unsharded parameter count of the node's whole
 	// pipeline stage (WeightUpdate and AllReduceDP nodes): the
 	// tensor-width-independent quantity from which any plan sharing this
 	// graph's structure derives its shard and gradient-bucket sizes.
 	StageParams uint64
-	// Bytes is the transfer size of communication nodes. Like Params it
-	// bakes in the plan the graph was built from (micro-batch size, tensor
-	// width); duration binding for other plans of the same shape recomputes
-	// it from StageParams / the activation shape.
-	Bytes float64
-	// Group is the participant count of collective nodes.
-	Group int32
-	// IntraNode reports whether the communication stays on NVLink under the
-	// plan the graph was built from.
-	IntraNode bool
 }
 
 // Graph is the operator-granularity execution graph of one iteration: a
@@ -153,9 +139,7 @@ type Graph struct {
 
 	// Stages is the number of logical devices (pipeline depth).
 	Stages int
-	// Plan and Model record what the graph was built from; together with a
-	// node's Op and Params fields they determine the node's operator
-	// (see OperatorOf).
+	// Plan and Model record what the graph was built from.
 	Plan  parallel.Plan
 	Model model.Config
 }
@@ -177,20 +161,6 @@ func (g *Graph) Deps(id int) []int32 {
 // Label composes the human-readable label of node id on demand; see
 // Node.Label for the laziness contract.
 func (g *Graph) Label(id int) string { return g.arena.at(id).Label() }
-
-// OperatorOf composes the full profiler operator of a Compute node from the
-// graph-wide model and plan plus the node's operator kind and parameter
-// count. All nodes of one graph share (model, micro-batch, tensor width),
-// so storing only the kind keeps nodes small.
-func (g *Graph) OperatorOf(n *Node) profiler.Operator {
-	return profiler.Operator{
-		Kind:       n.Op,
-		Model:      g.Model,
-		MicroBatch: g.Plan.MicroBatch,
-		Tensor:     g.Plan.Tensor,
-		Params:     n.Params,
-	}
-}
 
 // Validate checks (m, plan, c) exactly as Build does, without constructing
 // the graph. Callers that skip Build — e.g. a structural-graph cache serving
@@ -216,7 +186,7 @@ func Build(m model.Config, plan parallel.Plan, c hw.Cluster) (*Graph, error) {
 		return nil, err
 	}
 
-	b := newBuilder(m, plan, c, plan.MicroBatches())
+	b := newBuilder(m, plan, plan.MicroBatches())
 	b.build()
 	b.finalize()
 	return b.release(), nil

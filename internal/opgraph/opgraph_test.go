@@ -364,43 +364,6 @@ func TestCrossStageDependencies(t *testing.T) {
 	}
 }
 
-func TestCommScopes(t *testing.T) {
-	m := model.Config{Name: "scope", Hidden: 512, Layers: 8, SeqLen: 128, Heads: 8, Vocab: 1024}
-	// t=8 fills a node: TP is intra-node, DP (stride 8) is inter-node,
-	// stage boundaries are inter-node.
-	plan := parallel.Plan{Tensor: 8, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 4, GradientBuckets: 1}
-	g := build(t, m, plan, 4)
-	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
-		switch n.Kind {
-		case AllReduceTP:
-			if !n.IntraNode {
-				t.Fatal("t=8 TP All-Reduce should be intra-node")
-			}
-		case AllReduceDP:
-			if n.IntraNode {
-				t.Fatal("t=8,d=2 DP All-Reduce should be inter-node")
-			}
-		case P2P:
-			if n.IntraNode {
-				t.Fatal("t=8 stage boundary should be inter-node")
-			}
-		}
-	}
-	// t=2,d=2: everything in one node for the representative replica.
-	plan = parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 4, GradientBuckets: 1}
-	g = build(t, m, plan, 4)
-	for id := 0; id < g.NumNodes(); id++ {
-		n := g.Node(id)
-		if n.Kind == AllReduceDP && !n.IntraNode {
-			t.Fatal("t=2,d=2 DP All-Reduce should be intra-node")
-		}
-		if n.Kind == P2P && !n.IntraNode {
-			t.Fatal("t=2,d=2,p=2 stage boundary (ranks 0-4) should stay intra-node")
-		}
-	}
-}
-
 func TestBuildValidates(t *testing.T) {
 	m := tinyModel()
 	bad := parallel.Plan{Tensor: 0, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1}

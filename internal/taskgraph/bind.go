@@ -126,9 +126,16 @@ func allReduceDPArgs(plan parallel.Plan, gpn int) (int, bool) {
 	return min(plan.Data, ceilDiv(plan.Data*plan.Tensor, gpn)), false
 }
 
+// stageNode is the server node of a pipeline stage's representative
+// replica (tensor rank 0, data rank 0). Megatron places each stage's t*d
+// ranks contiguously, so stage s starts at rank s*t*d.
+func stageNode(stage int, plan parallel.Plan, gpn int) int {
+	return stage * plan.Tensor * plan.Data / gpn
+}
+
 // operatorFor composes the profiler operator of a compute descriptor for
-// one concrete plan, reproducing exactly the parameter arithmetic the
-// per-plan graph builder uses (integer shard division, minimum 1).
+// one concrete plan: a WeightUpdate's shard is the stage's parameters over
+// the tensor width (integer division, minimum 1).
 func (d *durDesc) operatorFor(g *Graph, plan parallel.Plan) profiler.Operator {
 	op := profiler.Operator{
 		Kind:       d.op,
@@ -157,11 +164,9 @@ func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, 
 	tbl.plan = plan
 	tbl.durIdx = g.durIdx
 
-	// The arithmetic below mirrors the operator-graph builder exactly
-	// (multiplication order included) so bound durations are bit-identical
-	// to a from-scratch lowering of the same plan.
+	// Every per-plan number is derived here, from the plan and the
+	// shape-invariant descriptors: operator-graph nodes carry none.
 	gpn := c.Node.GPUsPerNode
-	stride := plan.Tensor * plan.Data
 	actBytes := 2 * float64(plan.MicroBatch) * float64(g.Model.SeqLen) * float64(g.Model.Hidden)
 
 	if cap(tbl.vals) < len(g.descs) {
@@ -190,7 +195,7 @@ func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, 
 			n, intra := allReduceDPArgs(plan, gpn)
 			vals[i] = descVal{dur: cm.AllReduce(2*float64(bucketParams), n, intra)}
 		case descP2P:
-			same := (int(d.from)*stride)/gpn == (int(d.to)*stride)/gpn
+			same := stageNode(int(d.from), plan, gpn) == stageNode(int(d.to), plan, gpn)
 			vals[i] = descVal{dur: cm.SendRecv(actBytes, same)}
 		case descLiteral:
 			vals[i] = descVal{dur: d.literal}

@@ -94,7 +94,6 @@ func hcaClass(node int) int { return 2 + 2*node }
 // it derates.
 func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTable) *ContentionTable {
 	gpn := c.Node.GPUsPerNode
-	stride := plan.Tensor * plan.Data
 	ct := &ContentionTable{
 		cg:       comm.NewCongestion(c),
 		kind:     make([]contKind, len(g.descs)),
@@ -104,9 +103,9 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 		repNode:  make([]int32, g.Devices),
 	}
 	for dev := range ct.repNode {
-		ct.repNode[dev] = int32(dev * stride / gpn)
+		ct.repNode[dev] = int32(stageNode(dev, plan, gpn))
 	}
-	maxNode := ((g.Devices-1)*stride + stride - 1) / gpn
+	maxNode := (g.Devices*plan.Tensor*plan.Data - 1) / gpn // the last rank's node
 	for i := range g.descs {
 		d := &g.descs[i]
 		switch d.kind {
@@ -126,8 +125,8 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 			ct.span[i] = int32(n)
 		case descP2P:
 			ct.kind[i] = contP2P
-			ct.fromNode[i] = int32(int(d.from) * stride / gpn)
-			ct.toNode[i] = int32(int(d.to) * stride / gpn)
+			ct.fromNode[i] = int32(stageNode(int(d.from), plan, gpn))
+			ct.toNode[i] = int32(stageNode(int(d.to), plan, gpn))
 		}
 	}
 	ct.classes = hcaClass(maxNode) + 1

@@ -8,6 +8,8 @@ import (
 
 	"vtrain/internal/comm"
 	"vtrain/internal/hw"
+	"vtrain/internal/model"
+	"vtrain/internal/opgraph"
 	"vtrain/internal/parallel"
 )
 
@@ -424,6 +426,54 @@ func TestHierarchicalAllReduceParticipants(t *testing.T) {
 		if n != tc.wantN || intra != tc.wantIntra {
 			t.Errorf("t=%d d=%d gpn=%d (dp=%v): got (%d, %v), want (%d, %v)",
 				tc.plan.Tensor, tc.plan.Data, tc.gpnVal, tc.dp, n, intra, tc.wantN, tc.wantIntra)
+		}
+	}
+}
+
+// TestCommScopes pins which communication stays inside a server node on
+// 8-GPU nodes: the tensor-parallel All-Reduce, the data-parallel gradient
+// All-Reduce, and every pipeline transfer of a lowered graph, placed
+// between the stages' representative replicas.
+func TestCommScopes(t *testing.T) {
+	m := model.Config{Name: "scope", Hidden: 512, Layers: 8, SeqLen: 128, Heads: 8, Vocab: 1024}
+	c := hw.PaperCluster(4)
+	gpn := c.Node.GPUsPerNode
+	cases := []struct {
+		plan                      parallel.Plan
+		tpIntra, dpIntra, p2pSame bool
+	}{
+		// t=8 fills a node: the DP group (stride 8) spans two nodes, and
+		// stage 1 starts at rank 16, two nodes on.
+		{parallel.Plan{Tensor: 8, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 4, GradientBuckets: 1}, true, false, false},
+		// t=2, d=2: stage 1 starts at rank 4, so the representative
+		// replica's whole pipeline stays in node 0.
+		{parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 4, GradientBuckets: 1}, true, true, true},
+		// t=2, d=4: the DP group fills node 0, so stage 1 starts on node 1.
+		{parallel.Plan{Tensor: 2, Data: 4, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 1}, true, true, false},
+	}
+	for _, tc := range cases {
+		if _, intra := allReduceTPArgs(tc.plan, gpn); intra != tc.tpIntra {
+			t.Errorf("%s: TP All-Reduce intra-node = %v, want %v", tc.plan, intra, tc.tpIntra)
+		}
+		if _, intra := allReduceDPArgs(tc.plan, gpn); intra != tc.dpIntra {
+			t.Errorf("%s: DP All-Reduce intra-node = %v, want %v", tc.plan, intra, tc.dpIntra)
+		}
+		og, err := opgraph.Build(m, tc.plan, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2p := 0
+		for _, d := range Lower(og, nil, OperatorLevel).descs {
+			if d.kind != descP2P {
+				continue
+			}
+			p2p++
+			if same := stageNode(int(d.from), tc.plan, gpn) == stageNode(int(d.to), tc.plan, gpn); same != tc.p2pSame {
+				t.Errorf("%s: transfer %d -> %d same-node = %v, want %v", tc.plan, d.from, d.to, same, tc.p2pSame)
+			}
+		}
+		if p2p != 2 {
+			t.Errorf("%s: %d transfer descriptors, want one per direction", tc.plan, p2p)
 		}
 	}
 }

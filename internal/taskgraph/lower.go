@@ -2,43 +2,68 @@ package taskgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"vtrain/internal/opgraph"
+	"vtrain/internal/profiler"
 )
 
-// lowerOperatorLevel is the operator-granularity lowering fast path. At
-// OperatorLevel every operator-graph node lowers to exactly one task, so
-// before finalize orders it the task graph is isomorphic to the operator
-// graph: provisional task id == node id, and the edges are the dependency
-// lists. That lets the lowering write finalize's inputs directly — no
-// builder, no per-task map lookups — while producing a Graph identical
-// (task for task, edge for edge, descriptor for descriptor) to what the
-// builder path would build:
+// Lower translates the operator graph into a structural task graph: tasks,
+// dependency edges, and one duration descriptor per task — no durations.
+// The result depends only on the plan's structural shape (schedule,
+// pipeline depth, micro-batch count, interleaving, layer split, fidelity),
+// so it can be cached and shared across every plan of that shape; Bind
+// resolves the descriptors into per-plan durations.
 //
-//   - edges are emitted per consumer node in ascending id, per dependency
-//     in Deps order, which is the builder's edge-insertion order, so
-//     finalize derives the same dispatch order;
-//   - classes and descriptors intern in first-appearance order, like the
-//     builder's maps — but through tiny per-kind caches (the operator kinds
-//     are a dense enum) with a map fallback only for the rare
-//     parameter-bearing descriptors.
-func lowerOperatorLevel(og *opgraph.Graph) *Graph {
+// Both fidelities share one loop: each node becomes its profiled kernels.
+// A communication node, and every node at OperatorLevel, becomes one task.
+// At TaskLevel a compute node of k > 1 kernels becomes a chain of k kernel
+// tasks, and a dependency edge runs from the dependency's last task to the
+// node's first. Provisional task ids follow node order, kernels in order,
+// and each task's out-edges are emitted in node order, so finalize derives
+// the dispatch order a Builder fed the same tasks and edges would.
+//
+// The profiler parameter is unused: kernel counts are static per operator
+// kind (profiler.KernelCount), and durations bind later.
+func Lower(og *opgraph.Graph, _ *profiler.Profiler, fid Fidelity) *Graph {
 	n := og.NumNodes()
 	g := &Graph{
 		Devices: og.Stages,
 		Model:   og.Model,
 	}
-	sc := finalizeScratchPool.Get().(*finalizeScratch)
-	defer finalizeScratchPool.Put(sc)
-	sc.tasks = fitRaw(sc.tasks, n, false)
-	tasks, edges := sc.tasks, sc.edges[:0]
+	// Sweeps lower many operator-level graphs, so their temporaries are
+	// pooled. Task-level lowerings are one-offs several times larger,
+	// whose temporaries a pool would pin: they are counted, allocated
+	// exactly, and left to the collector.
+	var sc *finalizeScratch
+	var last []int32 // each node's last task, when nodes expand
+	if fid == OperatorLevel {
+		sc = finalizeScratchPool.Get().(*finalizeScratch)
+		defer finalizeScratchPool.Put(sc)
+		sc.tasks = slices.Grow(sc.tasks[:0], n)
+	} else {
+		nTasks, nEdges := 0, 0
+		for id := 0; id < n; id++ {
+			k := 1
+			if nd := og.Node(id); nd.Kind == opgraph.Compute {
+				k = max(profiler.KernelCount(nd.Op), 1)
+			}
+			nTasks += k
+			nEdges += k - 1 + len(og.Deps(id))
+		}
+		sc = &finalizeScratch{tasks: make([]provTask, 0, nTasks), edges: make([][2]int32, 0, nEdges)}
+		last = make([]int32, n)
+	}
+	tasks, edges := sc.tasks[:0], sc.edges[:0]
 
-	// Per-kind intern caches, -1 = not seen. opClass/opDesc cover the dense
-	// profiler.OpKind range; kindClass covers the communication node kinds.
-	// Parameter-bearing descriptors (WeightUpdate, AllReduceDP, P2P — a
-	// handful per graph) fall back to a map keyed by the full descriptor.
-	var opClass, opDesc [16]int32
-	var kindClass [8]int32
+	// Classes and descriptors intern in first-appearance order, as a
+	// Builder's would. Intern caches, -1 = not seen: class indexes by
+	// operator kind and by node kind, and the first descriptor of each
+	// operator kind's expansion (for operators without stage parameters).
+	// The operator and node kinds are dense enums, so only
+	// parameter-bearing descriptors (a handful per graph) reach the map.
+	var opClass, opDesc [profiler.WeightUpdate + 1]int32
+	var kindClass [opgraph.P2P + 1]int32
 	for i := range opClass {
 		opClass[i], opDesc[i] = -1, -1
 	}
@@ -49,15 +74,13 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 	var descID map[durDesc]int32
 
 	internClass := func(name string) int32 {
-		for ci, c := range g.classes {
-			if c == name {
-				return int32(ci)
-			}
-		}
 		g.classes = append(g.classes, name)
 		return int32(len(g.classes) - 1)
 	}
-	internDesc := func(d durDesc) int32 {
+	// internDesc returns the index of d, interning it on first sight
+	// together with the k-1 descriptors of its operator's later kernels,
+	// which are always emitted with it.
+	internDesc := func(d durDesc, k int32) int32 {
 		if di, ok := descID[d]; ok {
 			return di
 		}
@@ -65,75 +88,78 @@ func lowerOperatorLevel(og *opgraph.Graph) *Graph {
 			descID = make(map[durDesc]int32)
 		}
 		di := int32(len(g.descs))
-		g.descs = append(g.descs, d)
 		descID[d] = di
+		for ; d.kernel < k; d.kernel++ {
+			g.descs = append(g.descs, d)
+		}
 		return di
 	}
 
 	for id := 0; id < n; id++ {
 		nd := og.Node(id)
+		first := int32(len(tasks))
 		for _, d := range og.Deps(id) {
-			edges = append(edges, [2]int32{int32(d), int32(id)})
+			if last != nil {
+				d = last[d]
+			}
+			edges = append(edges, [2]int32{d, first})
 		}
-		stream := ComputeStream
-		var ci, di int32
-		switch nd.Kind {
-		case opgraph.Compute:
-			op := int(nd.Op)
-			ci = -1
-			if op >= 0 && op < len(opClass) {
-				ci = opClass[op]
+		if nd.Kind == opgraph.Compute {
+			op := nd.Op
+			k := int32(profiler.KernelCount(op))
+			if k == 0 {
+				panic(fmt.Sprintf("taskgraph: unknown operator kind %v", op))
 			}
+			kind := descKernel
+			if k == 1 || fid == OperatorLevel {
+				k, kind = 1, descOperator
+			}
+			ci := opClass[op]
 			if ci < 0 {
-				ci = internClass(nd.Op.String())
-				if op >= 0 && op < len(opClass) {
-					opClass[op] = ci
-				}
+				ci = internClass(op.String())
+				opClass[op] = ci
 			}
-			di = -1
-			if nd.StageParams == 0 && op >= 0 && op < len(opDesc) {
-				di = opDesc[op]
-			}
-			if di < 0 {
-				di = internDesc(durDesc{kind: descOperator, op: nd.Op, stageParams: nd.StageParams})
-				if nd.StageParams == 0 && op >= 0 && op < len(opDesc) {
+			di := opDesc[op]
+			if di < 0 || nd.StageParams != 0 {
+				di = internDesc(durDesc{kind: kind, op: op, stageParams: nd.StageParams}, k)
+				if nd.StageParams == 0 {
 					opDesc[op] = di
 				}
 			}
-		case opgraph.AllReduceTP:
-			stream = CommStream
-			ci = kindClass[nd.Kind]
+			slot := 2*nd.Stage + int32(ComputeStream)
+			tasks = append(tasks, provTask{ci, slot, int32(id), di})
+			for i := int32(1); i < k; i++ {
+				edges = append(edges, [2]int32{first + i - 1, first + i})
+				tasks = append(tasks, provTask{ci, slot, int32(id), di + i})
+			}
+		} else {
+			var di int32
+			switch nd.Kind {
+			case opgraph.AllReduceTP:
+				if tpDesc < 0 {
+					tpDesc = internDesc(durDesc{kind: descAllReduceTP}, 1)
+				}
+				di = tpDesc
+			case opgraph.AllReduceDP:
+				di = internDesc(durDesc{kind: descAllReduceDP, stageParams: nd.StageParams, buckets: nd.Buckets}, 1)
+			case opgraph.P2P:
+				di = internDesc(durDesc{kind: descP2P, from: nd.FromStage, to: nd.Stage}, 1)
+			default:
+				panic(fmt.Sprintf("taskgraph: unknown node kind %v", nd.Kind))
+			}
+			ci := kindClass[nd.Kind]
 			if ci < 0 {
 				ci = internClass(nd.Kind.String())
 				kindClass[nd.Kind] = ci
 			}
-			if tpDesc < 0 {
-				tpDesc = internDesc(durDesc{kind: descAllReduceTP})
-			}
-			di = tpDesc
-		case opgraph.AllReduceDP:
-			stream = CommStream
-			ci = kindClass[nd.Kind]
-			if ci < 0 {
-				ci = internClass(nd.Kind.String())
-				kindClass[nd.Kind] = ci
-			}
-			di = internDesc(durDesc{kind: descAllReduceDP, stageParams: nd.StageParams, buckets: nd.Buckets})
-		case opgraph.P2P:
-			stream = CommStream
-			ci = kindClass[nd.Kind]
-			if ci < 0 {
-				ci = internClass(nd.Kind.String())
-				kindClass[nd.Kind] = ci
-			}
-			di = internDesc(durDesc{kind: descP2P, from: nd.FromStage, to: nd.Stage})
-		default:
-			panic(fmt.Sprintf("taskgraph: unknown node kind %v", nd.Kind))
+			tasks = append(tasks, provTask{ci, 2*nd.Stage + int32(CommStream), int32(id), di})
 		}
-		tasks[id] = provTask{ci, 2*nd.Stage + int32(stream), int32(id), di}
+		if last != nil {
+			last[id] = int32(len(tasks)) - 1
+		}
 	}
 
-	sc.edges = edges
+	sc.tasks, sc.edges = tasks, edges
 	if err := sc.finalize(g, tasks, edges); err != nil {
 		panic(err) // unreachable: operator-graph dependencies point backward
 	}

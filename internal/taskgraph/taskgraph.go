@@ -44,8 +44,6 @@ import (
 
 	"vtrain/internal/comm"
 	"vtrain/internal/model"
-	"vtrain/internal/opgraph"
-	"vtrain/internal/profiler"
 )
 
 // Stream selects which per-device resource a task occupies.
@@ -156,9 +154,8 @@ func (g *Graph) TaskAt(id int) Task {
 	}
 }
 
-// Builder accumulates tasks and dependency edges and finalizes them into an
-// immutable Graph. Lower uses it internally; tests use it to hand-build
-// graphs.
+// Builder accumulates hand-built tasks and dependency edges and finalizes
+// them into an immutable Graph, through the same finalize as Lower.
 type Builder struct {
 	g       Graph
 	tasks   []provTask
@@ -178,13 +175,6 @@ func NewBuilder(devices int) *Builder {
 		classID: make(map[string]int32),
 		descID:  make(map[durDesc]int32),
 	}
-}
-
-// Reserve pre-allocates capacity for the given task and edge counts,
-// avoiding append-doubling waste when the caller knows the graph size.
-func (b *Builder) Reserve(tasks, edges int) {
-	b.tasks = make([]provTask, 0, tasks)
-	b.edges = make([][2]int32, 0, edges)
 }
 
 // intern returns the class index for name, adding it on first use.
@@ -230,8 +220,7 @@ func (b *Builder) AddEdge(from, to int) {
 // cycle, or an edge naming an unknown task, is an error. The builder must
 // not be reused afterwards.
 //
-// Build's scratch is not pooled: builders serve task-level lowerings and
-// hand-built graphs, one-offs whose large temporaries a pool would pin.
+// Build's scratch is not pooled: hand-built graphs are one-offs.
 func (b *Builder) Build() (*Graph, error) {
 	g := b.g // a copy, so the graph does not keep the builder alive
 	var sc finalizeScratch
@@ -242,9 +231,9 @@ func (b *Builder) Build() (*Graph, error) {
 }
 
 // finalizeScratch holds the temporaries of finalize, and the provisional
-// tasks and edges of an operator-level lowering. The operator-level
-// lowering pools them because sweeps lower many graphs, and only the
-// finished slabs outlive a lowering.
+// tasks and edges of a lowering. Operator-level lowerings pool it because
+// sweeps lower many graphs, and only the finished slabs outlive a
+// lowering.
 type finalizeScratch struct {
 	tasks                 []provTask
 	edges                 [][2]int32
@@ -351,115 +340,6 @@ var (
 	_ CommTimer = (*comm.Model)(nil)
 	_ CommTimer = comm.Calibrated{}
 )
-
-// Lower translates the operator graph into a structural task graph: tasks,
-// dependency edges, and one duration descriptor per task — no durations.
-// The result depends only on the plan's structural shape (schedule,
-// pipeline depth, micro-batch count, interleaving, layer split, fidelity),
-// so it can be cached and shared across every plan of that shape; Bind
-// resolves the descriptors into per-plan durations.
-//
-// prof is consulted only for the kernel count of each operator (fixed per
-// operator kind), never for durations.
-func Lower(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Graph {
-	if fid == OperatorLevel {
-		// At operator granularity the task graph is isomorphic to the
-		// operator graph (one task per node), so a direct translation
-		// skips the builder entirely — the sweep hot path. It produces
-		// exactly lowerBuilder's graph (asserted by tests).
-		return lowerOperatorLevel(g)
-	}
-	return lowerBuilder(g, prof, fid)
-}
-
-// lowerBuilder is the general builder-based lowering, used at TaskLevel
-// (where one operator expands into several kernel tasks) and as the
-// reference implementation the operator-level fast path is tested against.
-func lowerBuilder(g *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Graph {
-	b := NewBuilder(g.Stages)
-	b.g.Model = g.Model
-	nNodes := g.NumNodes()
-	// Pre-count tasks and edges so the arena and edge list are allocated
-	// exactly once; Profile results are cached by the profiler, so the
-	// extra pass costs lookups, not profiling work.
-	nTasks, nEdges := 0, 0
-	for id := 0; id < nNodes; id++ {
-		n := g.Node(id)
-		k := 1
-		if n.Kind == opgraph.Compute && fid == TaskLevel {
-			k = len(prof.Profile(g.OperatorOf(n)))
-		}
-		nTasks += k
-		nEdges += k - 1 + len(g.Deps(id))
-	}
-	b.Reserve(nTasks, nEdges)
-	// first/last task of each operator-graph node, for edge translation.
-	firstTask := make([]int, nNodes)
-	lastTask := make([]int, nNodes)
-
-	for nid := 0; nid < nNodes; nid++ {
-		n := g.Node(nid)
-		switch n.Kind {
-		case opgraph.Compute:
-			class := n.Op.String()
-			kernels := 1
-			if fid == TaskLevel {
-				kernels = len(prof.Profile(g.OperatorOf(n)))
-			}
-			if kernels == 1 {
-				id := b.addTaskDesc(
-					Task{Device: int(n.Stage), Stream: ComputeStream, Source: nid, Class: class},
-					durDesc{kind: descOperator, op: n.Op, stageParams: n.StageParams},
-				)
-				firstTask[nid], lastTask[nid] = id, id
-			} else {
-				prev := -1
-				for i := 0; i < kernels; i++ {
-					id := b.addTaskDesc(
-						Task{Device: int(n.Stage), Stream: ComputeStream, Source: nid, Class: class},
-						durDesc{kind: descKernel, op: n.Op, kernel: int32(i), stageParams: n.StageParams},
-					)
-					if i == 0 {
-						firstTask[nid] = id
-					} else {
-						b.AddEdge(prev, id)
-					}
-					prev = id
-				}
-				lastTask[nid] = prev
-			}
-		case opgraph.AllReduceTP:
-			id := b.addTaskDesc(
-				Task{Device: int(n.Stage), Stream: CommStream, Source: nid, Class: n.Kind.String()},
-				durDesc{kind: descAllReduceTP},
-			)
-			firstTask[nid], lastTask[nid] = id, id
-		case opgraph.AllReduceDP:
-			id := b.addTaskDesc(
-				Task{Device: int(n.Stage), Stream: CommStream, Source: nid, Class: n.Kind.String()},
-				durDesc{kind: descAllReduceDP, stageParams: n.StageParams, buckets: n.Buckets},
-			)
-			firstTask[nid], lastTask[nid] = id, id
-		case opgraph.P2P:
-			id := b.addTaskDesc(
-				Task{Device: int(n.Stage), Stream: CommStream, Source: nid, Class: n.Kind.String()},
-				durDesc{kind: descP2P, from: n.FromStage, to: n.Stage},
-			)
-			firstTask[nid], lastTask[nid] = id, id
-		default:
-			panic(fmt.Sprintf("taskgraph: unknown node kind %v", n.Kind))
-		}
-		// Operator-graph edges: node starts after all its deps finish.
-		for _, d := range g.Deps(nid) {
-			b.AddEdge(lastTask[d], firstTask[nid])
-		}
-	}
-	tg, err := b.Build()
-	if err != nil {
-		panic(err) // unreachable: operator-graph dependencies point backward
-	}
-	return tg
-}
 
 // Result summarizes one simulated iteration.
 type Result struct {

@@ -60,7 +60,7 @@ func TestReplayTraceLabelsFromOperatorGraph(t *testing.T) {
 			// Multi-kernel operators lower to one task per kernel at task
 			// granularity; the first carries kernel 0's name.
 			if n := g.og.Node(id); fid == TaskLevel && n.Kind == opgraph.Compute && profiler.KernelCount(n.Op) > 1 {
-				base += "/" + g.tbl.prof.Profile(g.og.OperatorOf(n))[0].Kernel.Name
+				base += "/" + g.tbl.prof.Profile((&durDesc{op: n.Op}).operatorFor(g.g, plan))[0].Kernel.Name
 			}
 			if !labels[base] {
 				t.Fatalf("fidelity %v: no span labeled %q for operator %d", fid, base, id)

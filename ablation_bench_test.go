@@ -14,8 +14,6 @@ import (
 	"vtrain/internal/model"
 	"vtrain/internal/parallel"
 	"vtrain/internal/taskgraph"
-	"vtrain/internal/testbed"
-	"vtrain/internal/validate"
 )
 
 // BenchmarkAblationGradientBucketing quantifies Fig. 5: overlapping the
@@ -150,36 +148,6 @@ func BenchmarkAblationAlpha(b *testing.B) {
 		}
 	}
 	b.ReportMetric(times[0]/times[len(times)-1], "alpha0.1_vs_1.0_slowdown")
-}
-
-// BenchmarkAblationCalibratedComm quantifies the paper's future-work
-// communication extension: re-running the Fig. 9 campaigns with the
-// contention-calibrated model shrinks the validation error.
-func BenchmarkAblationCalibratedComm(b *testing.B) {
-	single := validate.SingleNodeCases()
-	subset := make([]validate.Case, 0, 180)
-	for i := 0; i < len(single); i += 8 {
-		subset = append(subset, single[i])
-	}
-	var plain, calibrated validate.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		if plain, err = validate.Run(hw.PaperCluster(1), subset, testbed.DefaultConfig(), 42); err != nil {
-			b.Fatal(err)
-		}
-		if calibrated, err = validate.RunCalibrated(hw.PaperCluster(1), subset, testbed.DefaultConfig(), 42); err != nil {
-			b.Fatal(err)
-		}
-	}
-	once("abl-calibrated", func() {
-		fmt.Printf("\nAblation — calibrated communication model (single-node campaign, %d points):\n", len(subset))
-		fmt.Printf("  isolated profile (paper's vTrain): MAPE %.2f%%, R² %.4f\n", plain.MAPE, plain.R2)
-		fmt.Printf("  contention-calibrated (future work): MAPE %.2f%%, R² %.4f\n", calibrated.MAPE, calibrated.R2)
-	})
-	if calibrated.MAPE >= plain.MAPE {
-		b.Fatalf("calibration did not reduce MAPE: %.2f%% vs %.2f%%", calibrated.MAPE, plain.MAPE)
-	}
-	b.ReportMetric(plain.MAPE-calibrated.MAPE, "MAPE_reduction_points")
 }
 
 // BenchmarkAblationInterleaving quantifies Megatron-LM's virtual pipeline

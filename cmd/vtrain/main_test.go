@@ -119,3 +119,24 @@ func TestMissingFile(t *testing.T) {
 		t.Fatal("run with no -f succeeded")
 	}
 }
+
+// TestOverflowingEconomicsFails keeps an unencodable projection an error in
+// both output modes: a price so large that the cost is +Inf must exit
+// non-zero, not print "$NaNM" or fail halfway through the JSON.
+func TestOverflowingEconomicsFails(t *testing.T) {
+	desc, err := os.ReadFile(descPath("megatron-18b-h100-resilience.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "overflow.json")
+	body := bytes.Replace(desc, []byte(`"cluster":{`), []byte(`"cluster":{"dollars_per_gpu_hour": 1e308,`), 1)
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-f", path}, {"-f", path, "-json"}} {
+		var out bytes.Buffer
+		if err := run(args, &out, io.Discard); err == nil {
+			t.Errorf("run(%v) succeeded, want an overflow error; output:\n%s", args, out.Bytes())
+		}
+	}
+}

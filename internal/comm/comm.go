@@ -29,15 +29,6 @@ import (
 	"vtrain/internal/hw"
 )
 
-// Fabric is the measured medium the profiler runs NCCL primitives on. The
-// production implementation is the simulated NVSwitch fabric below;
-// the testbed package wraps one with contention effects.
-type Fabric interface {
-	// AllReduce returns the wall-clock seconds of a ring All-Reduce of
-	// size bytes across n participants.
-	AllReduce(bytes float64, n int) float64
-}
-
 // NVSwitchFabric simulates NCCL ring All-Reduce over an intra-node
 // NVLink/NVSwitch fabric in an isolated environment (no contention): each of
 // the 2(n-1) ring steps moves S/n bytes per GPU at the per-GPU link
@@ -47,7 +38,8 @@ type NVSwitchFabric struct {
 	Node hw.Node
 }
 
-// AllReduce implements Fabric.
+// AllReduce returns the wall-clock seconds of a ring All-Reduce of size
+// bytes across n participants.
 func (f NVSwitchFabric) AllReduce(bytes float64, n int) float64 {
 	if n <= 1 {
 		return 0
@@ -82,7 +74,7 @@ func ProfileSizes() []float64 {
 
 // Profile measures fabric across the given GPU counts and standard sizes,
 // building the lookup table.
-func Profile(fabric Fabric, gpuCounts []int) *ProfileTable {
+func Profile(fabric NVSwitchFabric, gpuCounts []int) *ProfileTable {
 	t := &ProfileTable{points: make(map[int][]ProfilePoint)}
 	for _, n := range gpuCounts {
 		var pts []ProfilePoint
@@ -149,9 +141,6 @@ func NewModel(c hw.Cluster) *Model {
 		table:   Profile(NVSwitchFabric{Node: c.Node}, counts),
 	}
 }
-
-// Table exposes the profiled intra-node table (used by reports and tests).
-func (m *Model) Table() *ProfileTable { return m.table }
 
 // AllReduceIntra returns the profiled latency of an intra-node All-Reduce
 // (tensor parallelism) of size bytes across n GPUs.

@@ -96,11 +96,6 @@ var ErrNoValidPlan = errors.New("no valid plan in the search space")
 type Point struct {
 	Plan   parallel.Plan
 	Report core.Report
-	// Feasible is false when the plan cannot fit device memory even
-	// with recomputation (Report is zero) or fails validation.
-	Feasible bool
-	// Reason explains infeasibility.
-	Reason string
 }
 
 // Enumerate lists the valid plans of the space for m on sim's cluster,
@@ -147,16 +142,10 @@ func (s Space) Enumerate(m model.Config, sim *core.Simulator) []parallel.Plan {
 	return plans
 }
 
-// Better reports whether p should rank ahead of q: feasible before
-// infeasible, then lower iteration time, with the (t, d, p, m) tuple as a
-// deterministic tie-break so rankings are stable regardless of the order
-// points were evaluated in. (Points produced by this package are always
-// feasible — Enumerate excludes memory-infeasible plans — so the
-// feasibility branch matters only for hand-built Points.)
+// Better reports whether p should rank ahead of q: lower iteration time,
+// with the (t, d, p, m) tuple as a deterministic tie-break so rankings are
+// stable regardless of the order points were evaluated in.
 func (p Point) Better(q Point) bool {
-	if p.Feasible != q.Feasible {
-		return p.Feasible
-	}
 	if p.Report.IterTime != q.Report.IterTime {
 		return p.Report.IterTime < q.Report.IterTime
 	}
@@ -316,7 +305,7 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 		sims[i] = sim
 	}
 	err := Sweep(m, sims, plans, func(i int, rep core.Report) {
-		fn(Point{Plan: plans[i], Report: rep, Feasible: true})
+		fn(Point{Plan: plans[i], Report: rep})
 	})
 	var pe *core.PlanError
 	if errors.As(err, &pe) {
@@ -356,17 +345,16 @@ func ExploreBest(sim *core.Simulator, m model.Config, s Space) (best Point, ok b
 	return best, ok, nil
 }
 
-// Fastest returns the feasible point with the lowest iteration time.
+// Fastest returns the first of points, which is the fastest when points
+// are sorted as Explore returns them; ok is false when points is empty.
 func Fastest(points []Point) (Point, bool) {
-	for _, p := range points {
-		if p.Feasible {
-			return p, true
-		}
+	if len(points) == 0 {
+		return Point{}, false
 	}
-	return Point{}, false
+	return points[0], true
 }
 
-// Cheapest returns the feasible point minimizing end-to-end training cost
+// Cheapest returns the point minimizing end-to-end training cost
 // for totalTokens, pricing each plan's GPU count at the cluster rate.
 func Cheapest(sim *core.Simulator, points []Point, totalTokens uint64) (Point, cost.Training, bool) {
 	return CheapestOn(sim.Cluster(), points, totalTokens)
@@ -382,9 +370,6 @@ func CheapestOn(c hw.Cluster, points []Point, totalTokens uint64) (Point, cost.T
 		found  bool
 	)
 	for _, p := range points {
-		if !p.Feasible {
-			continue
-		}
 		tr := cost.Train(p.Report.Model, p.Plan.GlobalBatch, p.Report.IterTime, p.Plan.GPUs(), totalTokens, c)
 		if !found || tr.TotalDollars < bestTr.TotalDollars {
 			best, bestTr, found = p, tr, true
@@ -393,7 +378,7 @@ func CheapestOn(c hw.Cluster, points []Point, totalTokens uint64) (Point, cost.T
 	return best, bestTr, found
 }
 
-// CheapestWithin returns the cheapest feasible point whose end-to-end days
+// CheapestWithin returns the cheapest point whose end-to-end days
 // do not exceed maxDays — the "balance training time and cost" objective of
 // case study 1.
 func CheapestWithin(sim *core.Simulator, points []Point, totalTokens uint64, maxDays float64) (Point, cost.Training, bool) {
@@ -403,9 +388,6 @@ func CheapestWithin(sim *core.Simulator, points []Point, totalTokens uint64, max
 		found  bool
 	)
 	for _, p := range points {
-		if !p.Feasible {
-			continue
-		}
 		tr := cost.Train(p.Report.Model, p.Plan.GlobalBatch, p.Report.IterTime, p.Plan.GPUs(), totalTokens, sim.Cluster())
 		if tr.Days > maxDays {
 			continue
@@ -418,19 +400,13 @@ func CheapestWithin(sim *core.Simulator, points []Point, totalTokens uint64, max
 }
 
 // ParetoFront returns the points not dominated in (iteration time, GPU
-// count): no other feasible point is both faster and smaller — the frontier
+// count): no other point is both faster and smaller — the frontier
 // a practitioner inspects in Fig. 11.
 func ParetoFront(points []Point) []Point {
 	var front []Point
 	for _, p := range points {
-		if !p.Feasible {
-			continue
-		}
 		dominated := false
 		for _, q := range points {
-			if !q.Feasible {
-				continue
-			}
 			if q.Report.IterTime < p.Report.IterTime && q.Plan.GPUs() <= p.Plan.GPUs() ||
 				q.Report.IterTime <= p.Report.IterTime && q.Plan.GPUs() < p.Plan.GPUs() {
 				dominated = true

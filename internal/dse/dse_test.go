@@ -191,8 +191,8 @@ func TestCheapestPrefersFewerGPUs(t *testing.T) {
 	if tr.TotalDollars > trFast.TotalDollars {
 		t.Fatalf("cheapest $%.0f above fastest's $%.0f", tr.TotalDollars, trFast.TotalDollars)
 	}
-	if !best.Feasible {
-		t.Fatal("cheapest point must be feasible")
+	if !best.Report.FitsMemory {
+		t.Fatal("cheapest point must fit memory")
 	}
 }
 

@@ -93,7 +93,12 @@ func (c Config) Iterations(totalTokens uint64, batchSeqs int) uint64 {
 	if per == 0 {
 		return 0
 	}
-	return (totalTokens + per - 1) / per
+	// Divide, then round up: adding per-1 first would wrap near 2^64.
+	q := totalTokens / per
+	if totalTokens%per != 0 {
+		q++
+	}
+	return q
 }
 
 // String implements fmt.Stringer.

@@ -90,11 +90,18 @@ func TestIterations(t *testing.T) {
 
 func TestIterationsRoundsUp(t *testing.T) {
 	c := Config{Name: "t", Hidden: 64, Layers: 2, SeqLen: 10, Heads: 2, Vocab: 100}
-	if got := c.Iterations(25, 1); got != 3 { // 10 tokens/iter, 25 tokens
-		t.Fatalf("Iterations(25, 1) = %d, want 3", got)
-	}
-	if got := c.Iterations(0, 1); got != 0 {
-		t.Fatalf("Iterations(0, 1) = %d, want 0", got)
+	for _, tc := range []struct {
+		tokens, want uint64
+	}{
+		{25, 3}, // 10 tokens/iter, 25 tokens
+		{0, 0},
+		{30, 3},                               // exact multiple
+		{9, 1},                                // one token short of an iteration
+		{math.MaxUint64, 1844674407370955162}, // rounds up without wrapping
+	} {
+		if got := c.Iterations(tc.tokens, 1); got != tc.want {
+			t.Errorf("Iterations(%d, 1) = %d, want %d", tc.tokens, got, tc.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"vtrain/internal/artifact"
@@ -266,13 +267,16 @@ func (e *Engine) prepareSimulate(req SimulateRequest) (SimulateOutcome, *core.Si
 }
 
 // project adds the end-to-end training and resilience economics when the
-// request carries a token budget.
+// request carries a token budget. Economics that overflow (a price or
+// budget so large that a figure is ±Inf or NaN) are the client's
+// configuration and answer 400: JSON cannot encode them.
 func (e *Engine) project(out *SimulateOutcome, req SimulateRequest) error {
 	if req.TotalTokens == 0 {
 		return nil
 	}
 	tr := cost.Train(out.Model, out.Plan.GlobalBatch, out.Report.IterTime, out.Plan.GPUs(), req.TotalTokens, out.Cluster)
-	out.Training = &tr
+	ok := finite(tr.IterTime, tr.TotalSeconds, tr.Days, tr.GPUHours, tr.DollarsPerHour, tr.TotalDollars, tr.Utilization)
+	var res *cost.Resilience
 	if opts, enabled := req.ResilienceOptions(); enabled {
 		mod, err := resilience.For(out.Model, out.Cluster, out.Plan.GPUs(), opts)
 		if err != nil {
@@ -282,9 +286,26 @@ func (e *Engine) project(out *SimulateOutcome, req SimulateRequest) error {
 			return badRequest(err)
 		}
 		r := cost.ApplyResilience(tr, mod)
-		out.Resilience = &r
+		res = &r
+		ok = ok && finite(r.GoodputFraction, r.CheckpointIntervalSeconds, r.CheckpointSeconds, r.CheckpointFraction,
+			r.ReworkFraction, r.RestartFraction, r.ExpectedFailures, r.EffectiveDays, r.EffectiveGPUHours, r.EffectiveDollars)
 	}
+	if !ok {
+		return badRequest(fmt.Errorf("server: training economics overflow: %d tokens at $%g/GPU-hour on %d GPUs",
+			req.TotalTokens, out.Cluster.DollarsPerGPUHour, out.Plan.GPUs()))
+	}
+	out.Training, out.Resilience = &tr, res
 	return nil
+}
+
+// finite reports whether every value is neither ±Inf nor NaN.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // SweepRun is a resolved /v1/sweep request, ready to execute. Splitting

@@ -206,6 +206,33 @@ func TestClusterDSENoFeasible400(t *testing.T) {
 	}
 }
 
+// TestOverflowingEconomics400 locks the finite-economics contract: a price
+// so large that the projected cost is +Inf cannot be encoded as JSON, so
+// /v1/simulate must answer a structured 400 instead of a 200 with an empty
+// body, with failure pricing on and off.
+func TestOverflowingEconomics400(t *testing.T) {
+	desc, err := os.ReadFile(filepath.Join("..", "..", "examples", "descfiles", "megatron-18b-h100-resilience.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resilient := strings.Replace(string(desc), `"cluster":{`, `"cluster":{"dollars_per_gpu_hour": 1e308,`, 1)
+	ideal := strings.Replace(resilient, `"resilience": {`, `"resilience": {"disabled": true, `, 1)
+	_, ts := newTestServer(t, Config{})
+	for name, body := range map[string]string{"resilient": resilient, "ideal": ideal} {
+		code, resp, _ := post(t, ts, "/v1/simulate", body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400; body: %q", name, code, resp)
+		}
+		var eb errorBody
+		if err := json.Unmarshal([]byte(resp), &eb); err != nil {
+			t.Fatalf("%s: error body is not structured JSON: %v\n%s", name, err, resp)
+		}
+		if !strings.Contains(eb.Error.Message, "overflow") {
+			t.Errorf("%s: error message = %q, want the overflow explanation", name, eb.Error.Message)
+		}
+	}
+}
+
 // TestUnknownFieldRejected locks DisallowUnknownFields: typos in request
 // bodies fail loudly instead of being silently ignored.
 func TestUnknownFieldRejected(t *testing.T) {

@@ -238,7 +238,9 @@ func buildFuzzDAG(devices int, tasks []Task, durs []float64, edges [][2]int, ext
 // edge-insertion order), that Replay matches referenceReplay bit for bit
 // under several duration tables, that every lane of ReplayBatchContended
 // at widths 1-17 matches Replay, that IterTime bounds every slot's busy
-// seconds, and that a back edge makes Build fail.
+// seconds, that raising one task's duration never lowers IterTime (replay
+// is a max-plus recurrence over a dispatch order fixed when the graph is
+// built), and that a back edge makes Build fail.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 7, 0, 0, 5, 1, 24, 1, 48, 3, 72, 6, 96, 5})
@@ -320,6 +322,21 @@ func FuzzReplay(f *testing.F) {
 			for l := range got {
 				requireIdentical(t, l, got[l], want[l])
 			}
+		}
+
+		slower := append([]float64(nil), durs...)
+		k := int(data[1]) % len(tasks)
+		slower[k] = 2*slower[k] + 1
+		sg, err := buildFuzzDAG(devices, tasks, slower, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raised, err := sg.Replay(bindLiteral(sg), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raised.IterTime < want[0].IterTime {
+			t.Fatalf("raising task %d's duration %v -> %v lowered IterTime %v -> %v", k, durs[k], slower[k], want[0].IterTime, raised.IterTime)
 		}
 
 		back := [2]int{0, 0} // a self-loop when there is no edge to reverse

@@ -336,10 +336,7 @@ type CommTimer interface {
 	SendRecv(bytes float64, sameNode bool) float64
 }
 
-var (
-	_ CommTimer = (*comm.Model)(nil)
-	_ CommTimer = comm.Calibrated{}
-)
+var _ CommTimer = (*comm.Model)(nil)
 
 // Result summarizes one simulated iteration.
 type Result struct {

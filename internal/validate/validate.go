@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sync"
 
-	"vtrain/internal/comm"
 	"vtrain/internal/core"
 	"vtrain/internal/hw"
 	"vtrain/internal/model"
@@ -145,29 +144,13 @@ func Run(cluster hw.Cluster, cases []Case, tbCfg testbed.Config, seed uint64) (R
 	if err != nil {
 		return Result{}, err
 	}
-	return runWith(cluster, cases, tbCfg, seed, func(Case) (*core.Simulator, error) { return sim, nil })
+	return run(sim, cases, tbCfg, seed)
 }
 
-// RunCalibrated repeats a campaign with the contention-calibrated
-// communication model (comm.Calibrated) — the paper's future-work
-// extension. Because the calibration depends on the plan's tensor width,
-// each case gets its own simulator.
-func RunCalibrated(cluster hw.Cluster, cases []Case, tbCfg testbed.Config, seed uint64) (Result, error) {
-	base := comm.NewModel(cluster)
-	return runWith(cluster, cases, tbCfg, seed, func(c Case) (*core.Simulator, error) {
-		// One-shot per-case simulator: nothing repeats, skip both the
-		// report cache and the structural cache.
-		return core.New(cluster,
-			core.WithFidelity(taskgraph.OperatorLevel),
-			core.WithCommTimer(comm.DefaultCalibration(base, c.Plan.Tensor)),
-			core.WithCacheSize(0),
-			core.WithStructCacheSize(0),
-		)
-	})
-}
-
-func runWith(cluster hw.Cluster, cases []Case, tbCfg testbed.Config, seed uint64, factory func(Case) (*core.Simulator, error)) (Result, error) {
-	tb := testbed.New(cluster, tbCfg, seed)
+// run predicts every case with sim and measures it on a testbed of sim's
+// cluster.
+func run(sim *core.Simulator, cases []Case, tbCfg testbed.Config, seed uint64) (Result, error) {
+	tb := testbed.New(sim.Cluster(), tbCfg, seed)
 
 	res := Result{
 		Cases:     cases,
@@ -186,14 +169,10 @@ func runWith(cluster hw.Cluster, cases []Case, tbCfg testbed.Config, seed uint64
 		go func(i int, c Case) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sim, err := factory(c)
+			rep, err := sim.Simulate(c.Model, c.Plan)
 			if err == nil {
-				var rep core.Report
-				rep, err = sim.Simulate(c.Model, c.Plan)
-				if err == nil {
-					res.Predicted[i] = rep.IterTime
-					res.Measured[i], err = tb.Measure(c.Model, c.Plan)
-				}
+				res.Predicted[i] = rep.IterTime
+				res.Measured[i], err = tb.Measure(c.Model, c.Plan)
 			}
 			if err != nil {
 				mu.Lock()

@@ -1,9 +1,12 @@
 package validate
 
 import (
+	"math"
 	"testing"
 
+	"vtrain/internal/core"
 	"vtrain/internal/hw"
+	"vtrain/internal/taskgraph"
 	"vtrain/internal/testbed"
 )
 
@@ -97,5 +100,59 @@ func TestRunPropagatesErrors(t *testing.T) {
 	bad := []Case{{Model: SingleNodeCases()[0].Model}} // zero plan
 	if _, err := Run(hw.PaperCluster(1), bad, testbed.DefaultConfig(), 1); err == nil {
 		t.Fatal("invalid case must propagate an error")
+	}
+}
+
+// TestContentionAgainstFig9 runs both full Fig. 9 campaigns with the
+// topology contention level off and on. The testbed slows every collective
+// that overlaps compute; the contention level derates only collectives that
+// overlap other collectives. So it may only raise predictions, it must not
+// worsen either campaign's error, and its measured effect is pinned here.
+func TestContentionAgainstFig9(t *testing.T) {
+	campaigns := []struct {
+		name    string
+		cluster hw.Cluster
+		cases   []Case
+		// Pinned MAPE (%) and R² with contention off, then on.
+		mape, r2 [2]float64
+	}{
+		{"single-node", hw.PaperCluster(1), SingleNodeCases(), [2]float64{6.52, 6.51}, [2]float64{0.9936, 0.9936}},
+		{"multi-node", hw.PaperCluster(64), MultiNodeCases(), [2]float64{11.64, 11.53}, [2]float64{0.9729, 0.9730}},
+	}
+	for _, c := range campaigns {
+		var res [2]Result
+		for i, on := range []bool{false, true} {
+			sim, err := core.New(c.cluster, core.WithFidelity(taskgraph.OperatorLevel), core.WithContention(on))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i], err = run(sim, c.cases, testbed.DefaultConfig(), 42); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s contention=%v: MAPE %.4f%% R² %.6f", c.name, on, res[i].MAPE, res[i].R2)
+		}
+		off, on := res[0], res[1]
+		changed, maxRise := 0, 0.0
+		for i := range c.cases {
+			if on.Predicted[i] < off.Predicted[i] {
+				t.Fatalf("%s case %d: contended prediction %.6gs below ideal %.6gs", c.name, i, on.Predicted[i], off.Predicted[i])
+			}
+			if on.Predicted[i] > off.Predicted[i] {
+				changed++
+				maxRise = math.Max(maxRise, on.Predicted[i]/off.Predicted[i]-1)
+			}
+		}
+		t.Logf("%s: contention changes %d of %d cases, by at most +%.2f%%", c.name, changed, len(c.cases), 100*maxRise)
+		if on.MAPE > off.MAPE {
+			t.Errorf("%s: contention raises MAPE %.4f%% -> %.4f%%", c.name, off.MAPE, on.MAPE)
+		}
+		for i, r := range res {
+			if math.Abs(r.MAPE-c.mape[i]) > 0.01 {
+				t.Errorf("%s contention=%v: MAPE %.4f%%, pinned %.2f%%", c.name, i == 1, r.MAPE, c.mape[i])
+			}
+			if math.Abs(r.R2-c.r2[i]) > 1e-4 {
+				t.Errorf("%s contention=%v: R² %.6f, pinned %.4f", c.name, i == 1, r.R2, c.r2[i])
+			}
+		}
 	}
 }

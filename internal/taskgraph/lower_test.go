@@ -2,6 +2,8 @@ package taskgraph
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
@@ -104,12 +106,20 @@ func requireSameGraph(t *testing.T, what string, got, want *Graph) {
 	}
 }
 
+// loweredStructureSHA256 is the SHA-256 of the artifact bytes of every
+// graph TestLowerMatchesReference lowers, in plan-then-fidelity order. Both
+// Lower and referenceLower read the operator graph's dependencies, so only
+// a fixed digest catches a change to those dependencies or their order.
+const loweredStructureSHA256 = "363796291c9961f7316a75324e3a00f059cc9b49253da1c8495533f9d43e91ec"
+
 // TestLowerMatchesReference pins Lower to referenceLower at both
 // fidelities across schedules, interleaving, uneven layer splits,
-// recomputation and gradient buckets.
+// recomputation and gradient buckets, and pins the lowered structure to
+// loweredStructureSHA256.
 func TestLowerMatchesReference(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
+	sum := sha256.New()
 	for _, plan := range artifactPlans() {
 		og, err := opgraph.Build(tinyModel(), plan, c)
 		if err != nil {
@@ -117,8 +127,17 @@ func TestLowerMatchesReference(t *testing.T) {
 		}
 		for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
 			what := fmt.Sprintf("plan %s at %s level", plan, fidName[fid])
-			requireSameGraph(t, what, Lower(og, prof, fid), referenceLower(og, prof, fid))
+			g := Lower(og, prof, fid)
+			requireSameGraph(t, what, g, referenceLower(og, prof, fid))
+			data, err := g.MarshalArtifact()
+			if err != nil {
+				t.Fatalf("%s: marshal: %v", what, err)
+			}
+			sum.Write(data)
 		}
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != loweredStructureSHA256 {
+		t.Fatalf("lowered structure SHA-256 = %s, want %s", got, loweredStructureSHA256)
 	}
 }
 

@@ -9,24 +9,22 @@ import (
 	"vtrain/internal/profiler"
 )
 
-// builder accumulates nodes into the graph's arena through a small
-// append-only API (add/edge) and finalizes the recorded edge pairs into the
-// graph's CSR slices. All cross-references during construction are node
-// indices, never pointers; -1 means "absent".
+// builder appends nodes to the graph through a small API: add appends a
+// node, dep appends a dependency of the node added last. Nodes are emitted
+// one at a time, each with all its dependencies, so the dependency CSR
+// grows in final order and needs no sorting. All cross-references during
+// construction are node indices, never pointers; -1 means "absent".
 //
 // Builders (and, via Graph.Recycle, graph storage) are pooled: a sweep
-// building thousands of graphs back to back reuses the same edge list,
-// schedule buffers, and arena slabs instead of reallocating them per plan.
+// building thousands of graphs back to back reuses the same schedule
+// buffers and node and dependency slices instead of reallocating them per
+// plan.
 type builder struct {
 	g    *Graph
 	m    model.Config
 	plan parallel.Plan
 	nmb  int
 	v    int // virtual stages per device (1 = no interleaving)
-
-	// edges records (from, to) dependency pairs — "to depends on from" —
-	// in emission order; finalize turns them into CSR form.
-	edges [][2]int32
 
 	// fwdOut / bwdOut hold the terminal node of each emitted
 	// (virtual stage, micro) pass — the producers cross-stage P2P
@@ -39,13 +37,11 @@ type builder struct {
 	// (gradient-bucket All-Reduce dependencies); -1 until emitted.
 	lastBwdOfLayer []int32
 
-	// Pooled construction scratch: the per-stage previous-slot cursor, the
-	// pending schedule lists and their backing slot storage (build), and
-	// the CSR fill cursor (finalize).
+	// Pooled construction scratch: the per-stage previous-slot cursor and
+	// the pending schedule lists with their backing slot storage.
 	prevSlotEnd []int32
 	pend        []pending
 	slotBuf     []slot
-	cursor      []int32
 }
 
 // pending tracks how far a stage's schedule has been emitted.
@@ -56,20 +52,17 @@ type pending struct {
 
 var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
-// graphPool recycles graph storage (arena slabs, CSR slices) between
+// graphPool recycles graph storage (node and dependency slices) between
 // Recycle and the next Build.
 var graphPool = sync.Pool{New: func() any { return new(Graph) }}
 
 func newBuilder(m model.Config, plan parallel.Plan, nmb int) *builder {
-	v := plan.VirtualStages
-	if v < 1 {
-		v = 1
-	}
+	v := max(plan.VirtualStages, 1)
 	g := graphPool.Get().(*Graph)
 	*g = Graph{
-		arena:    nodeArena{slabs: g.arena.slabs},
-		depStart: g.depStart,
-		deps:     g.deps,
+		nodes:    g.nodes[:0],
+		depStart: g.depStart[:0],
+		deps:     g.deps[:0],
 		Stages:   plan.Pipeline,
 		Plan:     plan,
 		Model:    m,
@@ -78,7 +71,6 @@ func newBuilder(m model.Config, plan parallel.Plan, nmb int) *builder {
 	b.g = g
 	b.m, b.plan = m, plan
 	b.nmb, b.v = nmb, v
-	b.edges = b.edges[:0]
 	b.fwdOut = fitRaw(b.fwdOut, plan.Pipeline*v*nmb)
 	b.bwdOut = fitRaw(b.bwdOut, plan.Pipeline*v*nmb)
 	b.lastBwdOfLayer = fitRaw(b.lastBwdOfLayer, plan.Pipeline*m.Layers)
@@ -88,24 +80,16 @@ func newBuilder(m model.Config, plan parallel.Plan, nmb int) *builder {
 	return b
 }
 
-// release returns the builder (with its graph pointer detached) to the pool.
-func (b *builder) release() *Graph {
-	g := b.g
-	b.g = nil
-	builderPool.Put(b)
-	return g
-}
-
 func fill(s []int32, v int32) {
 	for i := range s {
 		s[i] = v
 	}
 }
 
-// fitRaw mirrors the replay-scratch sizing policy in internal/taskgraph:
-// reuse pooled capacity when adequate, drop it when more than 4x oversized
-// so one huge build cannot pin worst-case storage forever. The caller fully
-// overwrites the slice before reading it.
+// fitRaw returns a slice of length n, reusing s when its capacity is
+// adequate and dropping it when more than 4x oversized, so one huge build
+// cannot pin worst-case storage forever. The caller fully overwrites the
+// slice before reading it.
 func fitRaw[T int32 | slot](s []T, n int) []T {
 	if c := cap(s); c < n || c > 4*n {
 		return make([]T, n)
@@ -113,44 +97,20 @@ func fitRaw[T int32 | slot](s []T, n int) []T {
 	return s[:n]
 }
 
-// add places a node in the arena, assigning and returning its ID.
+// add appends a node and opens its dependency row, returning its ID.
 func (b *builder) add(n Node) int32 {
-	nd, id := b.g.arena.alloc()
-	*nd = n
-	nd.ID = id
-	return id
-}
-
-// edge records that node to depends on node from; from < 0 is "no edge".
-func (b *builder) edge(from, to int32) {
-	if from >= 0 {
-		b.edges = append(b.edges, [2]int32{from, to})
-	}
-}
-
-// finalize builds the graph's CSR dependency slices from the recorded edge
-// pairs in two passes: count per-node degrees, then fill. Per-node
-// dependency order equals edge-recording order.
-func (b *builder) finalize() {
 	g := b.g
-	n := g.arena.n
-	g.depStart = fitRaw(g.depStart, n+1)
-	clear(g.depStart)
-	for _, e := range b.edges {
-		g.depStart[e[1]+1]++
+	g.nodes = append(g.nodes, n)
+	g.depStart = append(g.depStart, int32(len(g.deps)))
+	return int32(len(g.nodes) - 1)
+}
+
+// dep records that the node added last depends on node from; from < 0 is
+// "no dependency".
+func (b *builder) dep(from int32) {
+	if from >= 0 {
+		b.g.deps = append(b.g.deps, from)
 	}
-	for i := 0; i < n; i++ {
-		g.depStart[i+1] += g.depStart[i]
-	}
-	g.deps = fitRaw(g.deps, len(b.edges))
-	cursor := fitRaw(b.cursor, n)
-	b.cursor = cursor
-	copy(cursor, g.depStart[:n])
-	for _, e := range b.edges {
-		g.deps[cursor[e[1]]] = e[0]
-		cursor[e[1]]++
-	}
-	b.edges = b.edges[:0]
 }
 
 // out indexes fwdOut/bwdOut by (stage, chunk, micro).
@@ -213,25 +173,17 @@ func (b *builder) build() {
 	// the next virtual stage's backward. Emitted passes are looked up by
 	// index in fwdOut/bwdOut (-1 = not yet emitted), so the deadlock
 	// check never touches node pointers.
-	remaining := 0
-	for i := range pend {
-		remaining += len(pend[i].slots)
-	}
-	for remaining > 0 {
+	for remaining := p * per; remaining > 0; {
 		progress := false
 		for i := 0; i < p; i++ {
 			for pend[i].next < len(pend[i].slots) {
 				s := pend[i].slots[pend[i].next]
 				vs := b.virtualStage(i, s.chunk)
-				if s.forward && vs > 0 {
-					if b.fwdOut[(vs-1)*b.nmb+s.micro] < 0 {
-						break
-					}
+				if s.forward && vs > 0 && b.fwdOut[(vs-1)*b.nmb+s.micro] < 0 {
+					break
 				}
-				if !s.forward && vs < b.lastVirtual() {
-					if b.bwdOut[(vs+1)*b.nmb+s.micro] < 0 {
-						break
-					}
+				if !s.forward && vs < b.lastVirtual() && b.bwdOut[(vs+1)*b.nmb+s.micro] < 0 {
+					break
 				}
 				prevSlotEnd[i] = b.emitSlot(i, s, prevSlotEnd[i])
 				pend[i].next++
@@ -245,6 +197,8 @@ func (b *builder) build() {
 	}
 
 	b.emitGradientSync(prevSlotEnd)
+	// Close the last node's dependency row.
+	b.g.depStart = append(b.g.depStart, int32(len(b.g.deps)))
 }
 
 // emitSlot builds the operator chain of one forward or backward slot and
@@ -270,7 +224,7 @@ func (b *builder) tpAllReduce(stage, chunk, micro, layer int, tail int32, lk lab
 		Layer: int32(layer),
 		label: lk,
 	})
-	b.edge(tail, id)
+	b.dep(tail)
 	return id
 }
 
@@ -285,7 +239,7 @@ func (b *builder) compute(stage, chunk, micro, layer int, kind profiler.OpKind, 
 		Op:    kind,
 		label: lk,
 	})
-	b.edge(tail, id)
+	b.dep(tail)
 	return id
 }
 
@@ -300,8 +254,8 @@ func (b *builder) recv(stage, chunk, micro, from int, producer, prev int32, lk l
 		FromStage: int32(from),
 		label:     lk,
 	})
-	b.edge(producer, id)
-	b.edge(prev, id) // a stage cannot consume a future slot early
+	b.dep(producer)
+	b.dep(prev) // a stage cannot consume a future slot early
 	return id
 }
 
@@ -339,7 +293,7 @@ func (b *builder) emitBackward(stage, chunk, micro int, prev int32) int32 {
 		tail = b.recv(stage, chunk, micro, ns, b.bwdOut[b.out(ns, nc, micro)], prev, lbRecvBwd)
 	}
 	// The backward of (chunk, micro) consumes its forward activations.
-	b.edge(b.fwdOut[b.out(stage, chunk, micro)], tail)
+	b.dep(b.fwdOut[b.out(stage, chunk, micro)])
 	first, layers := b.chunkRange(stage, chunk)
 	for l := layers - 1; l >= 0; l-- {
 		gl := first + l
@@ -395,19 +349,16 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			stageParams += uint64(b.m.Vocab) * h // embedding / tied LM head
 		}
 
-		var syncs []int32
+		// The stage's gradient All-Reduces are the buckets nodes emitted
+		// just before its weight update.
+		buckets := 0
 		if b.plan.Data > 1 {
-			buckets := b.plan.GradientBuckets
-			if buckets <= 0 {
-				buckets = 1 // Fig. 5b: one All-Reduce at backward end
-			}
+			buckets = max(b.plan.GradientBuckets, 1) // Fig. 5b: one All-Reduce at backward end
 			if b.v > 1 && buckets > 1 {
 				// Interleaved devices synchronize per model chunk.
 				buckets = b.v
 			}
-			if buckets > layers {
-				buckets = layers
-			}
+			buckets = min(buckets, layers)
 			// Partition the stage's layers into contiguous buckets.
 			// Buckets covering later layers become ready earlier in
 			// the backward pass (Fig. 5a) because backward visits
@@ -415,7 +366,7 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			for bk := 0; bk < buckets; bk++ {
 				lo := layerList[bk*layers/buckets]
 				hi := layerList[(bk+1)*layers/buckets-1] + 1
-				ar := b.add(Node{
+				b.add(Node{
 					Kind:        AllReduceDP,
 					Stage:       int32(stage),
 					Micro:       -1,
@@ -429,11 +380,10 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 				// Ready when the earliest layer of the bucket has
 				// produced its gradient in the final micro-batch.
 				if n := b.lastBwdOfLayer[stage*b.m.Layers+lo]; n >= 0 {
-					b.edge(n, ar)
+					b.dep(n)
 				} else {
-					b.edge(lastSlotEnd[stage], ar)
+					b.dep(lastSlotEnd[stage])
 				}
-				syncs = append(syncs, ar)
 			}
 		}
 
@@ -445,9 +395,9 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			StageParams: stageParams,
 			label:       lbWeightUpdate,
 		})
-		b.edge(lastSlotEnd[stage], wu)
-		for _, ar := range syncs {
-			b.edge(ar, wu)
+		b.dep(lastSlotEnd[stage])
+		for ar := wu - int32(buckets); ar < wu; ar++ {
+			b.dep(ar)
 		}
 	}
 }

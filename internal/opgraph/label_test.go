@@ -12,7 +12,7 @@ import (
 )
 
 // goldenPlans are the three pipeline schedules whose label streams are
-// pinned in testdata/. The golden files were generated by the pre-arena
+// pinned in testdata/. The golden files were generated by an earlier
 // builder, which stored an eager fmt.Sprintf label on every node — the lazy
 // Label() output must stay byte-identical to them.
 func goldenPlans() []struct {
@@ -64,7 +64,7 @@ func TestLazyLabelsMatchEagerGolden(t *testing.T) {
 
 // TestBuildPerformsNoLabelFormatting guards the lazy-label contract: when no
 // trace is captured, constructing the graph must not format a single label.
-// The per-build allocation budget below (arena slabs, CSR slices, schedule
+// The per-build allocation budget below (node and dependency slices, schedule
 // scaffolding) is far smaller than one allocation per node, so any
 // reintroduction of eager per-node label strings trips it immediately.
 func TestBuildPerformsNoLabelFormatting(t *testing.T) {

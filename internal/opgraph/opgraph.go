@@ -30,9 +30,10 @@
 //
 // The graph is built for the same sweep-heavy workload the replay engine in
 // internal/taskgraph serves: thousands of (t, d, p) plans constructed and
-// lowered back to back. Nodes are therefore plain values in a slab-grown
-// arena (no per-node heap allocation), dependency edges live in CSR-style
-// index slices finalized by a two-pass builder, and node labels are lazy —
+// lowered back to back. Nodes are therefore plain values in one pooled
+// slice (no per-node heap allocation), each node's dependencies are
+// appended to a CSR-style index slice as the node is emitted, and node
+// labels are lazy —
 // a node carries only its (kind, op, stage, chunk, micro, layer)
 // coordinates, and Node.Label composes the human-readable string on demand
 // for trace rendering and tests. Nodes also carry no per-plan numbers
@@ -46,6 +47,7 @@ package opgraph
 
 import (
 	"fmt"
+	"math"
 
 	"vtrain/internal/hw"
 	"vtrain/internal/model"
@@ -85,13 +87,12 @@ func (k NodeKind) String() string {
 }
 
 // Node is one layer-node of the operator-granularity graph. Nodes are plain
-// values stored in the graph's slab arena; they carry no label string (see
-// Node.Label), no adjacency (see Graph.Deps), and only shape-invariant
-// fields: nothing that depends on the plan's tensor or data width or
-// micro-batch size. A Node is immutable once Build returns.
+// values stored in the graph's node slice, where a node's index is its ID;
+// they carry no label string (see Node.Label), no adjacency (see
+// Graph.Deps), and only shape-invariant fields: nothing that depends on the
+// plan's tensor or data width or micro-batch size. A Node is immutable once
+// Build returns.
 type Node struct {
-	// ID is the node's dense index in the graph: 0 <= ID < NumNodes().
-	ID int32
 	// Kind classifies the vertex.
 	Kind NodeKind
 	// Stage is the pipeline stage (logical device) executing the node.
@@ -127,13 +128,13 @@ type Node struct {
 }
 
 // Graph is the operator-granularity execution graph of one iteration: a
-// value-typed node arena plus CSR-style dependency slices. Build returns it
-// fully finalized and it is never mutated afterwards, so one Graph may be
-// shared and lowered from any number of goroutines.
+// slice of value-typed nodes plus CSR-style dependency slices. Build returns
+// it complete and it is never mutated afterwards, so one Graph may be shared
+// and lowered from any number of goroutines.
 type Graph struct {
-	arena nodeArena
+	nodes []Node
 	// CSR dependencies: the dependencies of node i are
-	// deps[depStart[i]:depStart[i+1]], in edge-insertion order.
+	// deps[depStart[i]:depStart[i+1]], in emission order.
 	depStart []int32
 	deps     []int32
 
@@ -145,11 +146,11 @@ type Graph struct {
 }
 
 // NumNodes returns the number of nodes; IDs are dense in [0, NumNodes).
-func (g *Graph) NumNodes() int { return g.arena.n }
+func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // Node returns the node with the given ID. The returned pointer aliases the
-// graph's arena and must be treated as read-only.
-func (g *Graph) Node(id int) *Node { return g.arena.at(id) }
+// graph's node slice and must be treated as read-only.
+func (g *Graph) Node(id int) *Node { return &g.nodes[id] }
 
 // Deps returns the IDs of the nodes that must finish before node id starts.
 // The slice aliases the graph's CSR storage and must not be modified. IDs
@@ -160,7 +161,7 @@ func (g *Graph) Deps(id int) []int32 {
 
 // Label composes the human-readable label of node id on demand; see
 // Node.Label for the laziness contract.
-func (g *Graph) Label(id int) string { return g.arena.at(id).Label() }
+func (g *Graph) Label(id int) string { return g.nodes[id].Label() }
 
 // Validate checks (m, plan, c) exactly as Build does, without constructing
 // the graph. Callers that skip Build — e.g. a structural-graph cache serving
@@ -176,7 +177,30 @@ func Validate(m model.Config, plan parallel.Plan, c hw.Cluster) error {
 	if plan.MicroBatches() < 1 {
 		return fmt.Errorf("opgraph: plan %s yields zero micro-batches", plan)
 	}
+	if !fitsIDs(m, plan) {
+		return fmt.Errorf("opgraph: plan %s with %d micro-batches could exceed %d tasks, the task id limit",
+			plan, plan.MicroBatches(), math.MaxInt32)
+	}
 	return nil
+}
+
+// fitsIDs reports whether every lowering of plan's graph numbers its tasks
+// within int32, the id type of the operator graph, the task graph and the
+// artifact. A graph has at most nmb·(4·p·v + 12·L) + L + p nodes, each
+// lowering to at most as many tasks as the largest kernel count.
+// plan.Validate guarantees p·v ≤ L, so once L is within the limit no term
+// below overflows.
+func fitsIDs(m model.Config, plan parallel.Plan) bool {
+	k := 0
+	for op := range profiler.WeightUpdate + 1 {
+		k = max(k, profiler.KernelCount(op))
+	}
+	limit := math.MaxInt32 / k
+	L, p, v := m.Layers, plan.Pipeline, max(plan.VirtualStages, 1)
+	if L > limit || L+p > limit {
+		return false
+	}
+	return plan.MicroBatches() <= (limit-L-p)/(4*p*v+12*L)
 }
 
 // Build constructs the execution graph for one training iteration of m
@@ -188,11 +212,13 @@ func Build(m model.Config, plan parallel.Plan, c hw.Cluster) (*Graph, error) {
 
 	b := newBuilder(m, plan, plan.MicroBatches())
 	b.build()
-	b.finalize()
-	return b.release(), nil
+	g := b.g
+	b.g = nil
+	builderPool.Put(b)
+	return g, nil
 }
 
-// Recycle returns the graph's storage (arena slabs, dependency CSR) to the
+// Recycle returns the graph's storage (node and dependency slices) to the
 // construction pool for reuse by a future Build. Only an exclusive owner may
 // call it, and the graph — including every Node pointer and Deps slice
 // obtained from it — is invalid afterwards. A lowering that copies what it

@@ -86,7 +86,7 @@ func TestBucketOverlapDependencies(t *testing.T) {
 			arIDs = append(arIDs, id)
 		}
 		if n.Kind == Compute && n.Op != profiler.WeightUpdate {
-			lastComputeID = n.ID
+			lastComputeID = int32(id)
 		}
 	}
 	// The bucket covering the later layers must be ready before the

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vtrain/internal/server"
@@ -137,6 +138,24 @@ func TestOverflowingEconomicsFails(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(args, &out, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want an overflow error; output:\n%s", args, out.Bytes())
+		}
+	}
+}
+
+// TestPlanPastTaskIDLimitFails: a plan whose graph could number more tasks
+// than int32 holds makes vtrain fail with an error instead of panicking.
+func TestPlanPastTaskIDLimitFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.json")
+	body := `{"model":{"preset":"megatron-39.1b"},"cluster":{"nodes":1},
+		"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":1,"global_batch":4611686018427387904},
+		"total_tokens":1000000000}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-f", path}, {"-f", path, "-json"}} {
+		var out bytes.Buffer
+		if err := run(args, &out, io.Discard); err == nil || !strings.Contains(err.Error(), "task id limit") {
+			t.Errorf("run(%v) = %v, want the task id limit error; output:\n%s", args, err, out.Bytes())
 		}
 	}
 }

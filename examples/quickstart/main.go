@@ -4,13 +4,12 @@
 // training projection for 300B tokens.
 //
 // Under the hood, core.Simulator runs the full pipeline per simulation:
-// opgraph.Build assembles the immutable operator graph (arena nodes, lazy
-// labels), taskgraph.Lower expands it through the profiler's
-// operator-to-task table into an immutable task graph via
-// taskgraph.Builder, and the Algorithm 1 replay engine walks that graph
-// with pooled scratch state. Results are memoized per (model, plan,
-// fidelity), so re-simulating this configuration is a cache hit. See
-// docs/ARCHITECTURE.md for the layer contracts.
+// opgraph.Build assembles the immutable operator graph (one slice of value
+// nodes, lazy labels), taskgraph.Lower expands each operator into its
+// kernel tasks in an immutable task graph, and the Algorithm 1 replay
+// engine walks that graph with pooled scratch state. Results are memoized
+// per (model, plan, fidelity), so re-simulating this configuration is a
+// cache hit. See docs/ARCHITECTURE.md for the layer contracts.
 package main
 
 import (

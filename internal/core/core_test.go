@@ -35,6 +35,18 @@ func TestSimulateRejectsBadPlan(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsPlanPastTaskIDLimit: a plan that passes the parallel
+// checks but whose graph could number more tasks than int32 holds is an
+// error, not a panic, with and without the structural cache.
+func TestSimulateRejectsPlanPastTaskIDLimit(t *testing.T) {
+	plan := parallel.Plan{Tensor: 8, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1 << 62}
+	for _, opts := range [][]Option{nil, {WithStructCacheSize(0)}} {
+		if _, err := sim(t, 1, opts...).Simulate(model.Megatron39_1B(), plan); err == nil {
+			t.Fatalf("Simulate(%s) succeeded, want the task id limit error", plan)
+		}
+	}
+}
+
 func TestMTNLGTableIBaseline(t *testing.T) {
 	// Paper Table I, row 1: MT-NLG (8,8,35) on 2,240 GPUs: 42.59 s
 	// iteration, 42.67 % utilization. Our substrate is a device model,

@@ -28,6 +28,7 @@ import (
 
 	"vtrain/internal/hw"
 	"vtrain/internal/model"
+	"vtrain/internal/opgraph"
 	"vtrain/internal/parallel"
 	"vtrain/internal/resilience"
 )
@@ -215,8 +216,9 @@ func (s ClusterSection) Resolve() (hw.Cluster, error) {
 	return c, nil
 }
 
-// Resolve converts the plan section into a 3D-parallel plan validated
-// against the model and cluster it will simulate on.
+// Resolve converts the plan section into a 3D-parallel plan validated, as
+// the simulator validates it, against the model and cluster it will
+// simulate on.
 func (s PlanSection) Resolve(m model.Config, c hw.Cluster) (parallel.Plan, error) {
 	sched := parallel.OneFOneB
 	switch strings.ToLower(s.Schedule) {
@@ -232,7 +234,7 @@ func (s PlanSection) Resolve(m model.Config, c hw.Cluster) (parallel.Plan, error
 		Schedule: sched, GradientBuckets: s.GradientBuckets,
 		Recompute: s.Recompute, VirtualStages: s.VirtualStages,
 	}
-	if err := plan.Validate(m, c); err != nil {
+	if err := opgraph.Validate(m, plan, c); err != nil {
 		return parallel.Plan{}, err
 	}
 	return plan, nil

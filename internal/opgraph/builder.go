@@ -179,11 +179,15 @@ func (b *builder) build() {
 			for pend[i].next < len(pend[i].slots) {
 				s := pend[i].slots[pend[i].next]
 				vs := b.virtualStage(i, s.chunk)
-				if s.forward && vs > 0 && b.fwdOut[(vs-1)*b.nmb+s.micro] < 0 {
-					break
+				if s.forward && vs > 0 {
+					if b.fwdOut[(vs-1)*b.nmb+s.micro] < 0 {
+						break
+					}
 				}
-				if !s.forward && vs < b.lastVirtual() && b.bwdOut[(vs+1)*b.nmb+s.micro] < 0 {
-					break
+				if !s.forward && vs < b.lastVirtual() {
+					if b.bwdOut[(vs+1)*b.nmb+s.micro] < 0 {
+						break
+					}
 				}
 				prevSlotEnd[i] = b.emitSlot(i, s, prevSlotEnd[i])
 				pend[i].next++
@@ -349,8 +353,8 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			stageParams += uint64(b.m.Vocab) * h // embedding / tied LM head
 		}
 
-		// The stage's gradient All-Reduces are the buckets nodes emitted
-		// just before its weight update.
+		// The stage's gradient All-Reduces are the last `buckets` nodes
+		// emitted before its weight update.
 		buckets := 0
 		if b.plan.Data > 1 {
 			buckets = max(b.plan.GradientBuckets, 1) // Fig. 5b: one All-Reduce at backward end

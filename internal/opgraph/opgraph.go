@@ -33,10 +33,9 @@
 // lowered back to back. Nodes are therefore plain values in one pooled
 // slice (no per-node heap allocation), each node's dependencies are
 // appended to a CSR-style index slice as the node is emitted, and node
-// labels are lazy —
-// a node carries only its (kind, op, stage, chunk, micro, layer)
-// coordinates, and Node.Label composes the human-readable string on demand
-// for trace rendering and tests. Nodes also carry no per-plan numbers
+// labels are lazy — a node carries only its (kind, op, stage, chunk, micro,
+// layer) coordinates, and Node.Label composes the human-readable string on
+// demand for trace rendering and tests. Nodes also carry no per-plan numbers
 // (transfer sizes, shard sizes, group widths, node placement): every field
 // is the same for all plans sharing the graph's structural shape, and
 // duration binding in internal/taskgraph derives the numbers for a

@@ -1,6 +1,7 @@
 package opgraph
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -375,6 +376,33 @@ func TestBuildValidates(t *testing.T) {
 	good := parallel.Plan{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1}
 	if _, err := Build(badModel, good, hw.PaperCluster(1)); err == nil {
 		t.Fatal("invalid model must be rejected")
+	}
+}
+
+// TestValidateBoundsTaskIDs: a plan whose lowering could number more tasks
+// than int32 holds is an error from Validate and Build, not a panic in the
+// builder, and the bound is exact: one micro-batch fewer passes.
+func TestValidateBoundsTaskIDs(t *testing.T) {
+	c := hw.PaperCluster(1)
+	huge := parallel.Plan{Tensor: 8, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1 << 62}
+	if err := Validate(model.Megatron39_1B(), huge, c); err == nil || !strings.Contains(err.Error(), "task id limit") {
+		t.Fatalf("Validate(%s) = %v, want the task id limit error", huge, err)
+	}
+	if _, err := Build(model.Megatron39_1B(), huge, c); err == nil {
+		t.Fatalf("Build(%s) succeeded, want an error", huge)
+	}
+
+	// The tiny model has L = 4; with p = v = 1 a graph has at most
+	// 52·nmb + 5 nodes, each at most 13 tasks (BwdMHA's kernels).
+	m := tinyModel()
+	last := (math.MaxInt32/13 - 5) / 52
+	plan := parallel.Plan{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: last}
+	if err := Validate(m, plan, c); err != nil {
+		t.Fatalf("Validate at the bound: %v", err)
+	}
+	plan.GlobalBatch++
+	if err := Validate(m, plan, c); err == nil {
+		t.Fatalf("Validate(%s) one micro-batch past the bound succeeded", plan)
 	}
 }
 

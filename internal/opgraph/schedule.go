@@ -32,7 +32,10 @@ func scheduleSlots(plan parallel.Plan, stage, stages, microBatches int, buf []sl
 		// Warm-up forwards fill the pipeline, then strict
 		// one-forward-one-backward alternation, then cool-down
 		// backwards (Fig. 7b).
-		warmup := min(stages-stage, microBatches)
+		warmup := stages - stage
+		if warmup > microBatches {
+			warmup = microBatches
+		}
 		for j := 0; j < warmup; j++ {
 			slots = append(slots, slot{forward: true, micro: j})
 		}
@@ -66,7 +69,10 @@ func interleavedSlots(stage, p, v, microBatches int, buf []slot) []slot {
 			chunk:   v - 1 - (k%(p*v))/p,
 		}
 	}
-	warmup := min(2*(p-stage-1)+(v-1)*p, total)
+	warmup := 2*(p-stage-1) + (v-1)*p
+	if warmup > total {
+		warmup = total
+	}
 	slots := buf[:0]
 	for k := 0; k < warmup; k++ {
 		slots = append(slots, fwdAt(k))

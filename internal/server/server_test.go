@@ -233,6 +233,26 @@ func TestOverflowingEconomics400(t *testing.T) {
 	}
 }
 
+// TestPlanPastTaskIDLimit400: a plan whose graph could number more tasks
+// than int32 holds is a structured 400, not a panic that drops the
+// connection.
+func TestPlanPastTaskIDLimit400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, resp, _ := post(t, ts, "/v1/simulate", `{"model":{"preset":"megatron-39.1b"},"cluster":{"nodes":1},
+		"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":1,"global_batch":4611686018427387904},
+		"total_tokens":1000000000}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400; body: %q", code, resp)
+	}
+	var eb errorBody
+	if err := json.Unmarshal([]byte(resp), &eb); err != nil {
+		t.Fatalf("error body is not structured JSON: %v\n%s", err, resp)
+	}
+	if !strings.Contains(eb.Error.Message, "task id limit") {
+		t.Errorf("error message = %q, want the task id limit explanation", eb.Error.Message)
+	}
+}
+
 // TestUnknownFieldRejected locks DisallowUnknownFields: typos in request
 // bodies fail loudly instead of being silently ignored.
 func TestUnknownFieldRejected(t *testing.T) {

@@ -141,10 +141,19 @@ func TestLowerMatchesReference(t *testing.T) {
 	}
 }
 
+// maxKernels is the largest kernel count of any operator kind.
+var maxKernels = func() int {
+	k := 0
+	for op := range profiler.WeightUpdate + 1 {
+		k = max(k, profiler.KernelCount(op))
+	}
+	return k
+}()
+
 // FuzzLower lowers random valid plans of the tiny model at both fidelities
-// and checks that Lower builds referenceLower's graph, and that the graph
-// survives an artifact round trip unchanged and replays bit-identically
-// after it. The inputs pick t, d, p, the micro-batch size and count, the
+// and checks that Lower builds referenceLower's graph within the task bound
+// opgraph.Validate enforces, and that the graph survives an artifact round
+// trip unchanged and replays bit-identically after it. The inputs pick t, d, p, the micro-batch size and count, the
 // schedule, virtual stages, recomputation and gradient buckets; invalid
 // combinations are skipped.
 func FuzzLower(f *testing.F) {
@@ -171,9 +180,19 @@ func FuzzLower(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// opgraph.Validate bounds a graph at nmb·(4·p·v + 12·L) + L + p
+		// nodes of at most maxKernels tasks each; check the bound is sound.
+		L, p, chunks := tinyModel().Layers, plan.Pipeline, max(plan.VirtualStages, 1)
+		nodeBound := plan.MicroBatches()*(4*p*chunks+12*L) + L + p
+		if og.NumNodes() > nodeBound {
+			t.Fatalf("plan %s: %d nodes, over the bound %d", plan, og.NumNodes(), nodeBound)
+		}
 		for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
 			what := fmt.Sprintf("plan %s at %s level", plan, fidName[fid])
 			g := Lower(og, prof, fid)
+			if g.NumTasks() > nodeBound*maxKernels {
+				t.Fatalf("%s: %d tasks, over the bound %d", what, g.NumTasks(), nodeBound*maxKernels)
+			}
 			requireSameGraph(t, what, g, referenceLower(og, prof, fid))
 
 			data, err := g.MarshalArtifact()

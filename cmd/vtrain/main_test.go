@@ -147,7 +147,7 @@ func TestOverflowingEconomicsFails(t *testing.T) {
 func TestPlanPastTaskIDLimitFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "huge.json")
 	body := `{"model":{"preset":"megatron-39.1b"},"cluster":{"nodes":1},
-		"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":1,"global_batch":4611686018427387904},
+		"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":1,"global_batch":1099511627776},
 		"total_tokens":1000000000}`
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
@@ -156,6 +156,30 @@ func TestPlanPastTaskIDLimitFails(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(args, &out, io.Discard); err == nil || !strings.Contains(err.Error(), "task id limit") {
 			t.Errorf("run(%v) = %v, want the task id limit error; output:\n%s", args, err, out.Bytes())
+		}
+	}
+}
+
+// TestOverflowingPlanFails: descriptions whose token or parameter count
+// overflows 64 bits make vtrain exit non-zero instead of printing a report
+// computed from wrapped integers.
+func TestOverflowingPlanFails(t *testing.T) {
+	for name, body := range map[string]string{
+		"tokens": `{"model":{"preset":"megatron-3.6b"},"cluster":{"nodes":1,"resilience":{"disabled":true}},
+			"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":1125899906842624,"global_batch":1152921504606846976},
+			"total_tokens":1000000000000}`,
+		"params": `{"model":{"name":"huge","hidden":4611686018427387904,"layers":1,"seq_len":4611686018427387904,"heads":1,"vocab":1},
+			"cluster":{"nodes":1},"plan":{"tensor":1,"data":1,"pipeline":1,"micro_batch":1,"global_batch":1},"total_tokens":1000}`,
+	} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"-f", path}, {"-f", path, "-json"}} {
+			var out bytes.Buffer
+			if err := run(args, &out, io.Discard); err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Errorf("%s: run(%v) = %v, want an overflow error; output:\n%s", name, args, err, out.Bytes())
+			}
 		}
 	}
 }

@@ -8,10 +8,11 @@ import "vtrain/internal/hw"
 // prices every collective on an uncontended link — the fidelity gap the
 // paper itself measures (Section IV: NCCL primitives run ~30% slower during
 // real training than in isolation). The contention fidelity level closes it
-// at replay time: taskgraph.BindContention classifies every communication
-// descriptor into a Path here, and the replay counts which paths are
-// simultaneously in flight on each link class, multiplying durations by
-// Congestion.Derate.
+// at replay time: taskgraph.BindContention binds each stage's
+// representative node and the plan's collective node spans, the replay
+// resolves every communication task into a Path here from its descriptor,
+// and counts which paths are simultaneously in flight on each link class,
+// multiplying durations by Congestion.Derate.
 //
 // The topology is the paper's testbed generalized: each node's GPUs share
 // one NVSwitch fabric; each node attaches to a leaf switch through
@@ -37,9 +38,6 @@ type Path struct {
 	// Spine reports whether the flow crosses leaf switches.
 	Spine bool
 }
-
-// None reports whether the path occupies no shared link at all.
-func (p Path) None() bool { return p.NVNode < 0 && p.HCANodes[0] < 0 }
 
 // Congestion holds the per-link-class derate weights of one cluster's
 // fat tree: the fractional slowdown each *additional* concurrent flow on a

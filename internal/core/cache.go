@@ -176,9 +176,6 @@ type structCache struct {
 }
 
 func newStructCache(max int) *structCache {
-	if max <= 0 {
-		return nil
-	}
 	return &structCache{
 		max:     max,
 		entries: make(map[shapeKey]*structEntry, min(max, 64)),

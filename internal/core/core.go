@@ -45,7 +45,6 @@ type Simulator struct {
 	contention bool
 	cacheSize  int
 	cache      *reportCache
-	structSize int
 	structs    *structCache
 	batches    *batchStats
 	// artifacts is the persistent tier below the in-memory structural
@@ -106,15 +105,6 @@ func WithCacheSize(n int) Option {
 	return func(s *Simulator) { s.cacheSize = n }
 }
 
-// WithStructCacheSize bounds the shape-keyed structural-graph cache to n
-// entries (DefaultStructCacheSize if the option is not given). n <= 0
-// disables structural sharing: every simulation lowers its own graph, the
-// pre-cache behavior — useful for one-shot simulators, or as the reference
-// side of equivalence tests.
-func WithStructCacheSize(n int) Option {
-	return func(s *Simulator) { s.structSize = n }
-}
-
 // WithArtifactDir enables the persistent artifact tier rooted at dir:
 // structural graphs (and the profiler's operator table) missing from the
 // in-memory caches are loaded from the content-addressed on-disk store
@@ -142,13 +132,12 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	}
 	dev := gpu.NewDevice(c.Node.GPU)
 	s := &Simulator{
-		cluster:    c,
-		device:     dev,
-		profiler:   profiler.New(dev),
-		comm:       comm.NewModel(c),
-		fidelity:   taskgraph.TaskLevel,
-		cacheSize:  DefaultCacheSize,
-		structSize: DefaultStructCacheSize,
+		cluster:   c,
+		device:    dev,
+		profiler:  profiler.New(dev),
+		comm:      comm.NewModel(c),
+		fidelity:  taskgraph.TaskLevel,
+		cacheSize: DefaultCacheSize,
 	}
 	for _, o := range opts {
 		o(s)
@@ -160,7 +149,7 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	// with ForCluster, which deliberately share the structural cache
 	// (structural graphs are hardware-invariant; see ForCluster).
 	s.cache = newReportCache(s.cacheSize)
-	s.structs = newStructCache(s.structSize)
+	s.structs = newStructCache(DefaultStructCacheSize)
 	s.batches = new(batchStats)
 	s.lowerings = new(atomic.Uint64)
 	s.opsSaved = new(atomic.Int64)
@@ -191,9 +180,9 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 //
 // Options may tune the sibling's report cache, communication model, device,
 // or contention level (contention binds at replay time, never into the
-// shared structure), but must not change the fidelity or the structural
-// cache size: both are properties of the shared cache, so a mismatch is an
-// error. CacheStats on any sibling reports the shared structural counters.
+// shared structure), but must not change the fidelity: it is a property of
+// the shared cache, so a mismatch is an error. CacheStats on any sibling
+// reports the shared structural counters.
 func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -216,7 +205,6 @@ func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error)
 		fidelity:    s.fidelity,
 		contention:  s.contention,
 		cacheSize:   s.cacheSize,
-		structSize:  s.structSize,
 		artifactDir: s.artifactDir,
 		artifacts:   s.artifacts,
 	}
@@ -225,9 +213,6 @@ func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error)
 	}
 	if sib.fidelity != s.fidelity {
 		return nil, fmt.Errorf("core: ForCluster cannot change fidelity: the shared structural cache is keyed by the parent's")
-	}
-	if sib.structSize != s.structSize {
-		return nil, fmt.Errorf("core: ForCluster cannot resize the structural cache: it is shared with the parent")
 	}
 	if sib.artifacts != s.artifacts || sib.artifactDir != s.artifactDir {
 		return nil, fmt.Errorf("core: ForCluster cannot change the artifact store: it is shared with the parent")
@@ -309,9 +294,7 @@ func (s *Simulator) CacheStats() CacheStats {
 	if s.cache != nil {
 		st.ReportHits, st.ReportMisses = s.cache.stats()
 	}
-	if s.structs != nil {
-		st.StructHits, st.StructMisses = s.structs.stats()
-	}
+	st.StructHits, st.StructMisses = s.structs.stats()
 	if s.batches != nil {
 		st.BatchReplays = s.batches.replays.Load()
 		st.BatchedPlans = s.batches.plans.Load()
@@ -432,14 +415,8 @@ func (s *Simulator) simulate(m model.Config, plan parallel.Plan, capture bool) (
 // lowering. The plan is fully validated on every call — a cache or disk
 // hit must not skip the per-plan checks that Build would perform.
 func (s *Simulator) structural(m model.Config, plan parallel.Plan) (*taskgraph.Graph, error) {
-	if s.structs == nil && s.artifacts == nil {
-		return s.lower(m, plan)
-	}
 	if err := opgraph.Validate(m, plan, s.cluster); err != nil {
 		return nil, err
-	}
-	if s.structs == nil {
-		return s.buildStructural(m, plan)
 	}
 	return s.structs.get(shapeOf(m, plan, s.fidelity), func() (*taskgraph.Graph, error) {
 		return s.buildStructural(m, plan)

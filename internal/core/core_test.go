@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vtrain/internal/hw"
@@ -37,12 +38,13 @@ func TestSimulateRejectsBadPlan(t *testing.T) {
 
 // TestSimulateRejectsPlanPastTaskIDLimit: a plan that passes the parallel
 // checks but whose graph could number more tasks than int32 holds is an
-// error, not a panic, with and without the structural cache.
+// error, not a panic, on a fresh simulator and on a repeat request.
 func TestSimulateRejectsPlanPastTaskIDLimit(t *testing.T) {
-	plan := parallel.Plan{Tensor: 8, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1 << 62}
-	for _, opts := range [][]Option{nil, {WithStructCacheSize(0)}} {
-		if _, err := sim(t, 1, opts...).Simulate(model.Megatron39_1B(), plan); err == nil {
-			t.Fatalf("Simulate(%s) succeeded, want the task id limit error", plan)
+	plan := parallel.Plan{Tensor: 8, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1 << 40}
+	s := sim(t, 1)
+	for i := 0; i < 2; i++ {
+		if _, err := s.Simulate(model.Megatron39_1B(), plan); err == nil || !strings.Contains(err.Error(), "task id limit") {
+			t.Fatalf("Simulate(%s) = %v, want the task id limit error", plan, err)
 		}
 	}
 }

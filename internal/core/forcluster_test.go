@@ -150,9 +150,6 @@ func TestForClusterRejections(t *testing.T) {
 	if _, err := root.ForCluster(hw.PaperCluster(4), WithFidelity(taskgraph.OperatorLevel)); err == nil {
 		t.Error("fidelity change accepted; the shared cache is keyed by the parent's fidelity")
 	}
-	if _, err := root.ForCluster(hw.PaperCluster(4), WithStructCacheSize(1)); err == nil {
-		t.Error("structural-cache resize accepted; the cache is shared")
-	}
 	// Report-cache options remain free per sibling.
 	if _, err := root.ForCluster(hw.PaperCluster(4), WithCacheSize(0)); err != nil {
 		t.Errorf("report-cache option rejected: %v", err)

@@ -51,7 +51,7 @@ func TestSharedStructureEquivalence(t *testing.T) {
 		for _, pair := range shapePairs() {
 			// fresh lowers every plan itself; shared is warmed with the
 			// representative so pair.alt replays a borrowed structure.
-			fresh := sim(t, 8, WithFidelity(fid), WithCacheSize(0), WithStructCacheSize(0))
+			fresh := sim(t, 8, WithFidelity(fid), WithCacheSize(0))
 			shared := sim(t, 8, WithFidelity(fid), WithCacheSize(0))
 			if _, err := shared.Simulate(m, pair.rep); err != nil {
 				t.Fatalf("%s rep: %v", pair.name, err)
@@ -119,21 +119,6 @@ func TestStructCacheSharesAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestStructCacheDisabled pins the opt-out: with WithStructCacheSize(0)
-// every simulation lowers from scratch and no structural stats accumulate.
-func TestStructCacheDisabled(t *testing.T) {
-	s := sim(t, 8, WithFidelity(taskgraph.OperatorLevel), WithCacheSize(0), WithStructCacheSize(0))
-	m := model.Megatron3_6B()
-	for i := 0; i < 2; i++ {
-		if _, err := s.Simulate(m, cachePlan(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.CacheStats(); st.StructHits != 0 || st.StructMisses != 0 {
-		t.Fatalf("disabled structural cache recorded traffic: %+v", st)
-	}
-}
-
 // TestStructCacheValidatesOnHit ensures a structural-cache hit does not
 // bypass per-plan validation: an invalid plan sharing a cached shape key
 // must still be rejected.
@@ -171,7 +156,7 @@ func TestConcurrentPlansSharingShape(t *testing.T) {
 
 	want := make([]Report, len(plans))
 	for i, p := range plans {
-		ref := sim(t, 16, WithFidelity(taskgraph.TaskLevel), WithCacheSize(0), WithStructCacheSize(0))
+		ref := sim(t, 16, WithFidelity(taskgraph.TaskLevel), WithCacheSize(0))
 		rep, err := ref.Simulate(m, p)
 		if err != nil {
 			t.Fatal(err)

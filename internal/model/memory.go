@@ -11,7 +11,14 @@ package model
 //     tensor-parallel shardable portion divided by t.
 //
 // These numbers prune infeasible (t,d,p,m) points during design-space
-// exploration exactly as real Megatron runs would OOM.
+// exploration exactly as real Megatron runs would OOM. Every byte count
+// saturates at math.MaxUint64 instead of wrapping, so an oversized plan
+// simply does not fit.
+
+import (
+	"math"
+	"math/bits"
+)
 
 // BytesPerParamState is the mixed-precision Adam state size per parameter.
 const BytesPerParamState = 18
@@ -28,7 +35,25 @@ const BytesPerParamCheckpoint = 14
 // sharded (each rank writes its shard, the aggregate is the whole model).
 // internal/resilience derives checkpoint-write time from it.
 func (c Config) CheckpointBytes() uint64 {
-	return c.Params() * BytesPerParamCheckpoint
+	return satMul(c.Params(), BytesPerParamCheckpoint)
+}
+
+// satMul returns a·b, saturating at math.MaxUint64 instead of wrapping.
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
+// satAdd returns a+b, saturating at math.MaxUint64 instead of wrapping.
+func satAdd(a, b uint64) uint64 {
+	sum, carry := bits.Add64(a, b, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return sum
 }
 
 // ModelStateBytes returns the per-GPU bytes of weights, gradients, and
@@ -47,9 +72,13 @@ func (c Config) ModelStateBytes(t, p int) uint64 {
 	// worst stage: ceil(L/p) layers plus the embedding table.
 	h := uint64(c.Hidden)
 	layersPerStage := (uint64(c.Layers) + uint64(p) - 1) / uint64(p)
-	perLayer := 12*h*h + 13*h
-	stageParams := layersPerStage*perLayer + uint64(c.Vocab)*h + uint64(c.SeqLen)*h
-	return stageParams * BytesPerParamState / uint64(t)
+	perLayer := satAdd(satMul(12, satMul(h, h)), satMul(13, h))
+	stageParams := satAdd(satMul(layersPerStage, perLayer), satMul(uint64(c.Vocab)+uint64(c.SeqLen), h))
+	bytes := satMul(stageParams, BytesPerParamState)
+	if bytes == math.MaxUint64 {
+		return bytes
+	}
+	return bytes / uint64(t)
 }
 
 // ActivationBytesPerMicroBatch returns the activation memory of one
@@ -71,7 +100,10 @@ func (c Config) ActivationBytesPerMicroBatch(microBatch, t, p int) uint64 {
 	// unshardable LayerNorm/dropout/residual tensors.
 	perLayer := s * b * h * (10 + 24/tf + 5*n*s/(h*tf))
 	layersPerStage := (c.Layers + p - 1) / p
-	return uint64(perLayer) * uint64(layersPerStage)
+	if perLayer >= 1<<64 {
+		return math.MaxUint64
+	}
+	return satMul(uint64(perLayer), uint64(layersPerStage))
 }
 
 // PeakMemoryBytes estimates per-GPU peak memory for a training configuration:
@@ -82,7 +114,7 @@ func (c Config) PeakMemoryBytes(microBatch, t, p, inFlight int) uint64 {
 	if inFlight < 1 {
 		inFlight = 1
 	}
-	return c.ModelStateBytes(t, p) + uint64(inFlight)*c.ActivationBytesPerMicroBatch(microBatch, t, p)
+	return satAdd(c.ModelStateBytes(t, p), satMul(uint64(inFlight), c.ActivationBytesPerMicroBatch(microBatch, t, p)))
 }
 
 // RecomputeActivationBytesPerMicroBatch returns the stored activation
@@ -95,8 +127,8 @@ func (c Config) RecomputeActivationBytesPerMicroBatch(microBatch, t, p int) uint
 		p = 1
 	}
 	layersPerStage := (c.Layers + p - 1) / p
-	perLayer := 2 * uint64(c.SeqLen) * uint64(microBatch) * uint64(c.Hidden)
-	return perLayer * uint64(layersPerStage)
+	perLayer := satMul(satMul(2*uint64(c.SeqLen), uint64(microBatch)), uint64(c.Hidden))
+	return satMul(perLayer, uint64(layersPerStage))
 }
 
 // PeakMemoryBytesRecompute is PeakMemoryBytes under full activation
@@ -109,7 +141,6 @@ func (c Config) PeakMemoryBytesRecompute(microBatch, t, p, inFlight int) uint64 
 	// ActivationBytesPerMicroBatch charges a full stage; p = Layers makes
 	// that exactly one layer — the recompute working set.
 	working := c.ActivationBytesPerMicroBatch(microBatch, t, c.Layers)
-	return c.ModelStateBytes(t, p) +
-		uint64(inFlight)*c.RecomputeActivationBytesPerMicroBatch(microBatch, t, p) +
-		working
+	stored := satMul(uint64(inFlight), c.RecomputeActivationBytesPerMicroBatch(microBatch, t, p))
+	return satAdd(satAdd(c.ModelStateBytes(t, p), stored), working)
 }

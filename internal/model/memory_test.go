@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -129,5 +130,30 @@ func TestCheckpointBytes(t *testing.T) {
 	// checkpoint bandwidth matter at 2,240 GPUs.
 	if tb := float64(m.CheckpointBytes()) / 1e12; tb < 7 || tb > 8 {
 		t.Errorf("MT-NLG checkpoint = %.2f TB, want ~7.4 TB", tb)
+	}
+}
+
+// TestMemorySaturates: byte counts saturate at MaxUint64 instead of
+// wrapping. With t = 8, Megatron 3.6B's per-layer activation is a whole
+// number of bytes well below 2^64 for a micro-batch of 3,711,431,655
+// sequences, but 30 layers of it overflow — and a wrapped product would
+// land at 0.28 GiB and fit any GPU.
+func TestMemorySaturates(t *testing.T) {
+	c := Megatron3_6B()
+	const b = 3711431655
+	if got := c.ActivationBytesPerMicroBatch(b, 8, c.Layers); got == math.MaxUint64 {
+		t.Fatal("one layer's activation saturated; the case needs it to fit")
+	}
+	for name, got := range map[string]uint64{
+		"ActivationBytesPerMicroBatch":          c.ActivationBytesPerMicroBatch(b, 8, 1),
+		"PeakMemoryBytes":                       c.PeakMemoryBytes(b, 8, 1, 1),
+		"RecomputeActivationBytesPerMicroBatch": c.RecomputeActivationBytesPerMicroBatch(1<<50, 8, 1),
+		"PeakMemoryBytesRecompute":              c.PeakMemoryBytesRecompute(b, 8, 1, 1<<40),
+		"ModelStateBytes":                       Config{Hidden: 1 << 40, Layers: 1 << 20, SeqLen: 1, Heads: 1, Vocab: 1}.ModelStateBytes(1, 1),
+		"CheckpointBytes":                       Config{Hidden: 1 << 40, Layers: 1 << 20, SeqLen: 1, Heads: 1, Vocab: 1}.CheckpointBytes(),
+	} {
+		if got != math.MaxUint64 {
+			t.Errorf("%s = %d, want saturation at MaxUint64", name, got)
+		}
 	}
 }

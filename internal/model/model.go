@@ -8,7 +8,10 @@
 // LM head.
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config is a decoder-only transformer architecture.
 type Config struct {
@@ -43,6 +46,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model %s: vocabulary must be positive, got %d", c.Name, c.Vocab)
 	case c.Hidden%c.Heads != 0:
 		return fmt.Errorf("model %s: hidden size %d not divisible by %d heads", c.Name, c.Hidden, c.Heads)
+	case satMul(c.Params(), BytesPerParamState) == math.MaxUint64:
+		// 2^64-1 is odd, so an exact product never equals it: the
+		// saturated value means the state size does not fit a uint64.
+		return fmt.Errorf("model %s: parameter state at %d bytes per parameter overflows 64 bits (h=%d, L=%d, s=%d, V=%d)",
+			c.Name, BytesPerParamState, c.Hidden, c.Layers, c.SeqLen, c.Vocab)
 	}
 	return nil
 }
@@ -53,11 +61,12 @@ func (c Config) HeadDim() int { return c.Hidden / c.Heads }
 // Params returns the total parameter count: L·(12h²+13h) for the decoder
 // stack (QKV + attention output projections = 4h², FFN = 8h², plus biases
 // and the two LayerNorms), the tied word embedding V·h, positional
-// embeddings s·h, and the final LayerNorm.
+// embeddings s·h, and the final LayerNorm. The count saturates at
+// math.MaxUint64 instead of wrapping.
 func (c Config) Params() uint64 {
 	h := uint64(c.Hidden)
-	perLayer := 12*h*h + 13*h
-	return uint64(c.Layers)*perLayer + uint64(c.Vocab)*h + uint64(c.SeqLen)*h + 2*h
+	perLayer := satAdd(satMul(12, satMul(h, h)), satMul(13, h))
+	return satAdd(satMul(uint64(c.Layers), perLayer), satMul(uint64(c.Vocab)+uint64(c.SeqLen)+2, h))
 }
 
 // ParamsBillions returns Params in units of 1e9, convenient for reports.

@@ -172,3 +172,27 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestValidateParamStateBoundary pins the overflow check at its exact
+// bound: a one-layer model of hidden size 1 has V+28 parameters, so the
+// largest vocabulary whose 18-byte state fits a uint64 passes and the next
+// one fails. The repro with h = s = 2^62, whose wrapped count read as 0.0B
+// parameters, is rejected too.
+func TestValidateParamStateBoundary(t *testing.T) {
+	c := Config{Name: "edge", Hidden: 1, Layers: 1, SeqLen: 1, Heads: 1}
+	c.Vocab = int(math.MaxUint64/BytesPerParamState) - 28
+	if err := c.Validate(); err != nil {
+		t.Fatalf("largest fitting vocabulary rejected: %v", err)
+	}
+	c.Vocab++
+	if err := c.Validate(); err == nil {
+		t.Fatalf("vocabulary %d overflows the parameter state but was accepted", c.Vocab)
+	}
+	huge := Config{Name: "huge", Hidden: 1 << 62, Layers: 1, SeqLen: 1 << 62, Heads: 1, Vocab: 1}
+	if err := huge.Validate(); err == nil {
+		t.Fatal("h = s = 2^62 accepted")
+	}
+	if got := huge.Params(); got != math.MaxUint64 {
+		t.Fatalf("Params() = %d, want saturation at MaxUint64", got)
+	}
+}

@@ -384,7 +384,7 @@ func TestBuildValidates(t *testing.T) {
 // builder, and the bound is exact: one micro-batch fewer passes.
 func TestValidateBoundsTaskIDs(t *testing.T) {
 	c := hw.PaperCluster(1)
-	huge := parallel.Plan{Tensor: 8, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1 << 62}
+	huge := parallel.Plan{Tensor: 8, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1 << 40}
 	if err := Validate(model.Megatron39_1B(), huge, c); err == nil || !strings.Contains(err.Error(), "task id limit") {
 		t.Fatalf("Validate(%s) = %v, want the task id limit error", huge, err)
 	}

@@ -11,6 +11,8 @@ package parallel
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"vtrain/internal/hw"
 	"vtrain/internal/model"
@@ -193,7 +195,34 @@ func (p Plan) Validate(m model.Config, c hw.Cluster) error {
 				p.MicroBatches(), p.Pipeline)
 		}
 	}
+	// Tokens per iteration must fit a uint64, and the profiler sizes one
+	// micro-batch's kernels in int element counts: the widest per-layer
+	// tensors have b·s rows and 4h (FFN), V (LM head) or n·s (attention
+	// scores) columns. 2^62 leaves headroom for tile rounding.
+	b, s := uint64(p.MicroBatch), uint64(m.SeqLen)
+	if !within(math.MaxUint64, uint64(p.GlobalBatch), s) {
+		return fmt.Errorf("parallel: global batch %d x sequence length %d overflows the tokens per iteration",
+			p.GlobalBatch, m.SeqLen)
+	}
+	if !within(1<<62, b, s, 4, uint64(m.Hidden)) || !within(1<<62, b, s, uint64(m.Vocab)) || !within(1<<62, b, s, uint64(m.Heads), s) {
+		return fmt.Errorf("parallel: micro-batch %d of %d-token sequences overflows the kernel element counts of %s",
+			p.MicroBatch, m.SeqLen, m.Name)
+	}
 	return nil
+}
+
+// within reports whether the product of xs is at most limit, checked with
+// math/bits so no intermediate product wraps.
+func within(limit uint64, xs ...uint64) bool {
+	prod := uint64(1)
+	for _, x := range xs {
+		hi, lo := bits.Mul64(prod, x)
+		if hi != 0 || lo > limit {
+			return false
+		}
+		prod = lo
+	}
+	return true
 }
 
 // StageLayers returns the number of decoder layers assigned to pipeline

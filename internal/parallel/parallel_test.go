@@ -173,3 +173,46 @@ func TestScheduleString(t *testing.T) {
 		t.Fatal("unknown schedule formatting changed")
 	}
 }
+
+// TestValidateOverflowBoundaries pins both overflow checks at their exact
+// bounds. Tokens per iteration: with s = 2^11, a global batch of 2^53-1
+// sequences fits a uint64 and 2^53 does not. Kernel element counts: with a
+// 2^20-token vocabulary as the widest column and s = 1, a micro-batch of
+// 2^42 sequences reaches the 2^62 bound and one more passes it.
+func TestValidateOverflowBoundaries(t *testing.T) {
+	c := hw.PaperCluster(1)
+	m := model.Megatron3_6B()
+	p := Plan{Tensor: 8, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 1<<53 - 1}
+	if err := p.Validate(m, c); err != nil {
+		t.Fatalf("largest fitting global batch rejected: %v", err)
+	}
+	p.GlobalBatch++
+	if err := p.Validate(m, c); err == nil {
+		t.Fatalf("global batch 2^53 x 2048 tokens accepted")
+	}
+
+	wide := model.Config{Name: "wide", Hidden: 8, Layers: 1, SeqLen: 1, Heads: 1, Vocab: 1 << 20}
+	p = Plan{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1 << 42, GlobalBatch: 1 << 42}
+	if err := p.Validate(wide, c); err != nil {
+		t.Fatalf("micro-batch at the kernel bound rejected: %v", err)
+	}
+	p.MicroBatch++
+	p.GlobalBatch++
+	if err := p.Validate(wide, c); err == nil {
+		t.Fatalf("micro-batch past the kernel bound accepted")
+	}
+}
+
+// TestOversizedPlanDoesNotFit: a plan whose tokens fit but whose memory
+// overflows 64 bits validates and reports that it does not fit, rather than
+// fitting at a wrapped footprint.
+func TestOversizedPlanDoesNotFit(t *testing.T) {
+	m := model.Megatron3_6B()
+	p := Plan{Tensor: 8, Data: 1, Pipeline: 1, MicroBatch: 3711431655, GlobalBatch: 3711431655}
+	if err := p.Validate(m, hw.PaperCluster(1)); err != nil {
+		t.Fatal(err)
+	}
+	if p.FitsMemory(m, hw.A100SXM80GB()) {
+		t.Fatalf("%s fits at %d bytes, want a saturated footprint", p, p.PeakMemoryBytes(m))
+	}
+}

@@ -239,7 +239,7 @@ func TestOverflowingEconomics400(t *testing.T) {
 func TestPlanPastTaskIDLimit400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, resp, _ := post(t, ts, "/v1/simulate", `{"model":{"preset":"megatron-39.1b"},"cluster":{"nodes":1},
-		"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":1,"global_batch":4611686018427387904},
+		"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":1,"global_batch":1099511627776},
 		"total_tokens":1000000000}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400; body: %q", code, resp)
@@ -510,5 +510,43 @@ func TestSimulateContentionKnob(t *testing.T) {
 	srv.engine.mu.Unlock()
 	if entries != 2 {
 		t.Errorf("pool holds %d simulators, want 2 (ideal + contended for one cluster)", entries)
+	}
+}
+
+// Bodies whose integer arithmetic used to wrap into a plausible report with
+// a 200: a token count past 2^64 (Iterations and TotalDollars read 0), and
+// a model whose parameter count wrapped to 0.0B. oversizedBody's tokens fit
+// but its memory does not.
+const (
+	wrappedTokensBody = `{"model":{"preset":"megatron-3.6b"},"cluster":{"nodes":1,"resilience":{"disabled":true}},
+		"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":1125899906842624,"global_batch":1152921504606846976},
+		"total_tokens":1000000000000}`
+	wrappedParamsBody = `{"model":{"name":"huge","hidden":4611686018427387904,"layers":1,"seq_len":4611686018427387904,"heads":1,"vocab":1},
+		"cluster":{"nodes":1},"plan":{"tensor":1,"data":1,"pipeline":1,"micro_batch":1,"global_batch":1},"total_tokens":1000}`
+	oversizedBody = `{"model":{"preset":"megatron-3.6b"},"cluster":{"nodes":1,"resilience":{"disabled":true}},
+		"plan":{"tensor":8,"data":1,"pipeline":1,"micro_batch":3711431655,"global_batch":3711431655},
+		"total_tokens":1000000000000}`
+)
+
+// TestOverflowingRequests400: requests whose arithmetic would wrap are a
+// structured 400, and a plan whose memory overflows 64 bits is reported as
+// not fitting.
+func TestOverflowingRequests400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for name, body := range map[string]string{"tokens": wrappedTokensBody, "params": wrappedParamsBody} {
+		code, resp, _ := post(t, ts, "/v1/simulate", body)
+		var eb errorBody
+		if code != http.StatusBadRequest || json.Unmarshal([]byte(resp), &eb) != nil || eb.Error.Status != code || eb.Error.Message == "" {
+			t.Errorf("%s: status %d, body %q; want a structured 400", name, code, resp)
+		}
+	}
+	code, resp, _ := post(t, ts, "/v1/simulate", oversizedBody)
+	var res SimulateResult
+	if code != http.StatusOK || json.Unmarshal([]byte(resp), &res) != nil {
+		t.Fatalf("oversized plan: status %d, body %q; want a 200 report", code, resp)
+	}
+	if res.FitsMemory || res.Training == nil || res.Training.Iterations != 1 {
+		t.Errorf("oversized plan: fits_memory %v at %g GiB, training %+v; want a non-fitting one-iteration report",
+			res.FitsMemory, res.PeakMemoryGiB, res.Training)
 	}
 }

@@ -77,10 +77,11 @@ func TestArtifactRoundTrip(t *testing.T) {
 // over the persistent artifact tier: a disk-decoded structural graph must
 // produce a BindContention table and a contended replay byte-identical to
 // the freshly lowered graph's. The table comparison covers every
-// topology-derived field (kind/span/fromNode/toNode, repNode, classes) —
-// any descriptor field the codec failed to round-trip would surface here
-// as a diverging classification or a diverging report. Traces of both
-// graphs, labeled from the same operator graph, must match span for span.
+// placement field (repNode, tpSpan, dpSpan, classes), and replay derives
+// each comm task's path from the decoded descriptors — so any descriptor
+// field the codec failed to round-trip would surface here as a diverging
+// table or a diverging report. Traces of both graphs, labeled from the
+// same operator graph, must match span for span.
 func TestArtifactContentionEquivalence(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))

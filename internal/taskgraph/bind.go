@@ -118,6 +118,12 @@ func allReduceTPArgs(plan parallel.Plan, gpn int) (int, bool) {
 // All-Reduce. Under Megatron placement consecutive group members sit t
 // ranks apart, so the d-member group spans ceil(d*t/gpn) nodes — but never
 // more nodes than members (with t > gpn each member owns a distinct node).
+//
+// Modelling gap: the stage is ignored, so a stage whose ranks straddle a
+// node boundary is priced as if its group stayed on one node (t=2, d=3,
+// p=2 on 8-GPU nodes: stage 1's group {6, 8, 10} spans nodes 0 and 1 but
+// is priced as (3, intraNode)); see ARCHITECTURE.md, "Topology and
+// contention".
 func allReduceDPArgs(plan parallel.Plan, gpn int) (int, bool) {
 	stride := plan.Tensor * plan.Data
 	if stride <= gpn {
@@ -128,7 +134,9 @@ func allReduceDPArgs(plan parallel.Plan, gpn int) (int, bool) {
 
 // stageNode is the server node of a pipeline stage's representative
 // replica (tensor rank 0, data rank 0). Megatron places each stage's t*d
-// ranks contiguously, so stage s starts at rank s*t*d.
+// ranks contiguously, so stage s starts at rank s*t*d. With
+// allReduceTPArgs and allReduceDPArgs it states the placement rule once,
+// for Bind and BindContention alike.
 func stageNode(stage int, plan parallel.Plan, gpn int) int {
 	return stage * plan.Tensor * plan.Data / gpn
 }

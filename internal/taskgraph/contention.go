@@ -15,19 +15,17 @@ import (
 // (node NVSwitches, per-node HCA bundles, the spine) and derates their
 // durations by comm.Congestion's per-class weights.
 //
-// The split mirrors the structure/timing split. BindContention resolves the
-// plan- and cluster-dependent classification once per (graph, plan,
-// cluster) — which descriptor is a collective, how many nodes it spans,
-// which nodes a P2P transfer connects, which node represents each stage —
-// into an immutable ContentionTable. The replay-time part (this file's
-// occupancy ledger, pooled and owned per replay call and per batch lane)
-// then needs only O(1) arithmetic per comm task to find its link classes,
-// plus an interval-overlap count against the flows already recorded on
-// those classes. Contention never changes the graph's structure, so
-// structural caching, artifact round-trips, and cross-plan sharing are
-// untouched; with a nil table every replay entry point performs
-// bit-identical float operations to the contention-free path. Literal
-// (hand-built) descriptors occupy no links.
+// The split mirrors the structure/timing split. BindContention binds the
+// plan's placement once per (graph, plan, cluster) into an immutable
+// ContentionTable, by the placement rule Bind prices with. The replay-time
+// part (this file's occupancy ledger, pooled and owned per replay call and
+// per batch lane) derives each comm task's comm.Path from its descriptor
+// and that placement in O(1), then counts interval overlaps against the
+// flows already recorded on the path's link classes. Contention never
+// changes the graph's structure, so structural caching, artifact
+// round-trips, and cross-plan sharing are untouched; with a nil table every
+// replay entry point performs bit-identical float operations to the
+// contention-free path.
 //
 // Each link class keeps the start values and the end values of its
 // recorded flows in two ascending arrays. Because every recorded interval
@@ -48,36 +46,19 @@ import (
 // An insert costs O(slots shifted), so a class fed in reverse time order
 // degrades to a quadratic (memmove) insert cost — never to a wrong count.
 
-// contKind classifies a descriptor's contention behavior.
-type contKind uint8
-
-const (
-	// contNone marks compute descriptors: no link occupancy.
-	contNone contKind = iota
-	// contColl marks collectives; the representative node derives from the
-	// task's stage at replay time.
-	contColl
-	// contP2P marks pipeline transfers between two bind-time-known nodes.
-	contP2P
-)
-
-// ContentionTable is the per-(plan, cluster) contention binding of one
-// structural graph: for every duration descriptor, which fat-tree links its
-// tasks occupy. Like a DurationTable it is immutable after binding, so one
-// table can back any number of concurrent replays — the mutable occupancy
-// state lives in a per-replay contState.
+// ContentionTable is the per-(plan, cluster) placement binding of one
+// structural graph, and holds placement only: contend derives every comm
+// task's fat-tree links from it. Like a DurationTable it is immutable after
+// binding, so one table can back any number of concurrent replays — the
+// mutable occupancy state lives in a per-replay contState.
 type ContentionTable struct {
 	cg comm.Congestion
-	// kind, span, fromNode, toNode are per-descriptor, parallel to
-	// Graph.descs. span is a collective's node span (1 = node-local);
-	// fromNode/toNode are a P2P transfer's endpoints.
-	kind     []contKind
-	span     []int32
-	fromNode []int32
-	toNode   []int32
 	// repNode maps each device (pipeline stage) to its representative node,
 	// the node holding the stage's first rank.
 	repNode []int32
+	// tpSpan and dpSpan are the node spans of the plan's tensor- and
+	// data-parallel collectives (1 = node-local).
+	tpSpan, dpSpan int
 	// classes is the link-class count: spine, then (nv, hca) per node.
 	classes int
 }
@@ -87,50 +68,34 @@ type ContentionTable struct {
 func nvClass(node int) int  { return 1 + 2*node }
 func hcaClass(node int) int { return 2 + 2*node }
 
-// BindContention resolves the graph's communication descriptors against the
-// cluster's fat-tree topology for one concrete plan. tbl, the plan's bound
-// DurationTable, is unused: the occupancy ledger needs no sizing hint, and
-// the parameter keeps call sites binding contention next to the durations
-// it derates.
+// BindContention binds the plan's placement on the cluster's fat tree:
+// each stage's representative node and the node spans of the tensor- and
+// data-parallel collectives. tbl, the plan's bound DurationTable, is
+// unused: the parameter keeps call sites binding contention next to the
+// durations it derates.
 func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTable) *ContentionTable {
 	gpn := c.Node.GPUsPerNode
 	ct := &ContentionTable{
-		cg:       comm.NewCongestion(c),
-		kind:     make([]contKind, len(g.descs)),
-		span:     make([]int32, len(g.descs)),
-		fromNode: make([]int32, len(g.descs)),
-		toNode:   make([]int32, len(g.descs)),
-		repNode:  make([]int32, g.Devices),
+		cg:      comm.NewCongestion(c),
+		repNode: make([]int32, g.Devices),
+		tpSpan:  nodeSpan(allReduceTPArgs(plan, gpn)),
+		dpSpan:  nodeSpan(allReduceDPArgs(plan, gpn)),
 	}
 	for dev := range ct.repNode {
 		ct.repNode[dev] = int32(stageNode(dev, plan, gpn))
 	}
 	maxNode := (g.Devices*plan.Tensor*plan.Data - 1) / gpn // the last rank's node
-	for i := range g.descs {
-		d := &g.descs[i]
-		switch d.kind {
-		case descAllReduceTP:
-			n, intra := allReduceTPArgs(plan, gpn)
-			ct.kind[i] = contColl
-			if intra {
-				n = 1
-			}
-			ct.span[i] = int32(n)
-		case descAllReduceDP:
-			n, intra := allReduceDPArgs(plan, gpn)
-			ct.kind[i] = contColl
-			if intra {
-				n = 1
-			}
-			ct.span[i] = int32(n)
-		case descP2P:
-			ct.kind[i] = contP2P
-			ct.fromNode[i] = int32(stageNode(int(d.from), plan, gpn))
-			ct.toNode[i] = int32(stageNode(int(d.to), plan, gpn))
-		}
-	}
 	ct.classes = hcaClass(maxNode) + 1
 	return ct
+}
+
+// nodeSpan is the node count a collective with the given pricing arguments
+// covers: one for a node-local group, the participating nodes otherwise.
+func nodeSpan(n int, intraNode bool) int {
+	if intraNode {
+		return 1
+	}
+	return n
 }
 
 // classLedger is one link class's occupancy ledger: the start values and
@@ -306,22 +271,27 @@ func (cs *contState) record(class int, start, end float64) {
 }
 
 // contend derates the base duration of the comm task in slot with
-// descriptor di, given its dependency-and-stream start time, and records
-// the derated flow on its link classes. Tasks whose path occupies no shared
-// link (and zero-duration tasks, e.g. width-1 collectives) pass through
+// descriptor d, given its dependency-and-stream start time, and records
+// the derated flow on its link classes. The path follows from d's kind: a
+// collective rings from the device's representative node over its
+// plan-wide node span, and a pipeline transfer connects its two stages'
+// representative nodes. Compute and literal tasks, which occupy no link,
+// and zero-duration tasks (e.g. width-1 collectives) pass through
 // unchanged. The returned duration is always >= dur: every weight is
 // non-negative and the overlap counts only grow with concurrency.
-func (ct *ContentionTable) contend(st *contState, slot int32, di int32, start, dur float64) float64 {
-	if ct.kind[di] == contNone || dur <= 0 {
+func (ct *ContentionTable) contend(st *contState, slot int32, d *durDesc, start, dur float64) float64 {
+	if dur <= 0 {
 		return dur
 	}
 	var path comm.Path
-	if ct.kind[di] == contColl {
-		path = ct.cg.CollectivePath(int(ct.repNode[slot>>1]), int(ct.span[di]))
-	} else {
-		path = ct.cg.SendRecvPath(int(ct.fromNode[di]), int(ct.toNode[di]))
-	}
-	if path.None() {
+	switch d.kind {
+	case descAllReduceTP:
+		path = ct.cg.CollectivePath(int(ct.repNode[slot>>1]), ct.tpSpan)
+	case descAllReduceDP:
+		path = ct.cg.CollectivePath(int(ct.repNode[slot>>1]), ct.dpSpan)
+	case descP2P:
+		path = ct.cg.SendRecvPath(int(ct.repNode[d.from]), int(ct.repNode[d.to]))
+	default:
 		return dur
 	}
 	end := start + dur

@@ -12,7 +12,8 @@ import (
 // brute-force overlap count against every flow recorded earlier on each
 // link, priced through comm.Congestion's paths and Derate. It shares no
 // replay code with the package: only the graph's structure, the table's
-// bound values, and the contention table's bind-time classification.
+// bound values, and the contention table's bind-time placement, from which
+// it resolves each comm task's path by its descriptor kind.
 //
 // It derives each task's children by transposing the parents CSR, so
 // children list in ascending id, and seeds the queue with the roots in
@@ -54,12 +55,17 @@ func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 		di := tbl.durIdx[id]
 		dur, flops := tbl.vals[di].dur, tbl.vals[di].flops
 		start := math.Max(ready[id], free[slot])
-		if ct != nil && t.Stream == CommStream && ct.kind[di] != contNone && dur > 0 {
+		d := &g.descs[di]
+		comms := d.kind == descAllReduceTP || d.kind == descAllReduceDP || d.kind == descP2P
+		if ct != nil && t.Stream == CommStream && comms && dur > 0 {
 			var path comm.Path
-			if ct.kind[di] == contColl {
-				path = ct.cg.CollectivePath(int(ct.repNode[t.Device]), int(ct.span[di]))
-			} else {
-				path = ct.cg.SendRecvPath(int(ct.fromNode[di]), int(ct.toNode[di]))
+			switch d.kind {
+			case descAllReduceTP:
+				path = ct.cg.CollectivePath(int(ct.repNode[t.Device]), ct.tpSpan)
+			case descAllReduceDP:
+				path = ct.cg.CollectivePath(int(ct.repNode[t.Device]), ct.dpSpan)
+			default:
+				path = ct.cg.SendRecvPath(int(ct.repNode[d.from]), int(ct.repNode[d.to]))
 			}
 			var links []link
 			if path.NVNode >= 0 {

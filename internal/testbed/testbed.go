@@ -184,14 +184,12 @@ func (t *Testbed) measure(m model.Config, plan parallel.Plan) (float64, error) {
 
 	// One-shot simulator: the drifted device and per-configuration contended
 	// comm model are unique to this measurement, so plan-level caching would
-	// only hold stale entries and a structural cache would only retain a
-	// graph nobody revisits — disable both.
+	// only hold stale entries — disable it.
 	sim, err := core.New(t.cluster,
 		core.WithDevice(dev),
 		core.WithCommTimer(t.commTimer(m, plan)),
 		core.WithFidelity(taskgraph.OperatorLevel),
 		core.WithCacheSize(0),
-		core.WithStructCacheSize(0),
 	)
 	if err != nil {
 		return 0, err

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"reflect"
 	"testing"
 
@@ -112,14 +113,37 @@ func requireSameGraph(t *testing.T, what string, got, want *Graph) {
 // a fixed digest catches a change to those dependencies or their order.
 const loweredStructureSHA256 = "363796291c9961f7316a75324e3a00f059cc9b49253da1c8495533f9d43e91ec"
 
+// planMatrixSHA256 is the SHA-256 of structureDigest over the same graphs
+// in the same order. It reads the graph rather than its encoding, so an
+// artifact-format change leaves it unchanged while any change to what
+// Lower builds moves it.
+const planMatrixSHA256 = "3a7fe0890f5da5c04399582fced9395128289fe9534e6fd3c9b5648f765e2111"
+
+// structureDigest writes g's structure to h independently of the artifact
+// encoding: the device count and model, then per task in dispatch order its
+// device, stream, source, class name and descriptor fields, then the
+// parents CSR.
+func structureDigest(h hash.Hash, g *Graph) {
+	m := g.Model
+	fmt.Fprintf(h, "%d|%q|%d|%d|%d|%d|%d\n", g.Devices, m.Name, m.Hidden, m.Layers, m.SeqLen, m.Heads, m.Vocab)
+	for id := 0; id < g.NumTasks(); id++ {
+		t := g.TaskAt(id)
+		d := g.descs[g.durIdx[id]]
+		fmt.Fprintf(h, "%d|%d|%d|%q|%d|%d|%d|%d|%d|%d|%d\n", t.Device, t.Stream, t.Source, t.Class,
+			d.kind, d.op, d.kernel, d.stageParams, d.buckets, d.from, d.to)
+	}
+	fmt.Fprintln(h, g.parentStart, g.parents)
+}
+
 // TestLowerMatchesReference pins Lower to referenceLower at both
 // fidelities across schedules, interleaving, uneven layer splits,
-// recomputation and gradient buckets, and pins the lowered structure to
-// loweredStructureSHA256.
+// recomputation and gradient buckets, and pins the lowered structure twice:
+// its artifact bytes to loweredStructureSHA256, and the graphs themselves
+// to planMatrixSHA256.
 func TestLowerMatchesReference(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
-	sum := sha256.New()
+	sum, matrix := sha256.New(), sha256.New()
 	for _, plan := range artifactPlans() {
 		og, err := opgraph.Build(tinyModel(), plan, c)
 		if err != nil {
@@ -134,10 +158,14 @@ func TestLowerMatchesReference(t *testing.T) {
 				t.Fatalf("%s: marshal: %v", what, err)
 			}
 			sum.Write(data)
+			structureDigest(matrix, g)
 		}
 	}
 	if got := hex.EncodeToString(sum.Sum(nil)); got != loweredStructureSHA256 {
 		t.Fatalf("lowered structure SHA-256 = %s, want %s", got, loweredStructureSHA256)
+	}
+	if got := hex.EncodeToString(matrix.Sum(nil)); got != planMatrixSHA256 {
+		t.Fatalf("plan matrix structure SHA-256 = %s, want %s", got, planMatrixSHA256)
 	}
 }
 

@@ -11,7 +11,8 @@ package taskgraph
 // Durations are not stored: a structural graph has none, which is exactly
 // why one artifact serves every plan of its shape on any hardware. Nor are
 // labels: a trace composes them from the operator graph it renders (see
-// ReplayTrace), so nothing about them is ever persisted.
+// ReplayTrace), so nothing about them is ever persisted. Nor are classes:
+// they follow from the descriptors (see indexClasses).
 //
 // The container around this payload (magic, format version, checksum) is
 // internal/artifact's concern; UnmarshalArtifact still validates every
@@ -32,7 +33,7 @@ import (
 // Graph.MarshalArtifact. It is embedded in the payload and in the artifact
 // store's content hash, so a version bump makes old files silent cache
 // misses instead of misdecodes.
-const EncodingVersion = 3
+const EncodingVersion = 4
 
 // ErrBadArtifact is returned by UnmarshalArtifact for any malformed
 // payload: wrong version, truncated data, trailing bytes, or an index out
@@ -80,21 +81,12 @@ func pad4(b []byte) []byte {
 	return b
 }
 
-// MarshalArtifact serializes a lowered structural graph. Only graphs
-// produced by Lower qualify: hand-built graphs carry literal durations the
-// encoding cannot represent.
+// MarshalArtifact serializes a lowered structural graph. The error is
+// always nil.
 func (g *Graph) MarshalArtifact() ([]byte, error) {
-	for i := range g.descs {
-		if g.descs[i].kind == descLiteral {
-			return nil, errors.New("taskgraph: graphs with literal durations cannot be marshaled")
-		}
-	}
 	n := g.NumTasks()
-	size := 4 + 4 + len(g.Model.Name) + 6*8 + 4*8 +
-		len(g.descs)*33 + 3 + 4*(5*n+1+len(g.parents))
-	for _, c := range g.classes {
-		size += 4 + len(c)
-	}
+	size := 4 + 4 + len(g.Model.Name) + 6*8 + 3*8 +
+		len(g.descs)*33 + 3 + 4*(4*n+1+len(g.parents))
 	buf := make([]byte, 0, size)
 
 	buf = binary.LittleEndian.AppendUint32(buf, EncodingVersion)
@@ -102,11 +94,8 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 	for _, v := range []int{g.Model.Hidden, g.Model.Layers, g.Model.SeqLen, g.Model.Heads, g.Model.Vocab, g.Devices} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
 	}
-	for _, v := range []int{n, len(g.parents), len(g.classes), len(g.descs)} {
+	for _, v := range []int{n, len(g.parents), len(g.descs)} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
-	}
-	for _, c := range g.classes {
-		buf = appendString(buf, c)
 	}
 	for _, d := range g.descs {
 		buf = append(buf, byte(d.kind))
@@ -119,7 +108,6 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 	}
 	buf = pad4(buf)
 	buf = appendInt32Slab(buf, g.sources)
-	buf = appendInt32Slab(buf, g.classOf)
 	buf = appendInt32Slab(buf, g.durIdx)
 	buf = appendInt32Slab(buf, g.slotOf)
 	buf = appendInt32Slab(buf, g.parentStart)
@@ -263,7 +251,6 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	g.Devices = int(int64(r.u64()))
 	nTasks := r.count()
 	nEdges := r.count()
-	nClasses := r.count()
 	nDescs := r.count()
 	if r.bad || nTasks < 1 || g.Devices < 1 || g.Devices > nTasks {
 		return nil, fmt.Errorf("%w: header", ErrBadArtifact)
@@ -274,12 +261,8 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("%w: model", ErrBadArtifact)
 	}
 
-	g.classes = make([]string, nClasses)
-	for i := range g.classes {
-		g.classes[i] = r.str()
-	}
-	if r.bad || nDescs > (len(r.data)-r.off)/33 {
-		return nil, fmt.Errorf("%w: classes", ErrBadArtifact)
+	if nDescs > (len(r.data)-r.off)/33 {
+		return nil, fmt.Errorf("%w: descriptor count", ErrBadArtifact)
 	}
 	g.descs = make([]durDesc, nDescs)
 	for i := range g.descs {
@@ -314,10 +297,10 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 			return nil, fmt.Errorf("%w: descriptor kind", ErrBadArtifact)
 		}
 	}
+	g.indexClasses()
 
 	r.align4()
 	g.sources = r.i32Slab(nTasks)
-	g.classOf = r.i32Slab(nTasks)
 	g.durIdx = r.i32Slab(nTasks)
 	g.slotOf = r.i32Slab(nTasks)
 	g.parentStart = r.i32Slab(nTasks + 1)
@@ -341,8 +324,7 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 				return nil, fmt.Errorf("%w: parent %d of task %d does not precede it", ErrBadArtifact, p, i)
 			}
 		}
-		if uint32(g.classOf[i]) >= uint32(nClasses) ||
-			uint32(g.durIdx[i]) >= uint32(nDescs) ||
+		if uint32(g.durIdx[i]) >= uint32(nDescs) ||
 			uint32(g.slotOf[i]) >= uint32(2*g.Devices) ||
 			// Every operator lowers to at least one task, so a source
 			// index is below nTasks; ReplayTrace checks sources against

@@ -228,7 +228,7 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 			sc.finish[id] = finish
 			sc.free[slot] = finish // proceed the timeline
 			sc.busy[slot] += d
-			sc.classSec[g.classOf[id]] += d
+			sc.classSec[g.descClass[di]] += d
 			flopsSum += v.flops
 			if label != nil {
 				spans = append(spans, Span{Device: int(slot >> 1), Stream: Stream(slot & 1), Start: start, End: finish, Label: label(id)})
@@ -245,7 +245,8 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 		finish := sc.finish[id*k : id*k+k]
 		free := sc.free[slot*k : slot*k+k]
 		busy := sc.busy[slot*k : slot*k+k]
-		classSec := sc.classSec[int(g.classOf[id])*k : int(g.classOf[id])*k+k]
+		c := int(g.descClass[di])
+		classSec := sc.classSec[c*k : c*k+k]
 		// Lane by lane as in the scalar loop, the ready time collects in
 		// the task's own row.
 		clear(finish)

@@ -1,7 +1,6 @@
 package taskgraph
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -192,13 +191,24 @@ func TestReplayBatchValidation(t *testing.T) {
 // smallest subnormal, and magnitudes from a nanosecond to 1e300.
 var fuzzPalette = [...]float64{0, 5e-324, 1e-9, 1, 1e300}
 
+// fuzzTask is one task of a fuzzed DAG: its placement, descriptor and
+// literal duration.
+type fuzzTask struct {
+	device int
+	stream Stream
+	desc   durDesc
+	dur    float64
+}
+
 // fuzzDAG decodes data into the inputs of a hand-built DAG: the device
 // count (1-4) and a shuffle seed from the first two bytes, then two bytes
-// per task (at most 48): the first picks the device, stream, class and
+// per task (at most 48): the first picks the device, stream, descriptor and
 // duration, the second is a mask over the eight previously added tasks,
-// each set bit adding an edge from that task. Edges are returned in a
-// shuffled insertion order.
-func fuzzDAG(data []byte) (devices int, tasks []Task, durs []float64, edges [][2]int) {
+// each set bit adding an edge from that task. A compute-stream task gets one
+// of three operator descriptors; a comm-stream task a tensor-parallel,
+// data-parallel, or pipeline descriptor, whose producer stage lies within
+// the device count. Edges are returned in a shuffled insertion order.
+func fuzzDAG(data []byte) (devices int, tasks []fuzzTask, edges [][2]int) {
 	at := func(i int) byte {
 		if i < len(data) {
 			return data[i]
@@ -206,10 +216,19 @@ func fuzzDAG(data []byte) (devices int, tasks []Task, durs []float64, edges [][2
 		return 0
 	}
 	devices = 1 + int(at(0)%4)
+	ops := [...]profiler.OpKind{profiler.FwdMHA, profiler.BwdFFN, profiler.WeightUpdate}
 	for i := 0; 2+2*i+1 < len(data) && i < 48; i++ {
 		a, mask := at(2+2*i), at(3+2*i)
-		tasks = append(tasks, Task{Device: int(a) % devices, Stream: Stream(a / 4 % 2), Source: i, Class: fmt.Sprint("c", a/8%3)})
-		durs = append(durs, fuzzPalette[int(a/24)%len(fuzzPalette)])
+		t := fuzzTask{device: int(a) % devices, stream: Stream(a / 4 % 2), dur: fuzzPalette[int(a/24)%len(fuzzPalette)]}
+		t.desc = compute(ops[a/8%3])
+		if t.stream == CommStream {
+			t.desc = [...]durDesc{
+				{kind: descAllReduceTP},
+				{kind: descAllReduceDP, stageParams: 1 << 20, buckets: 1},
+				{kind: descP2P, from: int32(a/32) % int32(devices), to: int32(t.device)},
+			}[a/8%3]
+		}
+		tasks = append(tasks, t)
 		for j := 0; j < 8 && j < i; j++ {
 			if mask&(1<<j) != 0 {
 				edges = append(edges, [2]int{i - 1 - j, i})
@@ -217,14 +236,30 @@ func fuzzDAG(data []byte) (devices int, tasks []Task, durs []float64, edges [][2
 		}
 	}
 	rand.New(rand.NewSource(int64(at(1)))).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	return devices, tasks, durs, edges
+	return devices, tasks, edges
+}
+
+// fuzzPlacement decodes the plan and cluster a fuzzed DAG's contended
+// replay binds: tensor and data widths of 1-8 from the first byte's upper
+// bits, over just enough 8-GPU nodes, with one node per leaf and a 2:1
+// oversubscribed spine when bit 6 is set, so inter-node flows also contend
+// on the spine.
+func fuzzPlacement(data []byte, devices int) (parallel.Plan, hw.Cluster) {
+	b := data[0]
+	plan := parallel.Plan{Tensor: 1 << (b / 4 % 4), Data: 1 << (b / 16 % 4), Pipeline: devices, MicroBatch: 1}
+	plan.GlobalBatch = plan.Data
+	c := hw.PaperCluster((devices*plan.Tensor*plan.Data + 7) / 8)
+	if b&64 != 0 {
+		c.NodesPerLeaf, c.Oversubscription = 1, 2
+	}
+	return plan, c
 }
 
 // buildFuzzDAG hand-builds the decoded DAG, plus any extra edges.
-func buildFuzzDAG(devices int, tasks []Task, durs []float64, edges [][2]int, extra ...[2]int) (*Graph, error) {
+func buildFuzzDAG(devices int, tasks []fuzzTask, edges [][2]int, extra ...[2]int) (*Graph, *DurationTable, error) {
 	b := NewBuilder(devices)
 	for i, t := range tasks {
-		b.AddTask(t, durs[i])
+		b.AddTask(t.device, t.stream, i, t.desc, t.dur)
 	}
 	for _, e := range append(edges, extra...) {
 		b.AddEdge(e[0], e[1])
@@ -236,22 +271,26 @@ func buildFuzzDAG(devices int, tasks []Task, durs []float64, edges [][2]int, ext
 // shuffled edge-insertion order it checks that Build numbers tasks in
 // Algorithm 1's FIFO order (roots in insertion order, children in
 // edge-insertion order), that Replay matches referenceReplay bit for bit
-// under several duration tables, that every lane of ReplayBatchContended
-// at widths 1-17 matches Replay, that IterTime bounds every slot's busy
-// seconds, that raising one task's duration never lowers IterTime (replay
-// is a max-plus recurrence over a dispatch order fixed when the graph is
-// built), and that a back edge makes Build fail.
+// under several duration tables, ideal and contended, that every lane of
+// ReplayBatchContended at widths 1-17 matches Replay, that IterTime bounds
+// every slot's busy seconds, that contention never shortens a task or the
+// iteration, that raising one task's duration never lowers IterTime
+// (replay is a max-plus recurrence over a dispatch order fixed when the
+// graph is built), and that a back edge makes Build fail.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 7, 0, 0, 5, 1, 24, 1, 48, 3, 72, 6, 96, 5})
 	f.Add([]byte{3, 42, 1, 0, 2, 0, 3, 0, 4, 15, 13, 1, 30, 2, 55, 12, 80, 255, 101, 128})
 	f.Add([]byte{2, 9, 4, 0, 29, 1, 4, 1, 53, 2, 12, 3, 77, 4, 100, 9, 4, 0, 117, 17})
+	// Four stages at t=8, d=8 on a blocking spine, every comm descriptor
+	// kind, overlapping on the comm streams.
+	f.Add([]byte{123, 5, 4, 0, 13, 1, 21, 1, 69, 3, 77, 3, 85, 7, 52, 2, 188, 15, 229, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		devices, tasks, durs, edges := fuzzDAG(data)
+		devices, tasks, edges := fuzzDAG(data)
 		if len(tasks) == 0 {
 			return
 		}
-		g, err := buildFuzzDAG(devices, tasks, durs, edges)
+		g, literal, err := buildFuzzDAG(devices, tasks, edges)
 		if err != nil {
 			t.Fatalf("acyclic graph: %v", err)
 		}
@@ -285,12 +324,12 @@ func FuzzReplay(f *testing.F) {
 		// Lane 0 is the literal binding; the others cycle each
 		// descriptor's duration and FLOPs through the palette.
 		const widest = 17
-		tables := []*DurationTable{bindLiteral(g)}
+		tables := []*DurationTable{literal}
 		for l := 1; l < widest; l++ {
 			tbl := &DurationTable{vals: make([]descVal, len(g.descs)), durIdx: g.durIdx}
-			for di, d := range g.descs {
+			for di, v := range literal.vals {
 				p := 0
-				for fuzzPalette[p] != d.literal {
+				for fuzzPalette[p] != v.dur {
 					p++
 				}
 				tbl.vals[di] = descVal{fuzzPalette[(p+l)%len(fuzzPalette)], fuzzPalette[(p+2*l)%len(fuzzPalette)]}
@@ -324,26 +363,60 @@ func FuzzReplay(f *testing.F) {
 			}
 		}
 
-		slower := append([]float64(nil), durs...)
-		k := int(data[1]) % len(tasks)
-		slower[k] = 2*slower[k] + 1
-		sg, err := buildFuzzDAG(devices, tasks, slower, edges)
+		// Under contention every lane matches the reference, and so does
+		// the batch. Spans are in id order; a task's contended span covers
+		// at least its ideal duration (End = Start + derated duration, and
+		// rounding is monotone, so the comparison is exact), and the
+		// iteration never shortens.
+		plan, c := fuzzPlacement(data, devices)
+		ct := g.BindContention(plan, c, literal)
+		cts := make([]*ContentionTable, widest)
+		contended := make([]Result, widest)
+		for l, tbl := range tables {
+			cts[l] = ct
+			res, spans, err := g.ReplayTrace(tbl, ct, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			contended[l] = res
+			requireIdentical(t, l, res, referenceReplay(g, tbl, ct))
+			for id, sp := range spans {
+				if ideal := tbl.Duration(id); sp.End < sp.Start+ideal {
+					t.Fatalf("lane %d: task %d's contended span [%v, %v) is shorter than its ideal duration %v", l, id, sp.Start, sp.End, ideal)
+				}
+			}
+			if res.IterTime < want[l].IterTime {
+				t.Fatalf("lane %d: contended IterTime %v < ideal %v", l, res.IterTime, want[l].IterTime)
+			}
+		}
+		got, err := g.ReplayBatchContended(tables, cts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raised, err := sg.Replay(bindLiteral(sg), nil)
+		for l := range got {
+			requireIdentical(t, l, got[l], contended[l])
+		}
+
+		slower := append([]fuzzTask(nil), tasks...)
+		k := int(data[1]) % len(tasks)
+		slower[k].dur = 2*slower[k].dur + 1
+		sg, stbl, err := buildFuzzDAG(devices, slower, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raised, err := sg.Replay(stbl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if raised.IterTime < want[0].IterTime {
-			t.Fatalf("raising task %d's duration %v -> %v lowered IterTime %v -> %v", k, durs[k], slower[k], want[0].IterTime, raised.IterTime)
+			t.Fatalf("raising task %d's duration %v -> %v lowered IterTime %v -> %v", k, tasks[k].dur, slower[k].dur, want[0].IterTime, raised.IterTime)
 		}
 
 		back := [2]int{0, 0} // a self-loop when there is no edge to reverse
 		if len(edges) > 0 {
 			back = [2]int{edges[0][1], edges[0][0]}
 		}
-		if _, err := buildFuzzDAG(devices, tasks, durs, edges, back); err == nil {
+		if _, _, err := buildFuzzDAG(devices, tasks, edges, back); err == nil {
 			t.Fatalf("back edge %v: Build accepted a cycle", back)
 		}
 	})

@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"slices"
 	"sync"
 
 	"vtrain/internal/hw"
@@ -24,9 +25,6 @@ const (
 	descAllReduceDP
 	// descP2P prices a pipeline Send-Receive between two stages.
 	descP2P
-	// descLiteral carries a hand-built task's fixed duration (see
-	// Builder.AddTask); it is never persisted.
-	descLiteral
 )
 
 // durDesc is one entry of a structural graph's duration-descriptor table:
@@ -50,8 +48,38 @@ type durDesc struct {
 	// from and to are the producer and consumer stages (descP2P), from
 	// which binding derives node placement for the bound plan.
 	from, to int32
-	// literal is the fixed duration of a descLiteral task.
-	literal float64
+}
+
+// className is the accounting class of the tasks d prices: the operator
+// kind for computation ("FwdMHA", "WeightUpdate", ...), the communication
+// kind otherwise ("AllReduceTP", "AllReduceDP", "P2P").
+func (d *durDesc) className() string {
+	switch d.kind {
+	case descAllReduceTP:
+		return opgraph.AllReduceTP.String()
+	case descAllReduceDP:
+		return opgraph.AllReduceDP.String()
+	case descP2P:
+		return opgraph.P2P.String()
+	}
+	return d.op.String()
+}
+
+// indexClasses derives g's class table from its descriptor table: the
+// distinct classes in the order their first descriptor appears, and each
+// descriptor's index into them. Lower and UnmarshalArtifact both call it,
+// so a decoded graph classifies its tasks exactly as the lowered one.
+func (g *Graph) indexClasses() {
+	g.descClass = make([]int32, len(g.descs))
+	for i := range g.descs {
+		name := g.descs[i].className()
+		c := slices.Index(g.classes, name)
+		if c < 0 {
+			c = len(g.classes)
+			g.classes = append(g.classes, name)
+		}
+		g.descClass[i] = int32(c)
+	}
 }
 
 // descVal is one priced descriptor: the duration and FLOPs every task of
@@ -205,8 +233,6 @@ func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, 
 		case descP2P:
 			same := stageNode(int(d.from), plan, gpn) == stageNode(int(d.to), plan, gpn)
 			vals[i] = descVal{dur: cm.SendRecv(actBytes, same)}
-		case descLiteral:
-			vals[i] = descVal{dur: d.literal}
 		}
 	}
 	return tbl

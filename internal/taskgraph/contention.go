@@ -275,12 +275,15 @@ func (cs *contState) record(class int, start, end float64) {
 // the derated flow on its link classes. The path follows from d's kind: a
 // collective rings from the device's representative node over its
 // plan-wide node span, and a pipeline transfer connects its two stages'
-// representative nodes. Compute and literal tasks, which occupy no link,
-// and zero-duration tasks (e.g. width-1 collectives) pass through
-// unchanged. The returned duration is always >= dur: every weight is
-// non-negative and the overlap counts only grow with concurrency.
+// representative nodes. Compute tasks, which occupy no link, pass through
+// unchanged, and so do tasks that occupy no time: zero-duration tasks
+// (e.g. width-1 collectives) and tasks so short that start+dur rounds to
+// start. Such a query interval would be empty, on which the overlap count's
+// decomposition can go negative. The returned duration is always >= dur:
+// every weight is non-negative and the overlap counts only grow with
+// concurrency.
 func (ct *ContentionTable) contend(st *contState, slot int32, d *durDesc, start, dur float64) float64 {
-	if dur <= 0 {
+	if start+dur <= start {
 		return dur
 	}
 	var path comm.Path

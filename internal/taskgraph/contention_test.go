@@ -289,9 +289,9 @@ func TestContentionMonotone(t *testing.T) {
 	b := NewBuilder(stages)
 	desc := durDesc{kind: descAllReduceDP, stageParams: 1 << 20, buckets: 1}
 	for dev := 0; dev < stages; dev++ {
-		b.addTaskDesc(Task{Device: dev, Stream: CommStream, Class: "AllReduceDP"}, desc)
+		b.AddTask(dev, CommStream, 0, desc, 0)
 	}
-	g := mustBuild(t, b)
+	g, _ := mustBuild(t, b)
 
 	// Data width 2 at stride 2 on 8-GPU nodes: the group is node-local, so
 	// every stage's collective shares node 0's NVSwitch.
@@ -380,9 +380,8 @@ func TestHierarchicalAllReduceParticipants(t *testing.T) {
 
 	const stageParams = 1 << 22
 	b := NewBuilder(1)
-	b.addTaskDesc(Task{Device: 0, Stream: CommStream, Class: "AllReduceDP"},
-		durDesc{kind: descAllReduceDP, stageParams: stageParams, buckets: 1})
-	g := mustBuild(t, b)
+	b.AddTask(0, CommStream, 0, durDesc{kind: descAllReduceDP, stageParams: stageParams, buckets: 1}, 0)
+	g, _ := mustBuild(t, b)
 
 	plan := parallel.Plan{Tensor: 1, Data: 8, Pipeline: 1, MicroBatch: 1, GlobalBatch: 8}
 	m := comm.NewModel(c)

@@ -77,7 +77,7 @@ func TestStructureHardwareInvariance(t *testing.T) {
 			"parentStart": {gA.parentStart, gB.parentStart},
 			"parents":     {gA.parents, gB.parents},
 			"classes":     {gA.classes, gB.classes},
-			"classOf":     {gA.classOf, gB.classOf},
+			"descClass":   {gA.descClass, gB.descClass},
 			"descs":       {gA.descs, gB.descs},
 			"durIdx":      {gA.durIdx, gB.durIdx},
 			"slotOf":      {gA.slotOf, gB.slotOf},

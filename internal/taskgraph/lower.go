@@ -20,8 +20,9 @@ import (
 // At TaskLevel a compute node of k > 1 kernels becomes a chain of k kernel
 // tasks, and a dependency edge runs from the dependency's last task to the
 // node's first. Provisional task ids follow node order, kernels in order,
-// and each task's out-edges are emitted in node order, so finalize derives
-// the dispatch order a Builder fed the same tasks and edges would.
+// and each task's out-edges are emitted in node order, from which finalize
+// derives the dispatch order. Each task's class follows from its
+// descriptor (see indexClasses).
 //
 // The profiler parameter is unused: kernel counts are static per operator
 // kind (profiler.KernelCount), and durations bind later.
@@ -56,27 +57,18 @@ func Lower(og *opgraph.Graph, _ *profiler.Profiler, fid Fidelity) *Graph {
 	}
 	tasks, edges := sc.tasks[:0], sc.edges[:0]
 
-	// Classes and descriptors intern in first-appearance order, as a
-	// Builder's would. Intern caches, -1 = not seen: class indexes by
-	// operator kind and by node kind, and the first descriptor of each
-	// operator kind's expansion (for operators without stage parameters).
-	// The operator and node kinds are dense enums, so only
-	// parameter-bearing descriptors (a handful per graph) reach the map.
-	var opClass, opDesc [profiler.WeightUpdate + 1]int32
-	var kindClass [opgraph.P2P + 1]int32
-	for i := range opClass {
-		opClass[i], opDesc[i] = -1, -1
-	}
-	for i := range kindClass {
-		kindClass[i] = -1
+	// Descriptors intern in first-appearance order. Intern cache, -1 = not
+	// seen: the first descriptor of each operator kind's expansion (for
+	// operators without stage parameters). The operator kinds are a dense
+	// enum, so only parameter-bearing descriptors (a handful per graph)
+	// reach the map.
+	var opDesc [profiler.WeightUpdate + 1]int32
+	for i := range opDesc {
+		opDesc[i] = -1
 	}
 	tpDesc := int32(-1)
 	var descID map[durDesc]int32
 
-	internClass := func(name string) int32 {
-		g.classes = append(g.classes, name)
-		return int32(len(g.classes) - 1)
-	}
 	// internDesc returns the index of d, interning it on first sight
 	// together with the k-1 descriptors of its operator's later kernels,
 	// which are always emitted with it.
@@ -114,11 +106,6 @@ func Lower(og *opgraph.Graph, _ *profiler.Profiler, fid Fidelity) *Graph {
 			if k == 1 || fid == OperatorLevel {
 				k, kind = 1, descOperator
 			}
-			ci := opClass[op]
-			if ci < 0 {
-				ci = internClass(op.String())
-				opClass[op] = ci
-			}
 			di := opDesc[op]
 			if di < 0 || nd.StageParams != 0 {
 				di = internDesc(durDesc{kind: kind, op: op, stageParams: nd.StageParams}, k)
@@ -127,10 +114,10 @@ func Lower(og *opgraph.Graph, _ *profiler.Profiler, fid Fidelity) *Graph {
 				}
 			}
 			slot := 2*nd.Stage + int32(ComputeStream)
-			tasks = append(tasks, provTask{ci, slot, int32(id), di})
+			tasks = append(tasks, provTask{slot, int32(id), di})
 			for i := int32(1); i < k; i++ {
 				edges = append(edges, [2]int32{first + i - 1, first + i})
-				tasks = append(tasks, provTask{ci, slot, int32(id), di + i})
+				tasks = append(tasks, provTask{slot, int32(id), di + i})
 			}
 		} else {
 			var di int32
@@ -147,12 +134,7 @@ func Lower(og *opgraph.Graph, _ *profiler.Profiler, fid Fidelity) *Graph {
 			default:
 				panic(fmt.Sprintf("taskgraph: unknown node kind %v", nd.Kind))
 			}
-			ci := kindClass[nd.Kind]
-			if ci < 0 {
-				ci = internClass(nd.Kind.String())
-				kindClass[nd.Kind] = ci
-			}
-			tasks = append(tasks, provTask{ci, 2*nd.Stage + int32(CommStream), int32(id), di})
+			tasks = append(tasks, provTask{2*nd.Stage + int32(CommStream), int32(id), di})
 		}
 		if last != nil {
 			last[id] = int32(len(tasks)) - 1
@@ -163,5 +145,6 @@ func Lower(og *opgraph.Graph, _ *profiler.Profiler, fid Fidelity) *Graph {
 	if err := sc.finalize(g, tasks, edges); err != nil {
 		panic(err) // unreachable: operator-graph dependencies point backward
 	}
+	g.indexClasses()
 	return g
 }

@@ -22,7 +22,7 @@ import (
 // count from the profiler's actual decomposition, and expands every
 // multi-kernel operator at TaskLevel into a chain of kernel tasks, with
 // each dependency edge from the dependency's last task to the node's
-// first. It shares finalize with Lower, and nothing else.
+// first. It shares finalize and indexClasses with Lower, and nothing else.
 func referenceLower(og *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Graph {
 	b := NewBuilder(og.Stages)
 	b.g.Model = og.Model
@@ -30,11 +30,11 @@ func referenceLower(og *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *G
 	lastTask := make([]int, og.NumNodes())
 	for nid := range firstTask {
 		n := og.Node(nid)
-		task := Task{Device: int(n.Stage), Stream: CommStream, Source: nid, Class: n.Kind.String()}
+		stream := CommStream
 		var descs []durDesc
 		switch n.Kind {
 		case opgraph.Compute:
-			task.Stream, task.Class = ComputeStream, n.Op.String()
+			stream = ComputeStream
 			d := durDesc{kind: descOperator, op: n.Op, stageParams: n.StageParams}
 			kernels := 1
 			if fid == TaskLevel {
@@ -57,7 +57,7 @@ func referenceLower(og *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *G
 			panic(fmt.Sprintf("referenceLower: unknown node kind %v", n.Kind))
 		}
 		for i, d := range descs {
-			id := b.addTaskDesc(task, d)
+			id := b.AddTask(int(n.Stage), stream, nid, d, 0)
 			if i == 0 {
 				firstTask[nid] = id
 			} else {
@@ -69,7 +69,7 @@ func referenceLower(og *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *G
 			b.AddEdge(lastTask[d], firstTask[nid])
 		}
 	}
-	g, err := b.Build()
+	g, _, err := b.Build()
 	if err != nil {
 		panic(err)
 	}
@@ -80,7 +80,7 @@ var fidName = [...]string{TaskLevel: "task", OperatorLevel: "operator"}
 
 // requireSameGraph fails unless got and want are the same structural
 // graph: tasks in dispatch order, the parents CSR, source operators, and
-// the class and descriptor tables.
+// the descriptor and class tables.
 func requireSameGraph(t *testing.T, what string, got, want *Graph) {
 	t.Helper()
 	for _, f := range []struct {
@@ -91,10 +91,10 @@ func requireSameGraph(t *testing.T, what string, got, want *Graph) {
 		{"Model", got.Model, want.Model},
 		{"parentStart", got.parentStart, want.parentStart},
 		{"parents", got.parents, want.parents},
-		{"classes", got.classes, want.classes},
-		{"classOf", got.classOf, want.classOf},
 		{"descs", got.descs, want.descs},
 		{"durIdx", got.durIdx, want.durIdx},
+		{"classes", got.classes, want.classes},
+		{"descClass", got.descClass, want.descClass},
 		{"slotOf", got.slotOf, want.slotOf},
 		{"sources", got.sources, want.sources},
 	} {
@@ -111,7 +111,10 @@ func requireSameGraph(t *testing.T, what string, got, want *Graph) {
 // graph TestLowerMatchesReference lowers, in plan-then-fidelity order. Both
 // Lower and referenceLower read the operator graph's dependencies, so only
 // a fixed digest catches a change to those dependencies or their order.
-const loweredStructureSHA256 = "363796291c9961f7316a75324e3a00f059cc9b49253da1c8495533f9d43e91ec"
+// It was last re-pinned for EncodingVersion 4, which dropped the class
+// section and the per-task class slab; planMatrixSHA256 held across that
+// change.
+const loweredStructureSHA256 = "17e7168c86a1e7cd3aa1f2f76f4fa2d040e3044b84969f2cbd4e8dcc7d29d125"
 
 // planMatrixSHA256 is the SHA-256 of structureDigest over the same graphs
 // in the same order. It reads the graph rather than its encoding, so an

@@ -57,7 +57,9 @@ func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 		start := math.Max(ready[id], free[slot])
 		d := &g.descs[di]
 		comms := d.kind == descAllReduceTP || d.kind == descAllReduceDP || d.kind == descP2P
-		if ct != nil && t.Stream == CommStream && comms && dur > 0 {
+		// A flow that occupies no time on the timeline contends with
+		// nothing, as in contend.
+		if ct != nil && t.Stream == CommStream && comms && start+dur > start {
 			var path comm.Path
 			switch d.kind {
 			case descAllReduceTP:

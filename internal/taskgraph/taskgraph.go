@@ -27,9 +27,8 @@
 //     one priced (duration, FLOPs) value per descriptor, which Replay
 //     gathers through the graph's per-task descriptor index.
 //
-// Hand-built graphs (Builder.AddTask) follow the same path: each task's
-// literal duration is interned as a descriptor that every binding prices
-// verbatim.
+// Lower is the only producer of graphs, so every descriptor is one Bind
+// prices, and a task's accounting class follows from its descriptor.
 //
 // A lowered Graph is immutable: all per-replay state (finish times,
 // resource timelines) lives in a pooled scratch structure, and all per-plan
@@ -70,25 +69,6 @@ const (
 	OperatorLevel
 )
 
-// Task describes one vertex of the task-granularity execution graph: the
-// structural attributes TaskAt assembles from the graph's slabs, and the
-// input Builder.AddTask takes. Durations are not task attributes; they bind
-// per plan into a DurationTable (see Graph.Bind).
-type Task struct {
-	// ID is the task's index in the graph.
-	ID int
-	// Device is the logical device (pipeline stage).
-	Device int
-	// Stream is the device resource the task occupies.
-	Stream Stream
-	// Source is the originating operator-graph node ID.
-	Source int
-	// Class is the accounting bucket: the operator kind for computation
-	// ("FwdMHA", "WeightUpdate", ...) or the communication kind
-	// ("AllReduceTP", "AllReduceDP", "P2P").
-	Class string
-}
-
 // Graph is the task-granularity execution graph: flat per-task slabs plus
 // a CSR of each task's parents. Once built it is never mutated, so it is
 // safe to share across goroutines and replay any number of times.
@@ -98,19 +78,19 @@ type Task struct {
 // finalize). Every parent therefore has a smaller id than its child, and
 // replay is one forward pass over ids 0..n-1.
 //
-// Every per-task attribute lives in a flat slice (slotOf, classOf, durIdx,
+// Every per-task attribute lives in a flat slice (slotOf, durIdx,
 // sources). A task would carry nothing but indices — its durations bind
 // per plan, its label resolves through the source operator — so
-// materializing a Task value per task would only burn allocation, zeroing,
+// materializing a struct per task would only burn allocation, zeroing,
 // and GC scan time in the sweep hot path, and would make disk-loaded graphs
 // pay a per-task decode loop.
 type Graph struct {
 	// Devices is the number of logical devices (pipeline stages), each
 	// owning one compute and one communication stream.
 	Devices int
-	// Model is the model the graph was lowered from (zero for hand-built
-	// graphs). The model is part of the structural shape — the layer split
-	// depends on it — so Bind prices operators against it directly.
+	// Model is the model the graph was lowered from. The model is part of
+	// the structural shape — the layer split depends on it — so Bind
+	// prices operators against it directly.
 	Model model.Config
 
 	// CSR adjacency: the parents of task i are
@@ -118,117 +98,30 @@ type Graph struct {
 	// below i.
 	parentStart []int32
 	parents     []int32
-	// classes interns the distinct Class strings; classOf maps each task
-	// to its class index so replay accumulates into a flat slice instead
-	// of a map.
-	classes []string
-	classOf []int32
-	// slotOf maps each task to its resource slot 2*Device + Stream. The
-	// replay loop reads it instead of the Task values: tasks are large
-	// (they carry strings and trace fields), so touching one per pop would
-	// cost a cache miss per task. It is filled for every graph and doubles
-	// as the per-task length (see NumTasks).
+	// slotOf maps each task to its resource slot 2*Device + Stream. It
+	// doubles as the per-task length (see NumTasks).
 	slotOf []int32
-	// sources maps each task to its originating operator-graph node (for
-	// hand-built graphs, the Task.Source it was added with).
+	// sources maps each task to its originating operator-graph node.
 	sources []int32
 	// descs is the compact duration-descriptor table: every distinct way a
 	// task can be priced, deduplicated. durIdx maps each task to its
 	// descriptor. Bind prices each descriptor once for one plan.
 	descs  []durDesc
 	durIdx []int32
+	// classes holds the distinct accounting classes, and descClass maps
+	// each descriptor to its class index, so replay accumulates a task's
+	// busy seconds into a flat slice through its descriptor (see
+	// indexClasses).
+	classes   []string
+	descClass []int32
 }
 
 // NumTasks returns the number of tasks in the graph.
 func (g *Graph) NumTasks() int { return len(g.slotOf) }
 
-// TaskAt assembles the task value for id from the slabs.
-func (g *Graph) TaskAt(id int) Task {
-	slot := g.slotOf[id]
-	return Task{
-		ID:     id,
-		Device: int(slot / 2),
-		Stream: Stream(slot % 2),
-		Source: int(g.sources[id]),
-		Class:  g.classes[g.classOf[id]],
-	}
-}
-
-// Builder accumulates hand-built tasks and dependency edges and finalizes
-// them into an immutable Graph, through the same finalize as Lower.
-type Builder struct {
-	g       Graph
-	tasks   []provTask
-	edges   [][2]int32
-	classID map[string]int32
-	descID  map[durDesc]int32
-}
-
 // provTask is a task's slab entries under its provisional id, before
 // finalize places them in dispatch order.
-type provTask struct{ class, slot, source, desc int32 }
-
-// NewBuilder starts a graph over the given number of logical devices.
-func NewBuilder(devices int) *Builder {
-	return &Builder{
-		g:       Graph{Devices: devices},
-		classID: make(map[string]int32),
-		descID:  make(map[durDesc]int32),
-	}
-}
-
-// intern returns the class index for name, adding it on first use.
-func (b *Builder) intern(name string) int32 {
-	cid, ok := b.classID[name]
-	if !ok {
-		cid = int32(len(b.g.classes))
-		b.g.classes = append(b.g.classes, name)
-		b.classID[name] = cid
-	}
-	return cid
-}
-
-// addTaskDesc appends a task together with its interned duration
-// descriptor, returning its provisional ID (t.ID is ignored).
-func (b *Builder) addTaskDesc(t Task, d durDesc) int {
-	di, ok := b.descID[d]
-	if !ok {
-		di = int32(len(b.g.descs))
-		b.g.descs = append(b.g.descs, d)
-		b.descID[d] = di
-	}
-	b.tasks = append(b.tasks, provTask{b.intern(t.Class), int32(2*t.Device) + int32(t.Stream), int32(t.Source), di})
-	return len(b.tasks) - 1
-}
-
-// AddTask appends a hand-built task that runs for duration seconds under
-// every binding, returning its provisional ID for AddEdge (t.ID is
-// ignored). The duration is interned as a literal descriptor, so hand-built
-// graphs bind and replay exactly like lowered ones.
-func (b *Builder) AddTask(t Task, duration float64) int {
-	return b.addTaskDesc(t, durDesc{kind: descLiteral, literal: duration})
-}
-
-// AddEdge records that task to depends on task from.
-func (b *Builder) AddEdge(from, to int) {
-	b.edges = append(b.edges, [2]int32{int32(from), int32(to)})
-}
-
-// Build finalizes the accumulated tasks and edges into a Graph whose task
-// ids are the dispatch order, so the provisional IDs AddTask returned do
-// not survive: identify a built task by its Task.Source. A dependency
-// cycle, or an edge naming an unknown task, is an error. The builder must
-// not be reused afterwards.
-//
-// Build's scratch is not pooled: hand-built graphs are one-offs.
-func (b *Builder) Build() (*Graph, error) {
-	g := b.g // a copy, so the graph does not keep the builder alive
-	var sc finalizeScratch
-	if err := sc.finalize(&g, b.tasks, b.edges); err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
+type provTask struct{ slot, source, desc int32 }
 
 // finalizeScratch holds the temporaries of finalize, and the provisional
 // tasks and edges of a lowering. Operator-level lowerings pool it because
@@ -294,12 +187,12 @@ func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, edges [][2]int32
 	// final id; its parents row is written then, in final order. Its other
 	// parents, recorded in its dependency row as they dispatched, precede
 	// the last, so each row lists its parents in ascending final id.
-	classOf, slotOf, sources, durIdx := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+	slotOf, sources, durIdx := make([]int32, n), make([]int32, n), make([]int32, n)
 	parentStart, parents := make([]int32, n+1), make([]int32, len(edges))
 	for head := 0; head < len(order); head++ {
 		o := order[head]
 		t := tasks[o]
-		classOf[head], slotOf[head], sources[head], durIdx[head] = t.class, t.slot, t.source, t.desc
+		slotOf[head], sources[head], durIdx[head] = t.slot, t.source, t.desc
 		for _, c := range children[at[o].child:at[o+1].child] {
 			if at[c].next+1 < at[c+1].dep {
 				deps[at[c].next] = int32(head)
@@ -321,7 +214,7 @@ func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, edges [][2]int32
 	if len(order) != n {
 		return fmt.Errorf("taskgraph: dependency cycle: %d of %d tasks can never dispatch", n-len(order), n)
 	}
-	g.classOf, g.slotOf, g.sources, g.durIdx = classOf, slotOf, sources, durIdx
+	g.slotOf, g.sources, g.durIdx = slotOf, sources, durIdx
 	g.parentStart, g.parents = parentStart, parents
 	return nil
 }

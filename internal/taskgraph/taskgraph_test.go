@@ -226,8 +226,7 @@ func TestZeroTaskGraphErrors(t *testing.T) {
 	// an all-zero Result, which core then dressed up as a plausible
 	// all-zero Report. It must be an explicit error on every replay path,
 	// bound or not.
-	g := mustBuild(t, NewBuilder(1))
-	tbl := bindLiteral(g)
+	g, tbl := mustBuild(t, NewBuilder(1))
 	for _, tb := range []*DurationTable{nil, tbl} {
 		if _, err := g.Replay(tb, nil); err == nil {
 			t.Fatal("Replay on a zero-task graph must error")
@@ -239,12 +238,6 @@ func TestZeroTaskGraphErrors(t *testing.T) {
 			t.Fatal("ReplayBatchContended on a zero-task graph must error")
 		}
 	}
-}
-
-// bindLiteral binds a hand-built graph, whose literal durations need no
-// profiler, communication model, plan, or cluster.
-func bindLiteral(g *Graph) *DurationTable {
-	return g.Bind(nil, nil, parallel.Plan{}, hw.Cluster{})
 }
 
 func TestStructuralGraphRequiresBinding(t *testing.T) {
@@ -302,16 +295,6 @@ func TestBindSharedGraphAcrossPlans(t *testing.T) {
 	}
 }
 
-// mustBuild finalizes a hand-built graph, failing the test on a Build error.
-func mustBuild(t testing.TB, b *Builder) *Graph {
-	t.Helper()
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 func TestBuildRejectsCycle(t *testing.T) {
 	// A hand-built cyclic graph must be reported, not spin. Build fixes the
 	// dispatch order, so a cycle is found there, before any replay.
@@ -322,19 +305,19 @@ func TestBuildRejectsCycle(t *testing.T) {
 	} {
 		b := NewBuilder(1)
 		for i := 0; i < 4; i++ {
-			b.AddTask(Task{Source: i}, 1)
+			b.AddTask(0, ComputeStream, i, compute(profiler.FwdMHA), 1)
 		}
 		for _, e := range edges {
 			b.AddEdge(e[0], e[1])
 		}
-		if g, err := b.Build(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		if g, _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "cycle") {
 			t.Fatalf("%s: Build = (%v, %v), want a cycle error", name, g, err)
 		}
 	}
 	b := NewBuilder(1)
-	b.AddTask(Task{}, 1)
+	b.AddTask(0, ComputeStream, 0, compute(profiler.FwdMHA), 1)
 	b.AddEdge(0, 1)
-	if _, err := b.Build(); err == nil {
+	if _, _, err := b.Build(); err == nil {
 		t.Fatal("an edge to an unknown task must be a Build error")
 	}
 }
@@ -343,16 +326,17 @@ func TestBuilderAdjacency(t *testing.T) {
 	// Tasks are added out of dispatch order: c and d depend on a, which is
 	// added second, and e depends on d then c. Build renumbers them into
 	// Algorithm 1's FIFO order a, c, d, e, which Task.Source identifies.
+	// a and d share class FwdMHA, c is FwdFFN and e FwdLMHead.
 	b := NewBuilder(1)
-	c := b.AddTask(Task{Source: 1, Class: "B"}, 1)
-	a := b.AddTask(Task{Source: 0, Class: "A"}, 1)
-	d := b.AddTask(Task{Source: 2, Class: "A"}, 1)
-	e := b.AddTask(Task{Source: 3, Class: "C"}, 1)
+	c := b.AddTask(0, ComputeStream, 1, compute(profiler.FwdFFN), 1)
+	a := b.AddTask(0, ComputeStream, 0, compute(profiler.FwdMHA), 1)
+	d := b.AddTask(0, ComputeStream, 2, compute(profiler.FwdMHA), 1)
+	e := b.AddTask(0, ComputeStream, 3, compute(profiler.FwdLMHead), 1)
 	b.AddEdge(a, c)
 	b.AddEdge(a, d)
 	b.AddEdge(d, e)
 	b.AddEdge(c, e)
-	g := mustBuild(t, b)
+	g, tbl := mustBuild(t, b)
 	for id := 0; id < g.NumTasks(); id++ {
 		if src := g.TaskAt(id).Source; src != id {
 			t.Fatalf("task %d has source %d, want dispatch order a, c, d, e", id, src)
@@ -365,13 +349,12 @@ func TestBuilderAdjacency(t *testing.T) {
 	if want := []int32{0, 0, 1, 2}; !reflect.DeepEqual(g.parents, want) {
 		t.Fatalf("parents = %v, want %v", g.parents, want)
 	}
-	tbl := bindLiteral(g)
 	res, err := g.Replay(tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, 0, res, referenceReplay(g, tbl, nil))
-	if res.Executed != 4 || res.ClassSeconds["A"] != 2 || res.ClassSeconds["B"] != 1 || res.IterTime != 4 {
+	if res.Executed != 4 || res.ClassSeconds["FwdMHA"] != 2 || res.ClassSeconds["FwdFFN"] != 1 || res.IterTime != 4 {
 		t.Fatalf("unexpected result %+v", res)
 	}
 }

@@ -28,9 +28,9 @@ func TestContendedTraceGolden(t *testing.T) {
 	b := NewBuilder(stages)
 	desc := durDesc{kind: descAllReduceDP, stageParams: 1 << 20, buckets: 1}
 	for dev := 0; dev < stages; dev++ {
-		b.addTaskDesc(Task{Device: dev, Stream: CommStream, Class: "AllReduceDP"}, desc)
+		b.AddTask(dev, CommStream, 0, desc, 0)
 	}
-	g := mustBuild(t, b)
+	g, _ := mustBuild(t, b)
 
 	plan := parallel.Plan{Tensor: 1, Data: 2, Pipeline: stages, MicroBatch: 1, GlobalBatch: 2 * stages}
 	tbl := g.Bind(nil, comm.NewModel(c), plan, c)

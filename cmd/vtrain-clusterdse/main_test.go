@@ -136,3 +136,17 @@ func goodputColumn(t *testing.T, out string) []float64 {
 	}
 	return vals
 }
+
+// TestGPUCountOverflowFails: 2^61+1 nodes of 8 GPUs wrap the GPU count to
+// 8, so the command must fail instead of ranking a phantom cluster.
+func TestGPUCountOverflowFails(t *testing.T) {
+	args := []string{
+		"-model", "megatron-3.6b", "-batch", "8", "-tokens", "1e9",
+		"-nodes", "2305843009213693953", "-offerings", "a100-sxm-80gb", "-progress=false",
+	}
+	var out bytes.Buffer
+	err := run(args, &out, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("run(%v) = %v, want a GPU-count overflow error; stdout:\n%s", args, err, out.Bytes())
+	}
+}

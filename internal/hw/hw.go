@@ -14,7 +14,10 @@
 // sweep the hardware axis the paper's Table II compares by hand.
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Arch identifies a GPU micro-architecture generation. The analytical
 // kernel model in internal/gpu keys its empirical efficiency knobs (tensor
@@ -146,6 +149,9 @@ func (c Cluster) Validate() error {
 	}
 	if c.Node.GPUsPerNode <= 0 {
 		return fmt.Errorf("hw: node needs at least one GPU, got %d", c.Node.GPUsPerNode)
+	}
+	if c.NodeCount > math.MaxInt/c.Node.GPUsPerNode {
+		return fmt.Errorf("hw: %d nodes of %d GPUs overflow the GPU count", c.NodeCount, c.Node.GPUsPerNode)
 	}
 	if c.Node.GPU.PeakTensorFLOPS <= 0 || c.Node.GPU.MemBandwidth <= 0 {
 		return fmt.Errorf("hw: GPU %q has non-positive peak throughput", c.Node.GPU.Name)

@@ -1,6 +1,9 @@
 package hw
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPaperClusterShape(t *testing.T) {
 	c := PaperCluster(64)
@@ -54,6 +57,25 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatal("Validate() = nil, want error")
 			}
 		})
+	}
+}
+
+// TestValidateGPUCountBoundary: the largest node count whose GPU count fits
+// an int validates, and one more node is rejected rather than wrapping (on
+// 64-bit hosts, 2^61+1 nodes of 8 GPUs would otherwise count 8 GPUs).
+func TestValidateGPUCountBoundary(t *testing.T) {
+	c := PaperCluster(1)
+	gpn := c.Node.GPUsPerNode
+	c.NodeCount = math.MaxInt / gpn
+	if err := c.Validate(); err != nil {
+		t.Fatalf("%d nodes of %d GPUs: %v", c.NodeCount, gpn, err)
+	}
+	if got, want := c.TotalGPUs()/gpn, c.NodeCount; got != want {
+		t.Fatalf("TotalGPUs()/%d = %d, want %d", gpn, got, want)
+	}
+	c.NodeCount++
+	if err := c.Validate(); err == nil {
+		t.Fatalf("%d nodes of %d GPUs validated, but their GPU count overflows", c.NodeCount, gpn)
 	}
 }
 

@@ -432,6 +432,13 @@ func (e *Engine) PrepareClusterDSE(req ClusterDSERequest) (*ClusterRun, error) {
 	if err != nil {
 		return nil, badRequest(err)
 	}
+	for _, o := range offs {
+		for _, n := range req.NodeCounts {
+			if err := o.Cluster(n).Validate(); err != nil {
+				return nil, badRequest(fmt.Errorf("server: %s x %d nodes: %w", o.Name, n, err))
+			}
+		}
+	}
 	fid, err := ParseFidelity(req.Fidelity, taskgraph.OperatorLevel)
 	if err != nil {
 		return nil, badRequest(err)

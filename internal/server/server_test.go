@@ -206,6 +206,25 @@ func TestClusterDSENoFeasible400(t *testing.T) {
 	}
 }
 
+// TestClusterDSEGPUCountOverflow400: a node count whose GPU count wraps an
+// int (2^61+1 nodes of 8 GPUs would count 8) is a structured 400 before
+// any streaming, not a sweep that ranks a phantom cluster.
+func TestClusterDSEGPUCountOverflow400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	wrapped := strings.Replace(clusterBody, `"node_counts": [1]`, `"node_counts": [1, 2305843009213693953]`, 1)
+	code, body, _ := post(t, ts, "/v1/clusterdse", wrapped)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400; body: %s", code, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal([]byte(body), &eb); err != nil {
+		t.Fatalf("error body is not structured JSON: %v\n%s", err, body)
+	}
+	if !strings.Contains(eb.Error.Message, "overflow") {
+		t.Errorf("error message = %q, want the GPU-count overflow explanation", eb.Error.Message)
+	}
+}
+
 // TestOverflowingEconomics400 locks the finite-economics contract: a price
 // so large that the projected cost is +Inf cannot be encoded as JSON, so
 // /v1/simulate must answer a structured 400 instead of a 200 with an empty

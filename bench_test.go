@@ -20,6 +20,9 @@ package vtrain_bench
 
 import (
 	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -639,76 +642,76 @@ func BenchmarkDSESweep(b *testing.B) {
 // same 563-point sweep as BenchmarkDSESweep, but served by a fresh
 // simulator (empty memory caches — a new process, in effect) over an
 // artifact directory a previous sweep populated. One op = one whole warm
-// sweep. The cold baseline is the first-ever run with the same artifact
-// directory enabled — the run a user actually pays for once per machine:
-// it lowers every structure AND persists it. The acceptance bars are
-// hard: every structural load must come from disk (disk_hit_pct = 100,
-// zero lowerings), and the warm sweep must be at least 3x faster than
-// that cold first run.
+// sweep. The acceptance bars are hard: every structural load must come
+// from disk (disk_hit_pct = 100, zero lowerings), and the warm sweep must
+// be at least 3x faster than a cold run with the artifact directory
+// enabled — the run a user pays for once per machine, which lowers every
+// structure AND persists it.
 //
-// The cold baseline is captured once per process: under -count=N every run
-// still populates its own directory, but a repeat populate inside a warm
-// process (grown heap, primed scratch pools) understates the cost a truly
-// cold process pays, so only the first — genuinely cold — measurement
-// stands as the baseline.
-var coldSweepOnce sync.Once
-var coldSweep time.Duration
-
+// The speedup gate (speedup_vs_cold) is the median of five cold/warm pairs
+// timed in this process after the timed loop, each cold sweep filling a
+// fresh directory that its warm twin then reads. One slow sweep on a shared
+// host moves one pair, not the median.
 func BenchmarkDSESweepWarmDisk(b *testing.B) {
 	m := model.Megatron39_1B()
 	cluster := hw.PaperCluster(256)
+	// sweep runs the whole sweep on a fresh simulator over the artifact
+	// directory dir.
+	sweep := func(dir string) ([]dse.Point, core.CacheStats, time.Duration) {
+		start := time.Now()
+		sim, err := core.New(cluster, core.WithFidelity(taskgraph.OperatorLevel), core.WithCacheSize(0), core.WithArtifactDir(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		points, err := dse.Explore(sim, m, dseSweepSpace())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return points, sim.CacheStats(), time.Since(start)
+	}
+
 	dir := b.TempDir()
-
-	// Cold baseline: the first run against an empty artifact directory
-	// pays lowering plus marshal/checksum/write for every structure. This
-	// is also what populates the directory for the warm runs below.
-	popSim, err := core.New(cluster, core.WithFidelity(taskgraph.OperatorLevel), core.WithCacheSize(0), core.WithArtifactDir(dir))
-	if err != nil {
-		b.Fatal(err)
-	}
-	coldStart := time.Now()
-	if _, err := dse.Explore(popSim, m, dseSweepSpace()); err != nil {
-		b.Fatal(err)
-	}
-	coldSweepOnce.Do(func() { coldSweep = time.Since(coldStart) })
-	cold := coldSweep
-
-	var points []dse.Point
-	var sim *core.Simulator
-	var warm time.Duration // fastest warm sweep observed
+	sweep(dir) // populate the directory the timed warm sweeps read
+	var (
+		points []dse.Point
+		st     core.CacheStats
+	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iterStart := time.Now()
-		sim, err = core.New(cluster, core.WithFidelity(taskgraph.OperatorLevel), core.WithCacheSize(0), core.WithArtifactDir(dir))
-		if err != nil {
-			b.Fatal(err)
-		}
-		points, err = dse.Explore(sim, m, dseSweepSpace())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The speedup gate compares the minimum iteration, not the mean:
-		// scheduler preemption and GC pauses only ever add time, so the
-		// minimum is the noise-robust estimate of the intrinsic warm cost.
-		if d := time.Since(iterStart); warm == 0 || d < warm {
-			warm = d
-		}
+		points, st, _ = sweep(dir)
 	}
 	b.StopTimer()
-	st := sim.CacheStats()
 	hitPct := 100 * float64(st.DiskHits) / float64(max(st.DiskHits+st.DiskMisses, 1))
 	b.ReportMetric(float64(len(points)), "design_points")
 	b.ReportMetric(hitPct, "disk_hit_pct")
 	b.ReportMetric(float64(st.Lowerings), "lowerings")
-	b.ReportMetric(cold.Seconds()/warm.Seconds(), "speedup_vs_cold")
 	if hitPct < 100 {
 		b.Fatalf("disk hit rate %.1f%% (%d hits, %d misses), want 100%%", hitPct, st.DiskHits, st.DiskMisses)
 	}
 	if st.Lowerings != 0 {
 		b.Fatalf("warm sweep lowered %d graphs, want 0", st.Lowerings)
 	}
-	if warm*3 > cold {
-		b.Fatalf("warm sweep %v not >= 3x faster than cold first run %v", warm, cold)
+
+	// Untimed tail: the speedup bar over five in-process cold/warm pairs.
+	var (
+		pairs    [5]string
+		speedups [5]float64
+	)
+	for i := range speedups {
+		pairDir := b.TempDir()
+		_, _, cold := sweep(pairDir)
+		_, _, warm := sweep(pairDir)
+		if err := os.RemoveAll(pairDir); err != nil {
+			b.Fatal(err)
+		}
+		speedups[i] = cold.Seconds() / warm.Seconds()
+		pairs[i] = fmt.Sprintf("cold %v / warm %v = %.1fx", cold, warm, speedups[i])
+	}
+	slices.Sort(speedups[:])
+	speedup := speedups[len(speedups)/2]
+	b.ReportMetric(speedup, "speedup_vs_cold")
+	if speedup < 3 {
+		b.Fatalf("median warm sweep speedup %.1fx over cold, want >= 3x; pairs: %s", speedup, strings.Join(pairs[:], "; "))
 	}
 }
 

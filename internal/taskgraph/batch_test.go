@@ -282,9 +282,10 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{1, 7, 0, 0, 5, 1, 24, 1, 48, 3, 72, 6, 96, 5})
 	f.Add([]byte{3, 42, 1, 0, 2, 0, 3, 0, 4, 15, 13, 1, 30, 2, 55, 12, 80, 255, 101, 128})
 	f.Add([]byte{2, 9, 4, 0, 29, 1, 4, 1, 53, 2, 12, 3, 77, 4, 100, 9, 4, 0, 117, 17})
-	// Four stages at t=8, d=8 on a blocking spine, every comm descriptor
-	// kind, overlapping on the comm streams.
-	f.Add([]byte{123, 5, 4, 0, 13, 1, 21, 1, 69, 3, 77, 3, 85, 7, 52, 2, 188, 15, 229, 255})
+	// Four stages at t=4, d=8 on a blocking spine: four concurrent
+	// data-parallel collectives and two transfers contend on the spine,
+	// beside a tensor-parallel collective and a compute task.
+	f.Add([]byte{123, 5, 84, 0, 85, 0, 86, 0, 87, 0, 92, 0, 93, 1, 76, 0, 48, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		devices, tasks, edges := fuzzDAG(data)
 		if len(tasks) == 0 {

@@ -21,6 +21,7 @@ package vtrain_bench
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -650,8 +651,9 @@ func BenchmarkDSESweep(b *testing.B) {
 //
 // The speedup gate (speedup_vs_cold) is the median of five cold/warm pairs
 // timed in this process after the timed loop, each cold sweep filling a
-// fresh directory that its warm twin then reads. One slow sweep on a shared
-// host moves one pair, not the median.
+// fresh directory that its warm twin then reads, and each sweep starting
+// from a collected heap. One slow sweep on a shared host moves one pair,
+// not the median.
 func BenchmarkDSESweepWarmDisk(b *testing.B) {
 	m := model.Megatron39_1B()
 	cluster := hw.PaperCluster(256)
@@ -698,8 +700,12 @@ func BenchmarkDSESweepWarmDisk(b *testing.B) {
 		speedups [5]float64
 	)
 	for i := range speedups {
+		// Each sweep starts from a collected heap, so the warm sweep does not
+		// pay to collect the cold sweep's garbage.
 		pairDir := b.TempDir()
+		runtime.GC()
 		_, _, cold := sweep(pairDir)
+		runtime.GC()
 		_, _, warm := sweep(pairDir)
 		if err := os.RemoveAll(pairDir); err != nil {
 			b.Fatal(err)

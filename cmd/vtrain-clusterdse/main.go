@@ -72,6 +72,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Check the budget before converting it: Go's uint64 conversion of a
+	// negative, NaN, or ≥ 2^64 value yields a meaningless budget.
+	if !(*tokens >= 0 && *tokens < 1<<64) {
+		return fmt.Errorf("-tokens must be in [0, 2^64), got %v", *tokens)
+	}
 
 	nodeCounts, err := parseInts(*nodesList)
 	if err != nil {
@@ -221,11 +226,18 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func dumpCSV(path string, points []clusterdse.Point, name string) error {
+func dumpCSV(path string, points []clusterdse.Point, name string) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
+	// A full disk or closed pipe can surface at any Write, at Flush, or
+	// at Close: close the file on every path and keep the first error.
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	w := csv.NewWriter(f)
 	if err := w.Write([]string{"model", "offering", "interconnect", "nodes", "gpus",
 		"t", "d", "p", "m", "iter_s", "util", "days", "gpu_hours", "dollars",
@@ -255,9 +267,5 @@ func dumpCSV(path string, points []clusterdse.Point, name string) error {
 		}
 	}
 	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return w.Error()
 }

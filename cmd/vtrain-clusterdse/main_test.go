@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"vtrain/internal/clusterdse"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -148,5 +150,43 @@ func TestGPUCountOverflowFails(t *testing.T) {
 	err := run(args, &out, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Fatalf("run(%v) = %v, want a GPU-count overflow error; stdout:\n%s", args, err, out.Bytes())
+	}
+}
+
+// TestTokensOutOfRangeFails pins the -tokens bound: a negative, NaN, or
+// ≥ 2^64 budget is an error before any sweep runs, never a wrapped budget
+// that ranks clusters by nonsense days and dollars.
+func TestTokensOutOfRangeFails(t *testing.T) {
+	for _, tokens := range []string{"-1e9", "1e30", "NaN"} {
+		args := []string{"-model", "megatron-3.6b", "-batch", "64", "-tokens", tokens,
+			"-nodes", "1", "-offerings", "a100-sxm-80gb", "-top", "1", "-progress=false"}
+		var out bytes.Buffer
+		if err := run(args, &out, io.Discard); err == nil || !strings.Contains(err.Error(), "-tokens") {
+			t.Errorf("-tokens %s: run = %v, want a -tokens range error; stdout:\n%s", tokens, err, out.Bytes())
+		}
+	}
+}
+
+// TestCSVWriteErrorClosesFile writes a CSV larger than the csv writer's
+// 4 KiB buffer to /dev/full, so a row Write fails before Flush: dumpCSV
+// must return the error and still close the file.
+func TestCSVWriteErrorClosesFile(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd on this platform")
+		}
+		return len(fds)
+	}
+	points := make([]clusterdse.Point, 500)
+	before := openFDs()
+	if err := dumpCSV("/dev/full", points, strings.Repeat("m", 64)); err == nil {
+		t.Fatal("writing the CSV to a full device did not error")
+	}
+	if after := openFDs(); after != before {
+		t.Errorf("dumpCSV leaked a descriptor on a write error: %d open before, %d after", before, after)
 	}
 }

@@ -55,6 +55,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Check the budget before converting it: Go's uint64 conversion of a
+	// negative, NaN, or ≥ 2^64 value yields a meaningless budget.
+	if !(*tokens >= 0 && *tokens < 1<<64) {
+		return fmt.Errorf("-tokens must be in [0, 2^64), got %v", *tokens)
+	}
+	budget := uint64(*tokens)
 
 	var engOpts []server.EngineOption
 	if *cacheDir != "" {
@@ -65,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Model:       descfile.ModelSection{Preset: *preset},
 		Cluster:     descfile.ClusterSection{Nodes: *nodes},
 		GlobalBatch: *batch,
-		TotalTokens: uint64(*tokens),
+		TotalTokens: budget,
 		MaxGPUs:     *maxGPUs,
 		Contention:  *contention,
 	})
@@ -110,19 +116,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		n = len(points)
 	}
 	for _, p := range points[:n] {
-		tr := cost.Train(p.Report.Model, *batch, p.Report.IterTime, p.Plan.GPUs(), uint64(*tokens), cluster)
+		tr := cost.Train(p.Report.Model, *batch, p.Report.IterTime, p.Plan.GPUs(), budget, cluster)
 		fmt.Fprintf(stdout, "%-28s %8d %8.2f %7.2f %8.2f %10.0f %9.2f\n",
 			p.Plan, p.Plan.GPUs(), p.Report.IterTime, 100*p.Report.Utilization,
 			tr.Days, tr.DollarsPerHour, tr.TotalDollars/1e6)
 	}
 
-	if best, tr, ok := dse.CheapestOn(cluster, points, uint64(*tokens)); ok {
+	if best, tr, ok := dse.CheapestOn(cluster, points, budget); ok {
 		fmt.Fprintf(stdout, "\ncheapest plan: %s — %.2f days, $%.2fM, %.2f%% utilization\n",
 			best.Plan, tr.Days, tr.TotalDollars/1e6, 100*tr.Utilization)
 	}
 
 	if *csvPath != "" {
-		if err := dumpCSV(*csvPath, cluster, points, *batch, uint64(*tokens)); err != nil {
+		if err := dumpCSV(*csvPath, cluster, points, *batch, budget); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %d points to %s\n", len(points), *csvPath)

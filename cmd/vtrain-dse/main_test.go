@@ -140,3 +140,17 @@ func TestCSVWriteErrorSurfaces(t *testing.T) {
 		t.Fatal("writing the CSV to a full device did not error")
 	}
 }
+
+// TestTokensOutOfRangeFails pins the -tokens bound: a negative, NaN, or
+// ≥ 2^64 budget is an error before any sweep runs, never a wrapped budget
+// that prints nonsense days and dollars.
+func TestTokensOutOfRangeFails(t *testing.T) {
+	for _, tokens := range []string{"-1e9", "1e30", "NaN"} {
+		args := []string{"-model", "megatron-3.6b", "-batch", "64", "-nodes", "8",
+			"-tokens", tokens, "-top", "2", "-progress=false"}
+		var out bytes.Buffer
+		if err := run(args, &out, io.Discard); err == nil || !strings.Contains(err.Error(), "-tokens") {
+			t.Errorf("-tokens %s: run = %v, want a -tokens range error; stdout:\n%s", tokens, err, out.Bytes())
+		}
+	}
+}

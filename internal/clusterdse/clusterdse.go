@@ -284,7 +284,9 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 					return fmt.Errorf("clusterdse: %s: %w", cand, err)
 				}
 			}
-			sib, err := parent.ForCluster(cl, core.WithContention(s.Contention))
+			// A sibling lives for one sweep and sees each of its plans
+			// once, so a report cache could never hit: derive it without.
+			sib, err := parent.ForCluster(cl, core.WithContention(s.Contention), core.WithCacheSize(0))
 			if err != nil {
 				return fmt.Errorf("clusterdse: %s: %w", cand, err)
 			}

@@ -48,7 +48,7 @@ type Simulator struct {
 	structs    *structCache
 	batches    *batchStats
 	// artifacts is the persistent tier below the in-memory structural
-	// cache (nil unless WithArtifactDir/WithArtifactStore is given):
+	// cache (nil unless WithArtifactDir is given):
 	// memory miss -> disk load -> lowering, with fresh lowerings written
 	// back. ForCluster siblings share it, like the structural cache.
 	artifactDir string
@@ -118,13 +118,6 @@ func WithArtifactDir(dir string) Option {
 	return func(s *Simulator) { s.artifactDir = dir }
 }
 
-// WithArtifactStore is WithArtifactDir for callers that already hold an
-// open store: the serving layer opens one store and shares it (counters
-// included) across its whole simulator pool.
-func WithArtifactStore(st *artifact.Store) Option {
-	return func(s *Simulator) { s.artifacts = st }
-}
-
 // New builds a simulator for the cluster, profiling its intra-node fabric.
 func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
@@ -153,7 +146,7 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	s.batches = new(batchStats)
 	s.lowerings = new(atomic.Uint64)
 	s.opsSaved = new(atomic.Int64)
-	if s.artifacts == nil && s.artifactDir != "" {
+	if s.artifactDir != "" {
 		st, err := artifact.Open(s.artifactDir)
 		if err != nil {
 			return nil, err
@@ -180,9 +173,9 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 //
 // Options may tune the sibling's report cache, communication model, device,
 // or contention level (contention binds at replay time, never into the
-// shared structure), but must not change the fidelity: it is a property of
-// the shared cache, so a mismatch is an error. CacheStats on any sibling
-// reports the shared structural counters.
+// shared structure), but must not change the fidelity or the artifact dir:
+// both are properties of the shared cache, so a mismatch is an error.
+// CacheStats on any sibling reports the shared structural counters.
 func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -214,7 +207,7 @@ func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error)
 	if sib.fidelity != s.fidelity {
 		return nil, fmt.Errorf("core: ForCluster cannot change fidelity: the shared structural cache is keyed by the parent's")
 	}
-	if sib.artifacts != s.artifacts || sib.artifactDir != s.artifactDir {
+	if sib.artifactDir != s.artifactDir {
 		return nil, fmt.Errorf("core: ForCluster cannot change the artifact store: it is shared with the parent")
 	}
 	sib.cache = newReportCache(sib.cacheSize)
@@ -263,15 +256,14 @@ type CacheStats struct {
 	// unset): a persisted graph is one file, as is each operator-table
 	// save. A corrupt, truncated, or version-skewed artifact counts as a
 	// miss and falls back to lowering; it is never an error. The counters
-	// live on the artifact store, so simulators sharing one store
-	// (ForCluster siblings, a serving pool) report the same store-wide
-	// totals.
+	// live on the artifact store, so every ForCluster sibling of one root
+	// reports the same store-wide totals.
 	DiskHits, DiskMisses, DiskWrites uint64
 }
 
 // Add returns the field-wise sum of s and t, for aggregating counters
-// across a pool of simulators — the serving layer's /metrics endpoint sums
-// every pooled simulator's stats into one scrape.
+// across simulator trees — the serving layer's /metrics endpoint sums its
+// roots' tree-wide stats and its siblings' report counters into one scrape.
 func (s CacheStats) Add(t CacheStats) CacheStats {
 	return CacheStats{
 		ReportHits:   s.ReportHits + t.ReportHits,

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"vtrain/internal/artifact"
 	"vtrain/internal/clusterdse"
 	"vtrain/internal/core"
 	"vtrain/internal/cost"
@@ -16,40 +15,35 @@ import (
 	"vtrain/internal/taskgraph"
 )
 
-// DefaultPoolSize bounds how many distinct (cluster, fidelity) simulators
-// the engine keeps warm. Each pooled simulator owns a report cache and a
-// structural cache; the bound keeps a hostile request stream (every request
-// a new node count) from growing the pool without limit.
+// DefaultPoolSize bounds how many distinct (cluster, fidelity, contention)
+// simulators the engine keeps warm. Each pooled simulator is a ForCluster
+// sibling that owns a report cache and binds against its own cluster, while
+// lowered graphs live in its fidelity root's shared structural cache; the
+// bound keeps a hostile request stream (every request a new node count)
+// from growing the pool without limit.
 const DefaultPoolSize = 64
 
 // Engine is the transport-independent serving core: it resolves requests
-// to simulator inputs and routes them to a pool of core.Simulators whose
-// structural and report caches persist across requests. Identical
-// concurrent work dedupes through the simulators' single-flight lowering;
-// repeated configurations across users hit warm caches instead of paying
-// cold lowering, which is the whole point of running long-lived.
+// to simulator inputs and routes them to one simulator tree per fidelity —
+// a root built with core.New on first use and a pool of its ForCluster
+// siblings, one per (cluster, contention) — so a plan shape is lowered once
+// per fidelity however many clusters request it. Identical concurrent work
+// dedupes through the tree's single-flight lowering; repeated
+// configurations across users hit warm caches instead of paying cold
+// lowering, which is the whole point of running long-lived.
 //
 // An Engine is safe for concurrent use.
 type Engine struct {
 	simOpts  []core.Option
 	poolSize int
 
-	// artifactDir, when set, backs every simulator with one shared
-	// persistent artifact store: an evicted pool entry's lowered graphs
-	// survive on disk, and a restarted server is warm at request one. The
-	// store opens lazily on first simulator construction.
-	artifactDir  string
-	artifactOnce sync.Once
-	artifacts    *artifact.Store
-	artifactErr  error
-
 	mu    sync.Mutex
 	sims  map[simKey]*core.Simulator
 	order []simKey // insertion order, for FIFO eviction
 	roots map[taskgraph.Fidelity]*core.Simulator
-	// retired accumulates the final counters of evicted simulators, so the
+	// retired accumulates the report counters of evicted siblings, so the
 	// engine-wide totals (and therefore /metrics) stay monotone when the
-	// pool thrashes. Guarded by mu.
+	// pool thrashes; every other counter lives on the roots. Guarded by mu.
 	retired core.CacheStats
 }
 
@@ -62,32 +56,20 @@ type simKey struct {
 // EngineOption configures an Engine.
 type EngineOption func(*Engine)
 
-// WithSimulatorOptions appends core options applied to every simulator the
-// engine creates. One-shot CLI processes pass core.WithCacheSize(0): their
-// configurations never repeat, so the report cache would only hold garbage.
+// WithSimulatorOptions appends core options applied to every root simulator
+// the engine creates, and inherited by the root's siblings. One-shot CLI
+// processes pass core.WithCacheSize(0): their configurations never repeat,
+// so the report cache would only hold garbage.
 func WithSimulatorOptions(opts ...core.Option) EngineOption {
 	return func(e *Engine) { e.simOpts = append(e.simOpts, opts...) }
 }
 
-// WithArtifactDir enables the persistent artifact tier for every simulator
-// the engine creates: one shared content-addressed store under dir, so
-// lowered graphs survive pool eviction and process restarts, and the disk
-// counters in /metrics are store-wide totals. An empty dir leaves the tier
-// disabled (the default).
+// WithArtifactDir enables the persistent artifact tier under dir for every
+// root simulator, and so for every sibling below it: lowered graphs survive
+// process restarts, and the disk counters in /metrics are the roots'
+// store-wide totals. An empty dir leaves the tier disabled (the default).
 func WithArtifactDir(dir string) EngineOption {
-	return func(e *Engine) { e.artifactDir = dir }
-}
-
-// artifactStore lazily opens the engine's shared store; nil when no
-// artifact dir is configured.
-func (e *Engine) artifactStore() (*artifact.Store, error) {
-	if e.artifactDir == "" {
-		return nil, nil
-	}
-	e.artifactOnce.Do(func() {
-		e.artifacts, e.artifactErr = artifact.Open(e.artifactDir)
-	})
-	return e.artifacts, e.artifactErr
+	return WithSimulatorOptions(core.WithArtifactDir(dir))
 }
 
 // WithPoolSize bounds the simulator pool to n entries (DefaultPoolSize if
@@ -114,29 +96,52 @@ func NewEngine(opts ...EngineOption) *Engine {
 	return e
 }
 
-// simulator returns the pooled simulator for (c, fid, contention), creating
-// it on first use. When the pool is full the oldest entry is dropped: its
-// caches are garbage-collected once in-flight requests release it
-// (simulators are safe to use after eviction; new requests just build a
-// fresh one).
+// root returns the fidelity's root simulator, building it on cluster c on
+// first use. The root's cluster only decides which GPU's profiler later
+// siblings share — structure is hardware-invariant and every sibling binds
+// its own durations — and the root stays contention-off: contention binds
+// at replay time, so siblings set their own. c must be valid.
+func (e *Engine) root(fid taskgraph.Fidelity, c hw.Cluster) (*core.Simulator, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if r, ok := e.roots[fid]; ok {
+		return r, nil
+	}
+	r, err := core.New(c, append([]core.Option{core.WithFidelity(fid)}, e.simOpts...)...)
+	if err != nil {
+		return nil, err
+	}
+	e.roots[fid] = r
+	return r, nil
+}
+
+// simulator returns the pooled sibling for (c, fid, contention), deriving
+// it from the fidelity's root on first use. When the pool is full the
+// oldest entry is dropped: its report cache is garbage-collected once
+// in-flight requests release it, while its lowered graphs stay in the
+// root's structural cache (siblings are safe to use after eviction; new
+// requests just derive a fresh one).
 func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool) (*core.Simulator, error) {
+	if err := c.Validate(); err != nil {
+		return nil, badRequest(err)
+	}
+	root, err := e.root(fid, c)
+	if err != nil {
+		return nil, err
+	}
 	key := simKey{cluster: c, fidelity: fid, contention: contention}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if s, ok := e.sims[key]; ok {
 		return s, nil
 	}
-	opts, err := e.coreOptions(fid, contention)
+	s, err := root.ForCluster(c, core.WithContention(contention))
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.New(c, opts...)
-	if err != nil {
-		return nil, badRequest(err)
-	}
 	if len(e.order) >= e.poolSize {
 		if old := e.sims[e.order[0]]; old != nil {
-			e.retired = e.retired.Add(old.CacheStats())
+			e.retired = e.retired.Add(reportCounters(old))
 		}
 		delete(e.sims, e.order[0])
 		e.order = e.order[1:]
@@ -146,70 +151,25 @@ func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool
 	return s, nil
 }
 
-// clusterRoot returns the root simulator cluster-design sweeps derive
-// their per-candidate siblings from, one per fidelity. The root's own
-// cluster is irrelevant — structure is hardware-invariant and every
-// candidate binds its own durations — but its shape-keyed structural cache
-// is shared by every sibling of every request, so repeated cluster sweeps
-// re-lower nothing.
-func (e *Engine) clusterRoot(fid taskgraph.Fidelity) (*core.Simulator, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.roots[fid]; ok {
-		return s, nil
-	}
-	// The root stays contention-off: contention is per-request and flows
-	// through clusterdse.Space.Contention to the per-candidate siblings,
-	// which may differ from their root (contention binds at replay time,
-	// never into the shared structure).
-	opts, err := e.coreOptions(fid, false)
-	if err != nil {
-		return nil, err
-	}
-	s, err := core.New(hw.Catalog()[0].Cluster(1), opts...)
-	if err != nil {
-		return nil, err
-	}
-	e.roots[fid] = s
-	return s, nil
+// reportCounters keeps only s's own report-cache counters: everything else
+// a sibling reports is its root's tree-wide state.
+func reportCounters(s *core.Simulator) core.CacheStats {
+	st := s.CacheStats()
+	return core.CacheStats{ReportHits: st.ReportHits, ReportMisses: st.ReportMisses}
 }
 
-// coreOptions assembles the option list for a new pooled simulator:
-// fidelity, contention level, the engine-wide simulator options, and the
-// shared artifact store when one is configured.
-func (e *Engine) coreOptions(fid taskgraph.Fidelity, contention bool) ([]core.Option, error) {
-	opts := append([]core.Option{core.WithFidelity(fid), core.WithContention(contention)}, e.simOpts...)
-	st, err := e.artifactStore()
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		opts = append(opts, core.WithArtifactStore(st))
-	}
-	return opts, nil
-}
-
-// CacheStats sums the counters of every pooled simulator and cluster-sweep
-// root: the serving layer's cache-concentration view, exported by /metrics.
+// CacheStats is the serving layer's cache-concentration view, exported by
+// /metrics: each root's tree-wide counters, taken once, plus the report
+// counters of every pooled and evicted sibling.
 func (e *Engine) CacheStats() core.CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.retired
+	for _, r := range e.roots {
+		st = st.Add(r.CacheStats())
+	}
 	for _, s := range e.sims {
-		st = st.Add(s.CacheStats())
-	}
-	for _, s := range e.roots {
-		st = st.Add(s.CacheStats())
-	}
-	// Every pooled simulator shares the engine's one artifact store and
-	// therefore reports the same store-wide disk totals; summing them
-	// would multiply the counters by the pool size, so take the store's
-	// numbers once instead. (It also keeps the totals monotone across
-	// pool eviction, unlike per-simulator counters that vanish with their
-	// simulator.)
-	if st2 := e.artifacts; st2 != nil {
-		as := st2.Stats()
-		st.DiskHits, st.DiskMisses, st.DiskWrites = as.Hits, as.Misses, as.Writes
+		st = st.Add(reportCounters(s))
 	}
 	return st
 }
@@ -405,7 +365,8 @@ type ClusterRun struct {
 
 // PrepareClusterDSE resolves a cluster-design sweep against the per-
 // fidelity root simulator; every request's candidate siblings share the
-// root's structural cache, so repeated sweeps re-lower nothing.
+// root's structural cache with the pool, so repeated sweeps — and shapes
+// other requests already lowered — re-lower nothing.
 func (e *Engine) PrepareClusterDSE(req ClusterDSERequest) (*ClusterRun, error) {
 	m, err := req.Model.Resolve()
 	if err != nil {
@@ -467,7 +428,7 @@ func (e *Engine) PrepareClusterDSE(req ClusterDSERequest) (*ClusterRun, error) {
 	if req.MaxMicroBatches > 0 {
 		space.Plans.MaxMicroBatches = req.MaxMicroBatches
 	}
-	root, err := e.clusterRoot(fid)
+	root, err := e.root(fid, offs[0].Cluster(req.NodeCounts[0]))
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,15 @@
 // Package server is vTrain's serving layer: simulation-as-a-service with
 // warm shared caches. It has two halves:
 //
-//   - Engine is the transport-independent entry point. It owns a pool of
-//     core.Simulators whose structural and report caches persist across
-//     requests, so concurrent users concentrate onto shared lowered graphs
-//     (the single-flight machinery dedupes identical in-flight work). The
-//     CLIs (cmd/vtrain, cmd/vtrain-dse, cmd/vtrain-clusterdse) are thin
-//     clients of the same Engine methods the HTTP handlers call, so the
-//     server path and the CLI path cannot drift.
+//   - Engine is the transport-independent entry point. It owns one
+//     simulator tree per fidelity: a root whose structural cache persists
+//     across requests, and a bounded pool of its ForCluster siblings with
+//     their report caches, so concurrent users on any cluster concentrate
+//     onto shared lowered graphs (the single-flight machinery dedupes
+//     identical in-flight work). The CLIs (cmd/vtrain, cmd/vtrain-dse,
+//     cmd/vtrain-clusterdse) are thin clients of the same Engine methods
+//     the HTTP handlers call, so the server path and the CLI path cannot
+//     drift.
 //
 //   - Server wraps an Engine in a long-lived HTTP+JSON service:
 //     POST /v1/simulate, /v1/sweep, /v1/clusterdse with descfile-shaped
@@ -147,11 +149,13 @@ func (o SimulateOutcome) Result() SimulateResult {
 }
 
 // SweepSummary closes a /v1/sweep stream: how many points streamed and the
-// serving simulator's cumulative cache counters. The counters are
-// cumulative across the server's lifetime on purpose — warm-cache
-// concentration across requests is the service's value, and the rising hit
-// rate is how operators observe it. In a one-shot CLI process cumulative
-// equals per-request.
+// serving sibling's cumulative cache counters — its own report counters
+// and its fidelity tree's structural, batch, lowering, and disk counters,
+// which other clusters' requests also move. The counters are cumulative
+// across the server's lifetime on purpose — warm-cache concentration
+// across requests is the service's value, and the rising hit rate is how
+// operators observe it. In a one-shot CLI process cumulative equals
+// per-request.
 type SweepSummary struct {
 	Points  int
 	Cluster hw.Cluster

@@ -53,7 +53,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Store is one on-disk artifact directory plus its load/store counters.
 // All methods are safe for concurrent use; a Store is shared by every
-// simulator of a serving pool, so the counters are store-wide totals.
+// simulator of a tree (a core.New root and its ForCluster siblings), so the
+// counters are store-wide totals.
 type Store struct {
 	dir                  string
 	hits, misses, writes atomic.Uint64
@@ -79,8 +80,12 @@ func Open(dir string) (*Store, error) {
 // Dir returns the directory the store persists into.
 func (s *Store) Dir() string { return s.dir }
 
-// Stats snapshots the store's counters.
+// Stats snapshots the store's counters; a nil store (no persistent tier)
+// reports zeros.
 func (s *Store) Stats() Stats {
+	if s == nil {
+		return Stats{}
+	}
 	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Writes: s.writes.Load()}
 }
 

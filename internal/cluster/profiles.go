@@ -115,11 +115,12 @@ func (p *Profile) MinSize() int {
 
 // BuildProfile computes the offline throughput profile of one model class
 // under the given system, across the allocation sizes. Profile building is
-// where the simulator's caches earn their keep: the VTrainEnabled sweeps
-// revisit overlapping (model, plan) points across allocation sizes (report
-// cache), and the many plans of each sweep share a handful of structural
-// shapes (shape-keyed lowering cache), so only duration binding and replay
-// scale with the sweep size.
+// where the simulator's structural cache earns its keep: the many plans of
+// each VTrainEnabled sweep share a handful of structural shapes, so only
+// duration binding and replay scale with the sweep size. The report cache
+// matters little here: a plan's GPU count is its allocation size, so no
+// plan recurs across allocation sizes, and the hits are Baseline plans
+// that a later VTrainEnabled sweep meets again.
 func BuildProfile(sim *core.Simulator, system System, m model.Config, globalBatch int, allocs []int) (*Profile, error) {
 	prof := &Profile{
 		Model:       m,
@@ -175,7 +176,8 @@ func BuildProfile(sim *core.Simulator, system System, m model.Config, globalBatc
 			space.MaxMicroBatches = 256
 			// Stream the sweep and keep only the fastest plan; the
 			// simulator's plan-level cache dedupes configurations that
-			// recur across allocation sizes, systems, and job classes.
+			// recur across systems and job classes (each sweep fixes the
+			// GPU count, so none recurs across allocation sizes).
 			best, found, err := dse.ExploreBest(sim, m, space)
 			if err != nil || !found {
 				continue // no feasible plan at this size

@@ -69,10 +69,9 @@ func TestArtifactTierWarmStart(t *testing.T) {
 	if stWarm.Lowerings != 0 {
 		t.Fatalf("warm run lowered %d graphs, want 0", stWarm.Lowerings)
 	}
-	// The graph load must hit. (The operator table may legitimately miss:
-	// it is persisted piggyback on later graph writes, and a one-shape cold
-	// run never wrote again after profiling filled the table.)
-	if stWarm.DiskHits == 0 {
+	// Both loads must hit: the graph, and the operator table the cold run
+	// saved once its plan bound.
+	if stWarm.DiskHits != 2 || stWarm.DiskMisses != 0 {
 		t.Fatalf("warm run missed the disk tier: %+v", stWarm)
 	}
 	// Warm demand traffic still reads as a structural miss — the
@@ -109,7 +108,7 @@ func TestForClusterSharesArtifactStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sib.artifacts != root.artifacts {
+	if sib.tree.artifacts != root.tree.artifacts {
 		t.Fatal("sibling does not share the parent's artifact store")
 	}
 	if _, err := root.ForCluster(hw.Catalog()[0].Cluster(1), WithArtifactDir(t.TempDir())); err == nil {

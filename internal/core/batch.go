@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"vtrain/internal/model"
 	"vtrain/internal/parallel"
@@ -48,14 +47,6 @@ func (e *PlanError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying simulation error to errors.Is/As.
 func (e *PlanError) Unwrap() error { return e.Err }
 
-// batchStats counts batched replay passes and the plans they carried.
-// ForCluster siblings share one instance (like the structural cache), so a
-// multi-cluster sweep reports its batching behavior in one place.
-type batchStats struct {
-	replays atomic.Uint64
-	plans   atomic.Uint64
-}
-
 // SimulateBatch predicts the iteration time of m under every plans[i] on
 // sims[i], returning reports in input order. It is equivalent to
 // len(plans) sequential sims[i].Simulate calls — same reports
@@ -96,7 +87,7 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 	var seen map[seenKey]bool
 	for i, plan := range plans {
 		si := sims[i]
-		if si.cache == nil {
+		if si.reports == nil {
 			pending = append(pending, i)
 			continue
 		}
@@ -105,7 +96,7 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 			dups = append(dups, i)
 			continue
 		}
-		if rep, ok := si.cache.get(key.key); ok {
+		if rep, ok := si.cachedReport(key.key); ok {
 			reports[i] = rep
 			continue
 		}
@@ -168,13 +159,11 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 				}
 			}
 			results, err := gr.tg.ReplayBatchContended(tables, cts)
-			// ForCluster siblings share one batchStats, so counting the
-			// chunk against its first lane's simulator records the whole
-			// sweep's batching in one place.
-			if st := sims[chunk[0]].batches; st != nil {
-				st.replays.Add(1)
-				st.plans.Add(uint64(len(chunk)))
-			}
+			// A chunk's lanes share one graph, so one tree: counting against
+			// its first lane records the whole sweep's batching in one place.
+			tr := sims[chunk[0]].tree
+			tr.batchReplays.Add(1)
+			tr.batchedPlans.Add(uint64(len(chunk)))
 			if err != nil {
 				for _, t := range tables {
 					t.Release()
@@ -189,9 +178,12 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 				si := sims[i]
 				rep := si.assembleReport(m, plans[i], results[j])
 				reports[i] = rep
-				if si.cache != nil {
-					si.cache.put(cacheKey{model: m, plan: plans[i], fidelity: si.fidelity, contention: si.contention}, rep)
+				if si.reports != nil {
+					si.reports.put(cacheKey{model: m, plan: plans[i], fidelity: si.fidelity, contention: si.contention}, rep)
 				}
+				// The whole chunk has bound, so a lane's operator table is
+				// saved at most once per chunk: saveOps writes only growth.
+				si.saveOps()
 				tables[j].Release()
 			}
 		}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
+	"vtrain/internal/artifact"
 	"vtrain/internal/model"
 	"vtrain/internal/parallel"
 	"vtrain/internal/taskgraph"
@@ -33,67 +35,69 @@ type cacheKey struct {
 	contention bool
 }
 
-// reportCache is a concurrency-safe, bounded (model, plan, fidelity) →
-// Report cache with FIFO eviction. Design-space exploration, the cluster
-// scheduler's offline profiling, and the Chinchilla search repeatedly
-// evaluate overlapping configurations; deduping them to one simulation is
-// the plan-level analogue of the profiler's kernel cache.
-type reportCache struct {
+// fifo is a concurrency-safe map bounded to max entries with FIFO
+// eviction. It backs both core caches: each simulator's plan-level report
+// cache (one Report per simulated configuration — design-space exploration,
+// the cluster scheduler's offline profiling and the Chinchilla search
+// evaluate overlapping configurations, and each dedupes to one simulation)
+// and its tree's shape-keyed structural cache (one lowered graph per plan
+// topology). Callers count their hits and misses on the tree.
+type fifo[K comparable, V any] struct {
 	mu      sync.Mutex
 	max     int
-	entries map[cacheKey]Report
+	entries map[K]V
 	// order is a FIFO ring of the inserted keys; head indexes the next
 	// victim once the cache is full.
-	order        []cacheKey
-	head         int
-	hits, misses uint64
+	order []K
+	head  int
 }
 
-func newReportCache(max int) *reportCache {
+// newFIFO returns an empty cache of capacity max, or nil when max <= 0
+// (caching disabled).
+func newFIFO[K comparable, V any](max int) *fifo[K, V] {
 	if max <= 0 {
 		return nil
 	}
-	return &reportCache{
+	return &fifo[K, V]{
 		max:     max,
-		entries: make(map[cacheKey]Report, min(max, 1024)),
-		order:   make([]cacheKey, 0, min(max, 1024)),
+		entries: make(map[K]V, min(max, 1024)),
+		order:   make([]K, 0, min(max, 1024)),
 	}
 }
 
-func (c *reportCache) get(k cacheKey) (Report, bool) {
+func (c *fifo[K, V]) get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rep, ok := c.entries[k]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return rep, ok
+	v, ok := c.entries[k]
+	return v, ok
 }
 
-func (c *reportCache) put(k cacheKey, rep Report) {
+// getOrInsert returns the value at k, first inserting fresh() when k is
+// absent (evicting the oldest entry when full); ok reports whether k was
+// present.
+func (c *fifo[K, V]) getOrInsert(k K, fresh func() V) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[k]; ok {
-		c.entries[k] = rep
-		return
+	if v, ok = c.entries[k]; ok {
+		return v, ok
 	}
-	if len(c.entries) < c.max {
-		c.entries[k] = rep
+	if len(c.order) < c.max {
 		c.order = append(c.order, k)
-		return
+	} else {
+		delete(c.entries, c.order[c.head])
+		c.order[c.head] = k
+		c.head = (c.head + 1) % c.max
 	}
-	delete(c.entries, c.order[c.head])
-	c.entries[k] = rep
-	c.order[c.head] = k
-	c.head = (c.head + 1) % c.max
+	v = fresh()
+	c.entries[k] = v
+	return v, ok
 }
 
-func (c *reportCache) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+// put inserts v at k unless k is already present. Values put at one key
+// are interchangeable (two concurrent misses simulate the same report), so
+// keeping the first is as good as keeping the last.
+func (c *fifo[K, V]) put(k K, v V) {
+	c.getOrInsert(k, func() V { return v })
 }
 
 // shapeKey identifies one structural shape: everything that determines the
@@ -159,58 +163,41 @@ type structEntry struct {
 	err  error
 }
 
-// structCache is the concurrency-safe, bounded shape → structural-graph
-// cache with FIFO eviction. It is the lowering-level analogue of the report
-// cache: where the report cache dedupes identical (model, plan)
-// configurations, the structural cache dedupes the far coarser equivalence
-// classes of plans sharing a topology, so a 2,000-point sweep lowers a few
-// dozen graphs instead of 2,000.
-type structCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[shapeKey]*structEntry
-	order   []shapeKey
-	head    int
-	hits    uint64
-	misses  uint64
+// tree is the state a root simulator shares, through one pointer, with
+// every ForCluster sibling derived from it: the structural cache, the
+// persistent artifact store, and every CacheStats counter. A multi-cluster
+// sweep therefore reports its totals in one place, and a sibling that is
+// dropped has already recorded everything it did into its tree.
+type tree struct {
+	// shapes is the structural cache: one lowered graph per plan topology.
+	shapes *fifo[shapeKey, *structEntry]
+	// artifacts is the persistent tier below the structural cache (nil
+	// unless WithArtifactDir is given): memory miss -> disk load ->
+	// lowering, with fresh lowerings written back. The store counts its own
+	// disk hits, misses and writes.
+	artifacts *artifact.Store
+	// reports counts the report-cache lookups of every simulator in the
+	// tree (each owns its cache: a report depends on the cluster), structs
+	// the lookups in shapes.
+	reports, structs lookups
+	// batchReplays counts batched replay passes, batchedPlans the plans
+	// they carried.
+	batchReplays, batchedPlans atomic.Uint64
+	// lowerings counts actual taskgraph.Lower runs; with a persistent tier
+	// it can be smaller than the structural misses, since misses served
+	// from disk do not lower.
+	lowerings atomic.Uint64
 }
 
-func newStructCache(max int) *structCache {
-	return &structCache{
-		max:     max,
-		entries: make(map[shapeKey]*structEntry, min(max, 64)),
-		order:   make([]shapeKey, 0, min(max, 64)),
-	}
+// lookups counts one cache's hits and misses.
+type lookups struct {
+	hits, misses atomic.Uint64
 }
 
-// get returns the structural graph for k, lowering it via build on the
-// first request (and after an eviction). Lowering errors are cached with
-// the entry: they are deterministic properties of the shape.
-func (c *structCache) get(k shapeKey, build func() (*taskgraph.Graph, error)) (*taskgraph.Graph, error) {
-	c.mu.Lock()
-	e, ok := c.entries[k]
-	if ok {
-		c.hits++
+func (l *lookups) record(hit bool) {
+	if hit {
+		l.hits.Add(1)
 	} else {
-		c.misses++
-		e = new(structEntry)
-		if len(c.entries) < c.max {
-			c.entries[k] = e
-			c.order = append(c.order, k)
-		} else {
-			delete(c.entries, c.order[c.head])
-			c.entries[k] = e
-			c.order[c.head] = k
-			c.head = (c.head + 1) % c.max
-		}
+		l.misses.Add(1)
 	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = build() })
-	return e.g, e.err
-}
-
-func (c *structCache) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

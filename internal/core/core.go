@@ -42,21 +42,13 @@ type Simulator struct {
 	// concurrently in-flight ones (see taskgraph.BindContention). Off by
 	// default; with it off, reports are byte-identical to a build that
 	// predates the knob.
-	contention bool
-	cacheSize  int
-	cache      *reportCache
-	structs    *structCache
-	batches    *batchStats
-	// artifacts is the persistent tier below the in-memory structural
-	// cache (nil unless WithArtifactDir is given):
-	// memory miss -> disk load -> lowering, with fresh lowerings written
-	// back. ForCluster siblings share it, like the structural cache.
+	contention  bool
+	cacheSize   int
 	artifactDir string
-	artifacts   *artifact.Store
-	// lowerings counts actual taskgraph.Lower invocations. It is shared
-	// across ForCluster siblings; with a persistent tier it can be smaller
-	// than StructMisses, since misses served from disk do not lower.
-	lowerings *atomic.Uint64
+	// reports is the simulator's own plan-level report cache (nil when
+	// disabled); tree holds what it shares with its ForCluster siblings.
+	reports *fifo[cacheKey, Report]
+	tree    *tree
 	// opsSaved tracks the profiler entry count at the last operator-table
 	// save, so the table is re-persisted only when it grew. Shared with
 	// siblings that share the profiler.
@@ -136,30 +128,29 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 		o(s)
 	}
 	// The caches are created after the options so every entry reflects the
-	// final device, communication model, and fidelity; each Simulator has
-	// its own caches, so differently-configured simulators can never serve
+	// final device, communication model, and fidelity; each New starts a
+	// tree of its own, so differently-configured simulators can never serve
 	// each other's reports or structural graphs — except siblings derived
-	// with ForCluster, which deliberately share the structural cache
-	// (structural graphs are hardware-invariant; see ForCluster).
-	s.cache = newReportCache(s.cacheSize)
-	s.structs = newStructCache(DefaultStructCacheSize)
-	s.batches = new(batchStats)
-	s.lowerings = new(atomic.Uint64)
+	// with ForCluster, which deliberately share the tree (structural graphs
+	// are hardware-invariant; see ForCluster).
+	s.reports = newFIFO[cacheKey, Report](s.cacheSize)
+	s.tree = &tree{shapes: newFIFO[shapeKey, *structEntry](DefaultStructCacheSize)}
 	s.opsSaved = new(atomic.Int64)
 	if s.artifactDir != "" {
 		st, err := artifact.Open(s.artifactDir)
 		if err != nil {
 			return nil, err
 		}
-		s.artifacts = st
+		s.tree.artifacts = st
 	}
 	s.loadOps()
 	return s, nil
 }
 
 // ForCluster derives a sibling simulator for cluster c that shares s's
-// shape-keyed structural cache while owning its own device timing model,
-// profiler, communication model, and plan-level report cache.
+// tree — the shape-keyed structural cache, the artifact store and every
+// CacheStats counter — while owning its own device timing model, profiler,
+// communication model, and plan-level report cache.
 //
 // Sharing is sound because a structural graph is hardware-invariant: Lower
 // emits tasks, dependency edges, and duration descriptors only, and
@@ -175,7 +166,7 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 // or contention level (contention binds at replay time, never into the
 // shared structure), but must not change the fidelity or the artifact dir:
 // both are properties of the shared cache, so a mismatch is an error.
-// CacheStats on any sibling reports the shared structural counters.
+// CacheStats on any sibling reports the tree's counters.
 func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -199,7 +190,7 @@ func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error)
 		contention:  s.contention,
 		cacheSize:   s.cacheSize,
 		artifactDir: s.artifactDir,
-		artifacts:   s.artifacts,
+		tree:        s.tree,
 	}
 	for _, o := range opts {
 		o(sib)
@@ -210,13 +201,7 @@ func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error)
 	if sib.artifactDir != s.artifactDir {
 		return nil, fmt.Errorf("core: ForCluster cannot change the artifact store: it is shared with the parent")
 	}
-	sib.cache = newReportCache(sib.cacheSize)
-	sib.structs = s.structs
-	// Batch, lowering, and artifact counters are shared like the
-	// structural cache, so a multi-cluster sweep's totals are reported in
-	// one place.
-	sib.batches = s.batches
-	sib.lowerings = s.lowerings
+	sib.reports = newFIFO[cacheKey, Report](sib.cacheSize)
 	if sib.profiler == s.profiler {
 		sib.opsSaved = s.opsSaved
 	} else {
@@ -228,11 +213,13 @@ func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error)
 	return sib, nil
 }
 
-// CacheStats summarizes the simulator's two caches: the plan-level report
-// cache (one entry per simulated configuration) and the shape-keyed
-// structural cache (one lowered graph per plan topology). StructMisses is
-// exactly the number of lowering invocations performed so far; in a
-// design-space sweep the hit rate shows how many plans shared a structure.
+// CacheStats summarizes a simulator tree's caches: the plan-level report
+// caches (one entry per simulated configuration) and the shape-keyed
+// structural cache (one lowered graph per plan topology). Every counter is
+// the tree's: a root and each of its ForCluster siblings report the same
+// totals, whichever of them did the work. StructMisses is exactly the
+// number of lowering invocations performed so far; in a design-space sweep
+// the hit rate shows how many plans shared a structure.
 type CacheStats struct {
 	// ReportHits / ReportMisses count plan-level result cache lookups.
 	ReportHits, ReportMisses uint64
@@ -242,28 +229,25 @@ type CacheStats struct {
 	// BatchReplays counts batched replay passes (SimulateBatch issues one
 	// per chunk of at most 16 same-shape plans) and BatchedPlans the plans
 	// they carried; BatchedPlans/BatchReplays is the sweep's mean batch
-	// width. Shared across ForCluster siblings, like the structural
-	// counters.
+	// width.
 	BatchReplays, BatchedPlans uint64
 	// Lowerings counts actual graph lowerings (taskgraph.Lower runs).
 	// Without a persistent tier it equals StructMisses — every miss lowers;
 	// with one it can be smaller, since misses served from disk skip the
 	// lowering. This is the "cold work actually paid" figure a fully warm
-	// disk pins to zero. Shared across ForCluster siblings.
+	// disk pins to zero.
 	Lowerings uint64
 	// DiskHits / DiskMisses / DiskWrites count the persistent artifact
 	// tier's file loads and writes (all zero when WithArtifactDir is
 	// unset): a persisted graph is one file, as is each operator-table
 	// save. A corrupt, truncated, or version-skewed artifact counts as a
-	// miss and falls back to lowering; it is never an error. The counters
-	// live on the artifact store, so every ForCluster sibling of one root
-	// reports the same store-wide totals.
+	// miss and falls back to lowering; it is never an error.
 	DiskHits, DiskMisses, DiskWrites uint64
 }
 
 // Add returns the field-wise sum of s and t, for aggregating counters
 // across simulator trees — the serving layer's /metrics endpoint sums its
-// roots' tree-wide stats and its siblings' report counters into one scrape.
+// roots' stats into one scrape.
 func (s CacheStats) Add(t CacheStats) CacheStats {
 	return CacheStats{
 		ReportHits:   s.ReportHits + t.ReportHits,
@@ -279,26 +263,22 @@ func (s CacheStats) Add(t CacheStats) CacheStats {
 	}
 }
 
-// CacheStats reports hit/miss counters for the report cache and the
-// structural cache.
+// CacheStats snapshots the counters of the simulator's tree.
 func (s *Simulator) CacheStats() CacheStats {
-	var st CacheStats
-	if s.cache != nil {
-		st.ReportHits, st.ReportMisses = s.cache.stats()
+	t := s.tree
+	disk := t.artifacts.Stats()
+	return CacheStats{
+		ReportHits:   t.reports.hits.Load(),
+		ReportMisses: t.reports.misses.Load(),
+		StructHits:   t.structs.hits.Load(),
+		StructMisses: t.structs.misses.Load(),
+		BatchReplays: t.batchReplays.Load(),
+		BatchedPlans: t.batchedPlans.Load(),
+		Lowerings:    t.lowerings.Load(),
+		DiskHits:     disk.Hits,
+		DiskMisses:   disk.Misses,
+		DiskWrites:   disk.Writes,
 	}
-	st.StructHits, st.StructMisses = s.structs.stats()
-	if s.batches != nil {
-		st.BatchReplays = s.batches.replays.Load()
-		st.BatchedPlans = s.batches.plans.Load()
-	}
-	if s.lowerings != nil {
-		st.Lowerings = s.lowerings.Load()
-	}
-	if s.artifacts != nil {
-		as := s.artifacts.Stats()
-		st.DiskHits, st.DiskMisses, st.DiskWrites = as.Hits, as.Misses, as.Writes
-	}
-	return st
 }
 
 // Cluster returns the simulated cluster description.
@@ -344,17 +324,25 @@ type Report struct {
 // Breakdown map; callers must treat it as read-only.
 func (s *Simulator) Simulate(m model.Config, plan parallel.Plan) (Report, error) {
 	var key cacheKey
-	if s.cache != nil {
+	if s.reports != nil {
 		key = cacheKey{model: m, plan: plan, fidelity: s.fidelity, contention: s.contention}
-		if rep, ok := s.cache.get(key); ok {
+		if rep, ok := s.cachedReport(key); ok {
 			return rep, nil
 		}
 	}
 	rep, _, err := s.simulate(m, plan, false)
-	if err == nil && s.cache != nil {
-		s.cache.put(key, rep)
+	if err == nil && s.reports != nil {
+		s.reports.put(key, rep)
 	}
 	return rep, err
+}
+
+// cachedReport looks key up in the report cache, counting the hit or miss
+// on the tree. The cache must be enabled.
+func (s *Simulator) cachedReport(key cacheKey) (Report, bool) {
+	rep, ok := s.reports.get(key)
+	s.tree.reports.record(ok)
+	return rep, ok
 }
 
 // SimulateTrace is Simulate plus the full execution timeline, which
@@ -374,6 +362,7 @@ func (s *Simulator) simulate(m model.Config, plan parallel.Plan, capture bool) (
 	// pooled table; the structure itself is reused untouched.
 	tbl := tg.Bind(s.profiler, s.comm, plan, s.cluster)
 	defer tbl.Release()
+	s.saveOps()
 	var ct *taskgraph.ContentionTable
 	if s.contention {
 		ct = tg.BindContention(plan, s.cluster, tbl)
@@ -410,34 +399,31 @@ func (s *Simulator) structural(m model.Config, plan parallel.Plan) (*taskgraph.G
 	if err := opgraph.Validate(m, plan, s.cluster); err != nil {
 		return nil, err
 	}
-	return s.structs.get(shapeOf(m, plan, s.fidelity), func() (*taskgraph.Graph, error) {
-		return s.buildStructural(m, plan)
-	})
+	// Build errors stay cached with the entry: they are deterministic
+	// properties of the shape.
+	e, ok := s.tree.shapes.getOrInsert(shapeOf(m, plan, s.fidelity), func() *structEntry { return new(structEntry) })
+	s.tree.structs.record(ok)
+	e.once.Do(func() { e.g, e.err = s.buildStructural(m, plan) })
+	return e.g, e.err
 }
 
 // buildStructural is the tier chain below the in-memory structural cache:
 // load from the artifact store when one is configured, otherwise (or on a
 // disk miss) lower from scratch and write the result back.
 func (s *Simulator) buildStructural(m model.Config, plan parallel.Plan) (*taskgraph.Graph, error) {
-	if s.artifacts == nil {
+	store := s.tree.artifacts
+	if store == nil {
 		return s.lower(m, plan)
 	}
 	key := s.graphKey(m, plan)
-	if g, ok := s.artifacts.LoadGraph(key); ok {
+	if g, ok := store.LoadGraph(key); ok {
 		return g, nil
 	}
 	g, err := s.lower(m, plan)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		store.SaveGraph(key, g)
 	}
-	if s.artifacts.SaveGraph(key, g) {
-		// Piggyback the operator table on graph writes: by the time a
-		// graph is persisted the profiler holds every kernel count the
-		// lowering consulted, and re-saving only when the table grew keeps
-		// the write traffic bounded.
-		s.saveOps()
-	}
-	return g, nil
+	return g, err
 }
 
 // lower builds the structural graph from scratch — every cache tier
@@ -451,9 +437,7 @@ func (s *Simulator) lower(m model.Config, plan parallel.Plan) (*taskgraph.Graph,
 	// Lower copies everything the task graph needs, so the operator graph
 	// goes straight back to the construction pool.
 	og.Recycle()
-	if s.lowerings != nil {
-		s.lowerings.Add(1)
-	}
+	s.tree.lowerings.Add(1)
 	return tg, nil
 }
 
@@ -486,24 +470,29 @@ func (s *Simulator) opsKey() string {
 // store has one for this device. Installed entries count as neither hits
 // nor misses, so profiler statistics still reflect this process's demand.
 func (s *Simulator) loadOps() {
-	if s.artifacts == nil {
+	if s.tree.artifacts == nil {
 		return
 	}
-	if entries, ok := s.artifacts.LoadOperators(s.opsKey()); ok {
+	if entries, ok := s.tree.artifacts.LoadOperators(s.opsKey()); ok {
 		s.profiler.Install(entries)
 		s.opsSaved.Store(int64(s.profiler.Entries()))
 	}
 }
 
 // saveOps persists the operator table when it grew since the last save.
-// Concurrent savers may both write; the content is deterministic per
-// device, so the duplicate write is harmless.
+// Callers save after binding a plan's durations: Lower reads only kernel
+// counts, so the table fills as plans bind, and only re-saving when it grew
+// keeps the write traffic bounded. Concurrent savers may both write; the
+// content is deterministic per device, so the duplicate write is harmless.
 func (s *Simulator) saveOps() {
+	if s.tree.artifacts == nil {
+		return
+	}
 	n := int64(s.profiler.Entries())
 	if n == 0 || n == s.opsSaved.Load() {
 		return
 	}
-	if s.artifacts.SaveOperators(s.opsKey(), s.profiler.Table()) {
+	if s.tree.artifacts.SaveOperators(s.opsKey(), s.profiler.Table()) {
 		s.opsSaved.Store(n)
 	}
 }

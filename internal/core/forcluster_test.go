@@ -196,3 +196,66 @@ func TestForClusterSiblingsKeepOwnReports(t *testing.T) {
 		t.Error("sibling report cache never hit on a repeated configuration")
 	}
 }
+
+// TestTreeCountsEverySibling pins where the counters live: a root and its
+// ForCluster siblings share one tree, so a repeated plan on two siblings
+// on different clusters shows the same report hits and misses from the
+// root and from either sibling. The concurrent pass lets the race
+// detector check the tree's counters.
+func TestTreeCountsEverySibling(t *testing.T) {
+	cat := hw.Catalog()
+	m, plan := forClusterModel(), forClusterPlan()
+	tree := func() (root, a, b *Simulator) {
+		root, err := New(cat[0].Cluster(2), WithFidelity(taskgraph.OperatorLevel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err = root.ForCluster(cat[0].Cluster(2)); err != nil {
+			t.Fatal(err)
+		}
+		if b, err = root.ForCluster(cat[3].Cluster(2)); err != nil {
+			t.Fatal(err)
+		}
+		return root, a, b
+	}
+	sameStats := func(root, a, b *Simulator) CacheStats {
+		t.Helper()
+		st := root.CacheStats()
+		if sa, sb := a.CacheStats(), b.CacheStats(); sa != st || sb != st {
+			t.Errorf("tree views disagree: root %+v, sibling a %+v, sibling b %+v", st, sa, sb)
+		}
+		return st
+	}
+
+	root, a, b := tree()
+	for _, s := range []*Simulator{a, b, a, b} {
+		if _, err := s.Simulate(m, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sameStats(root, a, b); st.ReportHits != 2 || st.ReportMisses != 2 || st.Lowerings != 1 {
+		t.Errorf("sequential: %d report hits, %d misses, %d lowerings; want 2, 2, 1",
+			st.ReportHits, st.ReportMisses, st.Lowerings)
+	}
+
+	root, a, b = tree()
+	const goroutines = 32
+	var wg sync.WaitGroup
+	for i := range goroutines {
+		wg.Add(1)
+		go func(s *Simulator) {
+			defer wg.Done()
+			for range 2 {
+				if _, err := s.Simulate(m, plan); err != nil {
+					t.Error(err)
+				}
+			}
+		}([]*Simulator{a, b}[i%2])
+	}
+	wg.Wait()
+	st := sameStats(root, a, b)
+	if st.ReportHits+st.ReportMisses != 2*goroutines || st.ReportMisses < 2 || st.Lowerings != 1 {
+		t.Errorf("concurrent: %d report hits, %d misses, %d lowerings; want %d lookups, at least 2 misses, 1 lowering",
+			st.ReportHits, st.ReportMisses, st.Lowerings, 2*goroutines)
+	}
+}

@@ -41,10 +41,6 @@ type Engine struct {
 	sims  map[simKey]*core.Simulator
 	order []simKey // insertion order, for FIFO eviction
 	roots map[taskgraph.Fidelity]*core.Simulator
-	// retired accumulates the report counters of evicted siblings, so the
-	// engine-wide totals (and therefore /metrics) stay monotone when the
-	// pool thrashes; every other counter lives on the roots. Guarded by mu.
-	retired core.CacheStats
 }
 
 type simKey struct {
@@ -70,16 +66,6 @@ func WithSimulatorOptions(opts ...core.Option) EngineOption {
 // store-wide totals. An empty dir leaves the tier disabled (the default).
 func WithArtifactDir(dir string) EngineOption {
 	return WithSimulatorOptions(core.WithArtifactDir(dir))
-}
-
-// WithPoolSize bounds the simulator pool to n entries (DefaultPoolSize if
-// the option is not given; n <= 0 keeps the default).
-func WithPoolSize(n int) EngineOption {
-	return func(e *Engine) {
-		if n > 0 {
-			e.poolSize = n
-		}
-	}
 }
 
 // NewEngine builds an empty engine; simulators are created lazily as
@@ -118,8 +104,8 @@ func (e *Engine) root(fid taskgraph.Fidelity, c hw.Cluster) (*core.Simulator, er
 // simulator returns the pooled sibling for (c, fid, contention), deriving
 // it from the fidelity's root on first use. When the pool is full the
 // oldest entry is dropped: its report cache is garbage-collected once
-// in-flight requests release it, while its lowered graphs stay in the
-// root's structural cache (siblings are safe to use after eviction; new
+// in-flight requests release it, while its lowered graphs and its counters
+// stay on the root's tree (siblings are safe to use after eviction; new
 // requests just derive a fresh one).
 func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool) (*core.Simulator, error) {
 	if err := c.Validate(); err != nil {
@@ -140,9 +126,6 @@ func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool
 		return nil, err
 	}
 	if len(e.order) >= e.poolSize {
-		if old := e.sims[e.order[0]]; old != nil {
-			e.retired = e.retired.Add(reportCounters(old))
-		}
 		delete(e.sims, e.order[0])
 		e.order = e.order[1:]
 	}
@@ -151,25 +134,15 @@ func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool
 	return s, nil
 }
 
-// reportCounters keeps only s's own report-cache counters: everything else
-// a sibling reports is its root's tree-wide state.
-func reportCounters(s *core.Simulator) core.CacheStats {
-	st := s.CacheStats()
-	return core.CacheStats{ReportHits: st.ReportHits, ReportMisses: st.ReportMisses}
-}
-
 // CacheStats is the serving layer's cache-concentration view, exported by
-// /metrics: each root's tree-wide counters, taken once, plus the report
-// counters of every pooled and evicted sibling.
+// /metrics: the sum of each fidelity tree's counters. Every sibling records
+// into its tree, so the totals stay monotone when the pool evicts.
 func (e *Engine) CacheStats() core.CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.retired
+	var st core.CacheStats
 	for _, r := range e.roots {
 		st = st.Add(r.CacheStats())
-	}
-	for _, s := range e.sims {
-		st = st.Add(reportCounters(s))
 	}
 	return st
 }
@@ -334,8 +307,8 @@ func (r *SweepRun) Cluster() hw.Cluster { return r.cluster }
 // TotalTokens returns the request's token budget (0 = no cost projection).
 func (r *SweepRun) TotalTokens() uint64 { return r.tokens }
 
-// CacheStats snapshots the serving simulator's counters; sweep progress
-// reporting polls it mid-run.
+// CacheStats snapshots the counters of the serving sibling's fidelity
+// tree; sweep progress reporting polls it mid-run.
 func (r *SweepRun) CacheStats() core.CacheStats { return r.sim.CacheStats() }
 
 // Run executes the sweep, streaming each evaluated point to fn. Calls to
@@ -448,7 +421,7 @@ func (r *ClusterRun) Candidates() int { return r.candidates }
 // Resilient reports whether failure pricing is applied to every point.
 func (r *ClusterRun) Resilient() bool { return r.resilient }
 
-// CacheStats snapshots the root simulator's shared counters.
+// CacheStats snapshots the counters of the root simulator's tree.
 func (r *ClusterRun) CacheStats() core.CacheStats { return r.root.CacheStats() }
 
 // Run executes the joint sweep, streaming each evaluated point to fn under

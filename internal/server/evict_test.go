@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +28,13 @@ const twoNodeBody = `{
   "total_tokens": 20000000000
 }`
 
+// newPooledEngine is NewEngine with its sibling pool bounded to n.
+func newPooledEngine(n int, opts ...EngineOption) *Engine {
+	e := NewEngine(opts...)
+	e.poolSize = n
+	return e
+}
+
 func poolLen(e *Engine) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -39,7 +47,7 @@ func poolLen(e *Engine) int {
 // with byte-identical response bodies — eviction may cost time, never
 // content.
 func TestEnginePoolFIFOEviction(t *testing.T) {
-	eng := NewEngine(WithPoolSize(2))
+	eng := newPooledEngine(2)
 	srv := New(Config{Engine: eng})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -72,7 +80,7 @@ func TestEnginePoolFIFOEviction(t *testing.T) {
 // — a restarted server — answers from disk without lowering.
 func TestEnginePoolEvictionRewarmsFromDisk(t *testing.T) {
 	dir := t.TempDir()
-	eng := NewEngine(WithPoolSize(1), WithArtifactDir(dir))
+	eng := newPooledEngine(1, WithArtifactDir(dir))
 	srv := New(Config{Engine: eng})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -121,6 +129,32 @@ func TestEnginePoolEvictionRewarmsFromDisk(t *testing.T) {
 	}
 	if st := restarted.CacheStats(); st.DiskHits == 0 || st.Lowerings != 0 {
 		t.Errorf("restarted engine did not answer from disk: %+v", st)
+	}
+}
+
+// TestEngineOperatorTablePersists: one request on an engine with an
+// artifact dir persists both the graph and the operator table its plan
+// bound, so a restarted engine answers it with no disk miss at all, and
+// the directory holds one operator table.
+func TestEngineOperatorTablePersists(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Engine: NewEngine(WithArtifactDir(dir))})
+	want := mustPostSimulate(t, ts, simulateBody)
+
+	restarted := NewEngine(WithArtifactDir(dir))
+	_, ts2 := newTestServer(t, Config{Engine: restarted})
+	if got := mustPostSimulate(t, ts2, simulateBody); got != want {
+		t.Error("disk-warmed response differs from the original bytes")
+	}
+	if st := restarted.CacheStats(); st.DiskMisses != 0 || st.DiskHits == 0 {
+		t.Errorf("restarted engine missed the disk tier: %+v", st)
+	}
+	ops, err := filepath.Glob(filepath.Join(dir, "ops-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ops) != 1 {
+		t.Errorf("artifact dir holds %d operator tables, want 1", len(ops))
 	}
 }
 

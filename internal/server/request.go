@@ -149,9 +149,8 @@ func (o SimulateOutcome) Result() SimulateResult {
 }
 
 // SweepSummary closes a /v1/sweep stream: how many points streamed and the
-// serving sibling's cumulative cache counters — its own report counters
-// and its fidelity tree's structural, batch, lowering, and disk counters,
-// which other clusters' requests also move. The counters are cumulative
+// cumulative cache counters of the serving sibling's fidelity tree, which
+// other clusters' requests also move. The counters are cumulative
 // across the server's lifetime on purpose — warm-cache concentration
 // across requests is the service's value, and the rising hit rate is how
 // operators observe it. In a one-shot CLI process cumulative equals

@@ -19,7 +19,8 @@ import (
 
 func main() {
 	const gpus = 1024
-	sim, err := core.New(hw.PaperCluster(gpus/8), core.WithFidelity(taskgraph.OperatorLevel))
+	// Profiles rarely repeat a configuration, so the report cache is off.
+	sim, err := core.New(hw.PaperCluster(gpus/8), core.WithFidelity(taskgraph.OperatorLevel), core.WithCacheSize(0))
 	if err != nil {
 		log.Fatal(err)
 	}

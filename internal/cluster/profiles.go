@@ -120,7 +120,8 @@ func (p *Profile) MinSize() int {
 // duration binding and replay scale with the sweep size. The report cache
 // matters little here: a plan's GPU count is its allocation size, so no
 // plan recurs across allocation sizes, and the hits are Baseline plans
-// that a later VTrainEnabled sweep meets again.
+// that a later VTrainEnabled sweep meets again. The commands that build
+// profiles therefore run with core.WithCacheSize(0).
 func BuildProfile(sim *core.Simulator, system System, m model.Config, globalBatch int, allocs []int) (*Profile, error) {
 	prof := &Profile{
 		Model:       m,

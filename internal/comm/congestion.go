@@ -8,11 +8,11 @@ import "vtrain/internal/hw"
 // prices every collective on an uncontended link — the fidelity gap the
 // paper itself measures (Section IV: NCCL primitives run ~30% slower during
 // real training than in isolation). The contention fidelity level closes it
-// at replay time: taskgraph.BindContention binds each stage's
-// representative node and the plan's collective node spans, the replay
-// resolves every communication task into a Path here from its descriptor,
-// and counts which paths are simultaneously in flight on each link class,
-// multiplying durations by Congestion.Derate.
+// at replay time: taskgraph.BindContention resolves, once per plan, the
+// Path of each stage's collectives and of each pipeline transfer here and
+// keeps its link classes; the replay counts which of those routes are
+// simultaneously in flight on each link class, multiplying durations by
+// Congestion.Derate.
 //
 // The topology is the paper's testbed generalized: each node's GPUs share
 // one NVSwitch fabric; each node attaches to a leaf switch through

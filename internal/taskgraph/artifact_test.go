@@ -75,9 +75,9 @@ func TestArtifactRoundTrip(t *testing.T) {
 // TestArtifactContentionEquivalence locks the contention fidelity level
 // over the persistent artifact tier: a disk-decoded structural graph must
 // produce a BindContention table and a contended replay byte-identical to
-// the freshly lowered graph's. The table comparison covers every
-// placement field (repNode, tpSpan, dpSpan, classes), and replay derives
-// each comm task's path from the decoded descriptors — so any descriptor
+// the freshly lowered graph's. The table comparison covers every bound
+// route (per device, and per pipeline-transfer descriptor, resolved from
+// the decoded descriptors) and the class count — so any descriptor
 // field the codec failed to round-trip would surface here as a diverging
 // table or a diverging report. Traces of both graphs, labeled from the
 // same operator graph, must match span for span.

@@ -222,7 +222,7 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 				start = f
 			}
 			if st != nil && int(slot)&1 == int(CommStream) {
-				d = cts[0].contend(st, slot, &g.descs[di], start, d)
+				d = cts[0].contend(st, slot, di, g.descs[di].kind, start, d)
 			}
 			finish := start + d
 			sc.finish[id] = finish
@@ -265,7 +265,7 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 				start = f
 			}
 			if states != nil && states[l] != nil && slot&1 == int(CommStream) {
-				dur = cts[l].contend(states[l], int32(slot), &g.descs[di], start, dur)
+				dur = cts[l].contend(states[l], int32(slot), di, g.descs[di].kind, start, dur)
 			}
 			finish[l] = start + dur
 			free[l] = finish[l] // proceed lane l's timeline

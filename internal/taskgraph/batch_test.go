@@ -65,22 +65,39 @@ func requireIdentical(t *testing.T, lane int, got, want Result) {
 	}
 }
 
-// checkLanes replays every (tables[i], cts[i]) pair at widths 1, 3, 8, and
-// 16 — wider batches cycle the pairs, so duplicated lanes must reproduce
-// the same result — and through the single-lane Replay and ReplayTrace, and
-// requires every lane to match referenceReplay bit for bit. cts may be nil
-// (a fully ideal batch) or hold nil entries (ideal lanes in a mixed batch).
-func checkLanes(t *testing.T, g *Graph, tables []*DurationTable, cts []*ContentionTable) {
+// checkLanes binds a contention table for every non-nil places[i] and
+// replays every (tables[i], cts[i]) pair at widths 1, 3, 8, and 16 — wider
+// batches cycle the pairs, so duplicated lanes must reproduce the same
+// result — and through the single-lane Replay and ReplayTrace, and requires
+// every lane to match referenceReplay of places[i] bit for bit. places may
+// be nil (a fully ideal batch: a nil cts slice) or hold nil entries (ideal
+// lanes in a mixed batch: nil tables in cts).
+func checkLanes(t *testing.T, g *Graph, tables []*DurationTable, places []*placement) {
 	t.Helper()
+	var cts []*ContentionTable
+	if places != nil {
+		cts = make([]*ContentionTable, len(places))
+		for i, pl := range places {
+			if pl != nil {
+				cts[i] = g.BindContention(pl.plan, pl.c, tables[i])
+			}
+		}
+	}
 	ctOf := func(i int) *ContentionTable {
 		if cts == nil {
 			return nil
 		}
 		return cts[i]
 	}
+	placeOf := func(i int) *placement {
+		if places == nil {
+			return nil
+		}
+		return places[i]
+	}
 	want := make([]Result, len(tables))
 	for i, tbl := range tables {
-		want[i] = referenceReplay(g, tbl, ctOf(i))
+		want[i] = referenceReplay(g, tbl, placeOf(i))
 		got, err := g.Replay(tbl, ctOf(i))
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +158,7 @@ func TestReplayBatchEquivalence(t *testing.T) {
 	}
 	g, tables := batchFixture(t, plans)
 	checkLanes(t, g, tables, nil)
-	checkLanes(t, g, tables, bindContention(g, plans, tables, hw.PaperCluster(8)))
+	checkLanes(t, g, tables, placements(plans, hw.PaperCluster(8)))
 
 	// Batch composition must not leak between lanes: the same table in a
 	// different lane position still reproduces its reference result.
@@ -153,13 +170,13 @@ func TestReplayBatchEquivalence(t *testing.T) {
 	checkLanes(t, g, permTables, nil)
 }
 
-// bindContention binds a contention table per plan over the shared graph.
-func bindContention(g *Graph, plans []parallel.Plan, tables []*DurationTable, c hw.Cluster) []*ContentionTable {
-	cts := make([]*ContentionTable, len(plans))
+// placements places every plan on c.
+func placements(plans []parallel.Plan, c hw.Cluster) []*placement {
+	places := make([]*placement, len(plans))
 	for i, plan := range plans {
-		cts[i] = g.BindContention(plan, c, tables[i])
+		places[i] = &placement{plan, c}
 	}
-	return cts
+	return places
 }
 
 // TestReplayBatchValidation pins the error contract: empty batches are a
@@ -380,7 +397,7 @@ func FuzzReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 			contended[l] = res
-			requireIdentical(t, l, res, referenceReplay(g, tbl, ct))
+			requireIdentical(t, l, res, referenceReplay(g, tbl, &placement{plan, c}))
 			for id, sp := range spans {
 				if ideal := tbl.Duration(id); sp.End < sp.Start+ideal {
 					t.Fatalf("lane %d: task %d's contended span [%v, %v) is shorter than its ideal duration %v", l, id, sp.Start, sp.End, ideal)

@@ -16,12 +16,15 @@ import (
 // durations by comm.Congestion's per-class weights.
 //
 // The split mirrors the structure/timing split. BindContention binds the
-// plan's placement once per (graph, plan, cluster) into an immutable
-// ContentionTable, by the placement rule Bind prices with. The replay-time
-// part (this file's occupancy ledger, pooled and owned per replay call and
-// per batch lane) derives each comm task's comm.Path from its descriptor
-// and that placement in O(1), then counts interval overlaps against the
-// flows already recorded on the path's link classes. Contention never
+// plan's placement once per (graph, plan, cluster), by the placement rule
+// Bind prices with, and resolves every route a comm task can take into the
+// link classes it occupies: each device's tensor- and data-parallel
+// collective, and each pipeline-transfer descriptor. The immutable
+// ContentionTable holds those routes. The replay-time part (this file's
+// occupancy ledger, pooled and owned per replay call and per batch lane)
+// picks a comm task's route by its descriptor kind, then counts interval
+// overlaps against the flows already recorded on the route's link classes;
+// it never builds a comm.Path. Contention never
 // changes the graph's structure, so structural caching, artifact
 // round-trips, and cross-plan sharing are untouched; with a nil table every
 // replay entry point performs bit-identical float operations to the
@@ -46,21 +49,33 @@ import (
 // An insert costs O(slots shifted), so a class fed in reverse time order
 // degrades to a quadratic (memmove) insert cost — never to a wrong count.
 
-// ContentionTable is the per-(plan, cluster) placement binding of one
-// structural graph, and holds placement only: contend derives every comm
-// task's fat-tree links from it. Like a DurationTable it is immutable after
+// ContentionTable is the per-(plan, cluster) contention binding of one
+// structural graph: the derate weights and every comm task's route, with
+// link classes resolved. Like a DurationTable it is immutable after
 // binding, so one table can back any number of concurrent replays — the
 // mutable occupancy state lives in a per-replay contState.
 type ContentionTable struct {
 	cg comm.Congestion
-	// repNode maps each device (pipeline stage) to its representative node,
-	// the node holding the stage's first rank.
-	repNode []int32
-	// tpSpan and dpSpan are the node spans of the plan's tensor- and
-	// data-parallel collectives (1 = node-local).
-	tpSpan, dpSpan int
+	// tp and dp are each device's tensor- and data-parallel collective
+	// routes: a ring from the device's representative node over the plan's
+	// node span.
+	tp, dp []route
+	// p2p is indexed by descriptor: the route of each pipeline-transfer
+	// descriptor between its stages' representative nodes. Entries of
+	// other descriptor kinds are unused.
+	p2p []route
 	// classes is the link-class count: spine, then (nv, hca) per node.
 	classes int
+}
+
+// route is the link classes one comm task occupies: nv is the NVSwitch
+// class of a flow that stays on one node, hca the HCA-bundle classes of an
+// inter-node flow (one for a collective, two for a cross-node transfer),
+// and spine whether it crosses leaf switches. A class of -1 is unused.
+type route struct {
+	nv    int32
+	hca   [2]int32
+	spine bool
 }
 
 // Link-class layout: class 0 is the spine; node k's NVSwitch is 1+2k and
@@ -68,21 +83,49 @@ type ContentionTable struct {
 func nvClass(node int) int  { return 1 + 2*node }
 func hcaClass(node int) int { return 2 + 2*node }
 
-// BindContention binds the plan's placement on the cluster's fat tree:
-// each stage's representative node and the node spans of the tensor- and
-// data-parallel collectives. tbl, the plan's bound DurationTable, is
-// unused: the parameter keeps call sites binding contention next to the
-// durations it derates.
+// routeOf translates a fat-tree path's node indices into link classes.
+func routeOf(p comm.Path) route {
+	r := route{nv: -1, hca: [2]int32{-1, -1}, spine: p.Spine}
+	if p.NVNode >= 0 {
+		r.nv = int32(nvClass(p.NVNode))
+	}
+	for i, n := range p.HCANodes {
+		if n >= 0 {
+			r.hca[i] = int32(hcaClass(n))
+		}
+	}
+	return r
+}
+
+// BindContention binds the plan's placement on the cluster's fat tree and
+// resolves every route of the graph's comm tasks: per device, the tensor-
+// and data-parallel collectives from the stage's representative node (the
+// node holding its first rank) over the collectives' node spans, and per
+// pipeline-transfer descriptor, the path between its stages'
+// representative nodes. tbl, the plan's bound DurationTable, is unused:
+// the parameter keeps call sites binding contention next to the durations
+// it derates.
 func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTable) *ContentionTable {
 	gpn := c.Node.GPUsPerNode
+	cg := comm.NewCongestion(c)
+	tpSpan := nodeSpan(allReduceTPArgs(plan, gpn))
+	dpSpan := nodeSpan(allReduceDPArgs(plan, gpn))
+	routes := make([]route, 2*g.Devices+len(g.descs))
 	ct := &ContentionTable{
-		cg:      comm.NewCongestion(c),
-		repNode: make([]int32, g.Devices),
-		tpSpan:  nodeSpan(allReduceTPArgs(plan, gpn)),
-		dpSpan:  nodeSpan(allReduceDPArgs(plan, gpn)),
+		cg:  cg,
+		tp:  routes[:g.Devices:g.Devices],
+		dp:  routes[g.Devices : 2*g.Devices : 2*g.Devices],
+		p2p: routes[2*g.Devices:],
 	}
-	for dev := range ct.repNode {
-		ct.repNode[dev] = int32(stageNode(dev, plan, gpn))
+	for dev := range ct.tp {
+		node := stageNode(dev, plan, gpn)
+		ct.tp[dev] = routeOf(cg.CollectivePath(node, tpSpan))
+		ct.dp[dev] = routeOf(cg.CollectivePath(node, dpSpan))
+	}
+	for di := range g.descs {
+		if d := &g.descs[di]; d.kind == descP2P {
+			ct.p2p[di] = routeOf(cg.SendRecvPath(stageNode(int(d.from), plan, gpn), stageNode(int(d.to), plan, gpn)))
+		}
 	}
 	maxNode := (g.Devices*plan.Tensor*plan.Data - 1) / gpn // the last rank's node
 	ct.classes = hcaClass(maxNode) + 1
@@ -271,56 +314,55 @@ func (cs *contState) record(class int, start, end float64) {
 }
 
 // contend derates the base duration of the comm task in slot with
-// descriptor d, given its dependency-and-stream start time, and records
-// the derated flow on its link classes. The path follows from d's kind: a
-// collective rings from the device's representative node over its
-// plan-wide node span, and a pipeline transfer connects its two stages'
-// representative nodes. Compute tasks, which occupy no link, pass through
-// unchanged, and so do tasks that occupy no time: zero-duration tasks
-// (e.g. width-1 collectives) and tasks so short that start+dur rounds to
-// start. Such a query interval would be empty, on which the overlap count's
-// decomposition can go negative. The returned duration is always >= dur:
-// every weight is non-negative and the overlap counts only grow with
-// concurrency.
-func (ct *ContentionTable) contend(st *contState, slot int32, d *durDesc, start, dur float64) float64 {
+// descriptor index di and kind, given its dependency-and-stream start time,
+// and records the derated flow on its link classes. The route was resolved
+// at bind time and is picked by kind: a collective's by the slot's device,
+// a pipeline transfer's by its descriptor. Compute tasks, which occupy no
+// link, pass through unchanged, and so do tasks that occupy no time:
+// zero-duration tasks (e.g. width-1 collectives) and tasks so short that
+// start+dur rounds to start. Such a query interval would be empty, on
+// which the overlap count's decomposition can go negative. The returned
+// duration is always >= dur: every weight is non-negative and the overlap
+// counts only grow with concurrency.
+func (ct *ContentionTable) contend(st *contState, slot, di int32, kind descKind, start, dur float64) float64 {
 	if start+dur <= start {
 		return dur
 	}
-	var path comm.Path
-	switch d.kind {
+	var r *route
+	switch kind {
 	case descAllReduceTP:
-		path = ct.cg.CollectivePath(int(ct.repNode[slot>>1]), ct.tpSpan)
+		r = &ct.tp[slot>>1]
 	case descAllReduceDP:
-		path = ct.cg.CollectivePath(int(ct.repNode[slot>>1]), ct.dpSpan)
+		r = &ct.dp[slot>>1]
 	case descP2P:
-		path = ct.cg.SendRecvPath(int(ct.repNode[d.from]), int(ct.repNode[d.to]))
+		r = &ct.p2p[di]
 	default:
 		return dur
 	}
 	end := start + dur
 	nv, hca, spine := 0, 0, 0
-	if path.NVNode >= 0 {
-		nv = st.overlaps(nvClass(path.NVNode), start, end)
+	if r.nv >= 0 {
+		nv = st.overlaps(int(r.nv), start, end)
 	}
-	for _, n := range path.HCANodes {
-		if n >= 0 {
-			hca += st.overlaps(hcaClass(n), start, end)
+	for _, c := range r.hca {
+		if c >= 0 {
+			hca += st.overlaps(int(c), start, end)
 		}
 	}
-	if path.Spine {
+	if r.spine {
 		spine = st.overlaps(0, start, end)
 	}
 	dur *= ct.cg.Derate(nv, hca, spine)
 	fend := start + dur
-	if path.NVNode >= 0 {
-		st.record(nvClass(path.NVNode), start, fend)
+	if r.nv >= 0 {
+		st.record(int(r.nv), start, fend)
 	}
-	for _, n := range path.HCANodes {
-		if n >= 0 {
-			st.record(hcaClass(n), start, fend)
+	for _, c := range r.hca {
+		if c >= 0 {
+			st.record(int(c), start, fend)
 		}
 	}
-	if path.Spine {
+	if r.spine {
 		st.record(0, start, fend)
 	}
 	return dur

@@ -26,7 +26,7 @@ func TestReplayContendedNilMatchesReplay(t *testing.T) {
 	}
 	g, tables := batchFixture(t, plans)
 	checkLanes(t, g, tables, nil)
-	checkLanes(t, g, tables, make([]*ContentionTable, len(tables)))
+	checkLanes(t, g, tables, make([]*placement, len(tables)))
 	if _, err := g.ReplayBatchContended(tables, make([]*ContentionTable, 1)); err == nil {
 		t.Fatal("mismatched cts length: expected an error")
 	}
@@ -50,11 +50,11 @@ func TestContendedBatchMatchesSequential(t *testing.T) {
 	blocking := hw.PaperCluster(8)
 	blocking.NodesPerLeaf, blocking.Oversubscription = 1, 2
 	for _, c := range []hw.Cluster{hw.PaperCluster(8), blocking} {
-		cts := bindContention(g, plans, tables, c)
-		checkLanes(t, g, tables, cts)
+		places := placements(plans, c)
+		checkLanes(t, g, tables, places)
 		// Leave one lane ideal: mixed batches must stay well-defined.
-		cts[1] = nil
-		checkLanes(t, g, tables, cts)
+		places[1] = nil
+		checkLanes(t, g, tables, places)
 	}
 }
 
@@ -474,5 +474,97 @@ func TestCommScopes(t *testing.T) {
 		if p2p != 2 {
 			t.Errorf("%s: %d transfer descriptors, want one per direction", tc.plan, p2p)
 		}
+	}
+}
+
+// TestContentionRoutesMatchComm pins BindContention's bound routes to
+// comm's fat-tree paths: every device's tensor- and data-parallel route
+// and every pipeline-transfer descriptor's route must be the link-class
+// translation of comm.CollectivePath / comm.SendRecvPath for the same
+// placement, with every class inside the table's class count. The plans
+// cover one-node and one-stage placements, tensor widths beyond a node,
+// interleaved schedules whose last-to-first-stage transfer wraps, and leaf
+// radices small enough that routes cross the spine; the test fails unless
+// each of those cases actually occurs.
+func TestContentionRoutesMatchComm(t *testing.T) {
+	// classesOf is the test's own translation of a path into link classes.
+	classesOf := func(p comm.Path) route {
+		r := route{nv: -1, hca: [2]int32{-1, -1}, spine: p.Spine}
+		if p.NVNode >= 0 {
+			r.nv = int32(1 + 2*p.NVNode)
+		}
+		for i, n := range p.HCANodes {
+			if n >= 0 {
+				r.hca[i] = int32(2 + 2*n)
+			}
+		}
+		return r
+	}
+	shapes := []parallel.Plan{
+		{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 2},
+		{Tensor: 1, Data: 1, Pipeline: 4, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2},
+		{Tensor: 1, Data: 1, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, VirtualStages: 2},
+		{Tensor: 1, Data: 1, Pipeline: 4, MicroBatch: 1, GlobalBatch: 8, VirtualStages: 2, GradientBuckets: 2},
+	}
+	widths := [][2]int{{1, 1}, {2, 2}, {2, 3}, {4, 8}, {8, 2}, {16, 1}, {16, 4}, {32, 2}}
+	var sawOneNode, sawWideTP, sawWrap, sawSpine, sawNV bool
+	for _, shape := range shapes {
+		g, _ := lowerOn(t, deepModel(), shape, hw.PaperCluster(1), OperatorLevel)
+		for _, w := range widths {
+			plan := shape
+			plan.Tensor, plan.Data = w[0], w[1]
+			ranks := g.Devices * plan.Tensor * plan.Data
+			for _, leaf := range []int{0, 1, 2} {
+				c := hw.PaperCluster(max((ranks+7)/8, 1))
+				c.NodesPerLeaf = leaf
+				gpn := c.Node.GPUsPerNode
+				cg := comm.NewCongestion(c)
+				ct := g.BindContention(plan, c, nil)
+				check := func(what string, got route, p comm.Path) {
+					t.Helper()
+					if want := classesOf(p); got != want {
+						t.Fatalf("%s leaf %d: %s route %+v, want %+v from %+v", plan, leaf, what, got, want, p)
+					}
+					for _, class := range []int32{got.nv, got.hca[0], got.hca[1]} {
+						if int(class) >= ct.classes {
+							t.Fatalf("%s leaf %d: %s class %d outside %d classes", plan, leaf, what, class, ct.classes)
+						}
+					}
+					sawSpine = sawSpine || got.spine
+					sawNV = sawNV || got.nv >= 0
+				}
+				if len(ct.tp) != g.Devices || len(ct.dp) != g.Devices || len(ct.p2p) != len(g.descs) {
+					t.Fatalf("%s: %d tp / %d dp / %d p2p routes for %d devices and %d descriptors",
+						plan, len(ct.tp), len(ct.dp), len(ct.p2p), g.Devices, len(g.descs))
+				}
+				tpN, tpIntra := allReduceTPArgs(plan, gpn)
+				dpN, dpIntra := allReduceDPArgs(plan, gpn)
+				tpSpan, dpSpan := tpN, dpN
+				if tpIntra {
+					tpSpan = 1
+				}
+				if dpIntra {
+					dpSpan = 1
+				}
+				for dev := 0; dev < g.Devices; dev++ {
+					node := stageNode(dev, plan, gpn)
+					check("tp", ct.tp[dev], cg.CollectivePath(node, tpSpan))
+					check("dp", ct.dp[dev], cg.CollectivePath(node, dpSpan))
+				}
+				for di, d := range g.descs {
+					if d.kind != descP2P {
+						continue
+					}
+					check("p2p", ct.p2p[di], cg.SendRecvPath(stageNode(int(d.from), plan, gpn), stageNode(int(d.to), plan, gpn)))
+					sawWrap = sawWrap || d.from > d.to
+				}
+				sawOneNode = sawOneNode || ranks <= gpn
+				sawWideTP = sawWideTP || plan.Tensor > gpn
+			}
+		}
+	}
+	if !sawOneNode || !sawWideTP || !sawWrap || !sawSpine || !sawNV {
+		t.Fatalf("coverage: one-node %v, t > gpn %v, wrapping transfer %v, spine %v, NVSwitch %v",
+			sawOneNode, sawWideTP, sawWrap, sawSpine, sawNV)
 	}
 }

@@ -4,16 +4,26 @@ import (
 	"math"
 
 	"vtrain/internal/comm"
+	"vtrain/internal/hw"
+	"vtrain/internal/parallel"
 )
+
+// placement is the plan and cluster a contended replay is bound for.
+type placement struct {
+	plan parallel.Plan
+	c    hw.Cluster
+}
 
 // referenceReplay is a deliberately naive Algorithm 1 that the optimized
 // replay loops are checked against bit for bit: maps instead of slabs, its
 // own dependency counts and FIFO queue, and — under contention — a
 // brute-force overlap count against every flow recorded earlier on each
 // link, priced through comm.Congestion's paths and Derate. It shares no
-// replay code with the package: only the graph's structure, the table's
-// bound values, and the contention table's bind-time placement, from which
-// it resolves each comm task's path by its descriptor kind.
+// replay code with the package: only the graph's structure and the table's
+// bound values. A nil pl replays ideally; otherwise it re-derives each
+// comm task's path from pl by its descriptor kind, through the placement
+// rule (stageNode, allReduceTPArgs, allReduceDPArgs) and comm's paths,
+// never through a ContentionTable's bound routes.
 //
 // It derives each task's children by transposing the parents CSR, so
 // children list in ascending id, and seeds the queue with the roots in
@@ -22,7 +32,7 @@ import (
 // and the children a task releases were numbered in the order they were
 // queued. The FIFO order of the renumbered graph is therefore the id order,
 // which the optimized loops walk directly.
-func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
+func referenceReplay(g *Graph, tbl *DurationTable, pl *placement) Result {
 	type link struct{ kind, node int } // kind 0 = NVSwitch, 1 = HCA, 2 = spine
 	type flow struct{ start, end float64 }
 	res := Result{
@@ -47,6 +57,11 @@ func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 	ready := map[int32]float64{}
 	free := map[int]float64{}
 	flows := map[link][]flow{}
+	var cg comm.Congestion
+	var gpn int
+	if pl != nil {
+		cg, gpn = comm.NewCongestion(pl.c), pl.c.Node.GPUsPerNode
+	}
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
@@ -59,15 +74,15 @@ func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 		comms := d.kind == descAllReduceTP || d.kind == descAllReduceDP || d.kind == descP2P
 		// A flow that occupies no time on the timeline contends with
 		// nothing, as in contend.
-		if ct != nil && t.Stream == CommStream && comms && start+dur > start {
+		if pl != nil && t.Stream == CommStream && comms && start+dur > start {
 			var path comm.Path
 			switch d.kind {
 			case descAllReduceTP:
-				path = ct.cg.CollectivePath(int(ct.repNode[t.Device]), ct.tpSpan)
+				path = cg.CollectivePath(stageNode(t.Device, pl.plan, gpn), nodeSpan(allReduceTPArgs(pl.plan, gpn)))
 			case descAllReduceDP:
-				path = ct.cg.CollectivePath(int(ct.repNode[t.Device]), ct.dpSpan)
+				path = cg.CollectivePath(stageNode(t.Device, pl.plan, gpn), nodeSpan(allReduceDPArgs(pl.plan, gpn)))
 			default:
-				path = ct.cg.SendRecvPath(int(ct.repNode[d.from]), int(ct.repNode[d.to]))
+				path = cg.SendRecvPath(stageNode(int(d.from), pl.plan, gpn), stageNode(int(d.to), pl.plan, gpn))
 			}
 			var links []link
 			if path.NVNode >= 0 {
@@ -89,7 +104,7 @@ func referenceReplay(g *Graph, tbl *DurationTable, ct *ContentionTable) Result {
 					}
 				}
 			}
-			dur *= ct.cg.Derate(overlaps[0], overlaps[1], overlaps[2])
+			dur *= cg.Derate(overlaps[0], overlaps[1], overlaps[2])
 			for _, l := range links {
 				flows[l] = append(flows[l], flow{start, start + dur})
 			}

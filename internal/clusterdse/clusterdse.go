@@ -16,10 +16,10 @@
 // structure is hardware-invariant, so all hardware variants of one plan
 // shape share a single lowered graph. ExploreFunc derives one sibling
 // simulator per candidate cluster from a single root via
-// core.Simulator.ForCluster — they share the shape-keyed structural cache —
-// and a hardware-only sweep therefore pays for exactly one lowering no
-// matter how many clusters it compares (pinned by the package tests and
-// BenchmarkClusterSweep).
+// core.Simulator.ForCluster — they share the shape-keyed structural cache
+// and one profiler per GPU — and a hardware-only sweep therefore pays for
+// exactly one lowering no matter how many clusters it compares (pinned by
+// the package tests and BenchmarkClusterSweep).
 package clusterdse
 
 import (
@@ -218,14 +218,15 @@ func NewSimulator(s Space, opts ...core.Option) (*core.Simulator, error) {
 // Calls to fn are serialized; completion order is nondeterministic (bounded
 // worker pool over shape batches), so rank with Point.Better.
 //
-// All candidates are simulated through siblings of sim (see
-// core.Simulator.ForCluster) so they share one structural cache: the
-// hardware axes add design points but no lowerings. The sweep batches by
-// structural shape across candidates, not per candidate: every feasible
-// (candidate, plan) pair is enumerated up front and handed to dse.Sweep,
-// so pairs sharing a shape — regardless of which cluster they price —
-// flush through one core.SimulateBatch, and one lowered graph replays up
-// to a full batch of duration tables per pass. Within one candidate only
+// All candidates are simulated through siblings derived straight from sim
+// (see core.Simulator.ForCluster), so they share sim's tree: the hardware
+// axes add design points but no lowerings, and each GPU profiles its
+// operators once. The sweep batches by structural shape across
+// candidates, not per candidate: every feasible (candidate, plan) pair is
+// enumerated up front and handed to dse.Sweep, so pairs sharing a shape —
+// regardless of which cluster they price — flush through one
+// core.SimulateBatch, and one lowered graph replays up to a full batch of
+// duration tables per pass. Within one candidate only
 // a handful of plans share a shape (t·d·p must equal the cluster's GPU
 // count), so cross-candidate grouping is what makes the batches wide;
 // sim.CacheStats reports the shared structural and batching counters
@@ -260,11 +261,6 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 		if err := off.Validate(); err != nil {
 			return fmt.Errorf("clusterdse: %w", err)
 		}
-		// Derive the offering's node-count variants from its first sibling
-		// rather than the root: ForCluster reuses the parent's profiler for
-		// an identical GPU spec, so one offering profiles its operators once
-		// across all cluster sizes.
-		parent := sim
 		for _, nodes := range s.NodeCounts {
 			cand := Candidate{Offering: off, Nodes: nodes}
 			cl := cand.Cluster()
@@ -286,11 +282,10 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 			}
 			// A sibling lives for one sweep and sees each of its plans
 			// once, so a report cache could never hit: derive it without.
-			sib, err := parent.ForCluster(cl, core.WithContention(s.Contention), core.WithCacheSize(0))
+			sib, err := sim.ForCluster(cl, core.WithContention(s.Contention), core.WithCacheSize(0))
 			if err != nil {
 				return fmt.Errorf("clusterdse: %s: %w", cand, err)
 			}
-			parent = sib
 			ps := s.Plans
 			ps.MaxGPUs = 0
 			ps.ExactGPUs = cl.TotalGPUs()

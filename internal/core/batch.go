@@ -24,8 +24,8 @@ type Shape struct {
 }
 
 // PlanShape projects (m, plan) onto its structural Shape at the simulator's
-// fidelity. ForCluster siblings agree on shapes: the projection contains no
-// hardware fields, mirroring the shared structural cache.
+// fidelity. Siblings at one fidelity agree on shapes: the projection
+// contains no hardware fields, mirroring the shared structural cache.
 func (s *Simulator) PlanShape(m model.Config, plan parallel.Plan) Shape {
 	return Shape{key: shapeOf(m, plan, s.fidelity)}
 }
@@ -59,9 +59,9 @@ func (e *PlanError) Unwrap() error { return e.Err }
 //
 // Plans on different ForCluster siblings that share a shape batch into one
 // replay: the structure is hardware-invariant, only each lane's bound
-// durations differ. Siblings of one root share a structural cache;
-// unrelated simulators still produce correct reports but group into
-// disjoint batches.
+// durations differ. Siblings of one root share a structural cache, and may
+// mix fidelities: plans group per (shape, fidelity). Unrelated simulators
+// still produce correct reports but group into disjoint batches.
 //
 // On error the returned reports are nil and the error is a *PlanError
 // naming the offending plan; reports of plans already simulated may have
@@ -150,7 +150,7 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 			var cts []*taskgraph.ContentionTable
 			for j, i := range chunk {
 				si := sims[i]
-				tables[j] = gr.tg.Bind(si.profiler, si.comm, plans[i], si.cluster)
+				tables[j] = gr.tg.Bind(si.timing.profiler, si.comm, plans[i], si.cluster)
 				if si.contention {
 					if cts == nil {
 						cts = make([]*taskgraph.ContentionTable, len(chunk))
@@ -183,7 +183,7 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 				}
 				// The whole chunk has bound, so a lane's operator table is
 				// saved at most once per chunk: saveOps writes only growth.
-				si.saveOps()
+				si.tree.saveOps(si.timing)
 				tables[j].Release()
 			}
 		}

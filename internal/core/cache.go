@@ -1,12 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"vtrain/internal/artifact"
+	"vtrain/internal/gpu"
+	"vtrain/internal/hw"
 	"vtrain/internal/model"
 	"vtrain/internal/parallel"
+	"vtrain/internal/profiler"
 	"vtrain/internal/taskgraph"
 )
 
@@ -165,17 +170,23 @@ type structEntry struct {
 
 // tree is the state a root simulator shares, through one pointer, with
 // every ForCluster sibling derived from it: the structural cache, the
-// persistent artifact store, and every CacheStats counter. A multi-cluster
-// sweep therefore reports its totals in one place, and a sibling that is
-// dropped has already recorded everything it did into its tree.
+// persistent artifact store, one device timing model and profiler per GPU,
+// and every CacheStats counter. A multi-cluster sweep therefore profiles
+// each operator once per GPU and reports its totals in one place, and a
+// sibling that is dropped has already recorded everything it did into its
+// tree.
 type tree struct {
-	// shapes is the structural cache: one lowered graph per plan topology.
+	// shapes is the structural cache: one lowered graph per plan topology
+	// and fidelity.
 	shapes *fifo[shapeKey, *structEntry]
 	// artifacts is the persistent tier below the structural cache (nil
 	// unless WithArtifactDir is given): memory miss -> disk load ->
 	// lowering, with fresh lowerings written back. The store counts its own
 	// disk hits, misses and writes.
 	artifacts *artifact.Store
+	// gpus holds each GPU's timing model, guarded by gpusMu.
+	gpusMu sync.Mutex
+	gpus   map[hw.GPU]*gpuTiming
 	// reports counts the report-cache lookups of every simulator in the
 	// tree (each owns its cache: a report depends on the cluster), structs
 	// the lookups in shapes.
@@ -199,5 +210,78 @@ func (l *lookups) record(hit bool) {
 		l.hits.Add(1)
 	} else {
 		l.misses.Add(1)
+	}
+}
+
+// gpuTiming is one GPU's device timing model and the profiler built on it.
+// The profiler is internally synchronized, so every simulator of a tree on
+// that GPU binds through it and profiles each operator once.
+type gpuTiming struct {
+	device   *gpu.Device
+	profiler *profiler.Profiler
+	// saved is the profiler entry count at the last operator-table save,
+	// so the table is re-persisted only when it grew.
+	saved atomic.Int64
+}
+
+func newGPUTiming(d *gpu.Device) *gpuTiming {
+	return &gpuTiming{device: d, profiler: profiler.New(d)}
+}
+
+// timingFor returns the tree's timing model for g, building it — and
+// pre-warming its profiler from the artifact store — on first use.
+func (t *tree) timingFor(g hw.GPU) *gpuTiming {
+	t.gpusMu.Lock()
+	defer t.gpusMu.Unlock()
+	gt, ok := t.gpus[g]
+	if !ok {
+		gt = newGPUTiming(gpu.NewDevice(g))
+		t.loadOps(gt)
+		t.gpus[g] = gt
+	}
+	return gt
+}
+
+// opsKey is the artifact store address of gt's operator table, keyed by
+// the full device timing model: a different GPU — or a tuned device — must
+// never read another's kernel timings.
+func (gt *gpuTiming) opsKey() string {
+	d := gt.device
+	return artifact.Key(
+		"ops",
+		strconv.Itoa(artifact.OpsEncodingVersion),
+		artifact.BuildID(),
+		fmt.Sprintf("%+v|%g|%g", d.Spec, d.MaxTensorEff, d.MemEff),
+	)
+}
+
+// loadOps pre-warms gt's profiler from the persisted operator table, if the
+// store has one for its device. Installed entries count as neither hits
+// nor misses, so profiler statistics still reflect this process's demand.
+func (t *tree) loadOps(gt *gpuTiming) {
+	if t.artifacts == nil {
+		return
+	}
+	if entries, ok := t.artifacts.LoadOperators(gt.opsKey()); ok {
+		gt.profiler.Install(entries)
+		gt.saved.Store(int64(gt.profiler.Entries()))
+	}
+}
+
+// saveOps persists gt's operator table when it grew since the last save.
+// Callers save after binding a plan's durations: Lower reads only kernel
+// counts, so the table fills as plans bind, and only re-saving when it grew
+// keeps the write traffic bounded. Concurrent savers may both write; the
+// content is deterministic per device, so the duplicate write is harmless.
+func (t *tree) saveOps(gt *gpuTiming) {
+	if t.artifacts == nil {
+		return
+	}
+	n := int64(gt.profiler.Entries())
+	if n == 0 || n == gt.saved.Load() {
+		return
+	}
+	if t.artifacts.SaveOperators(gt.opsKey(), gt.profiler.Table()) {
+		gt.saved.Store(n)
 	}
 }

@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"vtrain/internal/artifact"
 	"vtrain/internal/comm"
@@ -32,9 +31,11 @@ import (
 // internally synchronized, and the graphs built per simulation are
 // immutable.
 type Simulator struct {
-	cluster  hw.Cluster
-	device   *gpu.Device
-	profiler *profiler.Profiler
+	cluster hw.Cluster
+	// timing is the device model and profiler the simulator binds with:
+	// its tree's entry for the cluster's GPU, or a private one given by
+	// WithDevice on a sibling.
+	timing   *gpuTiming
 	comm     taskgraph.CommTimer
 	fidelity taskgraph.Fidelity
 	// contention enables the topology-aware congestion fidelity level:
@@ -49,10 +50,6 @@ type Simulator struct {
 	// disabled); tree holds what it shares with its ForCluster siblings.
 	reports *fifo[cacheKey, Report]
 	tree    *tree
-	// opsSaved tracks the profiler entry count at the last operator-table
-	// save, so the table is re-persisted only when it grew. Shared with
-	// siblings that share the profiler.
-	opsSaved *atomic.Int64
 }
 
 // Option configures a Simulator.
@@ -82,12 +79,11 @@ func WithContention(on bool) Option {
 	return func(s *Simulator) { s.contention = on }
 }
 
-// WithDevice overrides the GPU timing model.
+// WithDevice overrides the GPU timing model. On New it becomes the tree's
+// model for the root's GPU, which same-GPU siblings then share; a sibling
+// given WithDevice keeps a private model and profiler.
 func WithDevice(d *gpu.Device) Option {
-	return func(s *Simulator) {
-		s.device = d
-		s.profiler = profiler.New(d)
-	}
+	return func(s *Simulator) { s.timing = newGPUTiming(d) }
 }
 
 // WithCacheSize bounds the plan-level result cache to n entries
@@ -115,11 +111,8 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	dev := gpu.NewDevice(c.Node.GPU)
 	s := &Simulator{
 		cluster:   c,
-		device:    dev,
-		profiler:  profiler.New(dev),
 		comm:      comm.NewModel(c),
 		fidelity:  taskgraph.TaskLevel,
 		cacheSize: DefaultCacheSize,
@@ -133,9 +126,14 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	// each other's reports or structural graphs — except siblings derived
 	// with ForCluster, which deliberately share the tree (structural graphs
 	// are hardware-invariant; see ForCluster).
+	if s.timing == nil {
+		s.timing = newGPUTiming(gpu.NewDevice(c.Node.GPU))
+	}
 	s.reports = newFIFO[cacheKey, Report](s.cacheSize)
-	s.tree = &tree{shapes: newFIFO[shapeKey, *structEntry](DefaultStructCacheSize)}
-	s.opsSaved = new(atomic.Int64)
+	s.tree = &tree{
+		shapes: newFIFO[shapeKey, *structEntry](DefaultStructCacheSize),
+		gpus:   map[hw.GPU]*gpuTiming{c.Node.GPU: s.timing},
+	}
 	if s.artifactDir != "" {
 		st, err := artifact.Open(s.artifactDir)
 		if err != nil {
@@ -143,48 +141,38 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 		}
 		s.tree.artifacts = st
 	}
-	s.loadOps()
+	s.tree.loadOps(s.timing)
 	return s, nil
 }
 
 // ForCluster derives a sibling simulator for cluster c that shares s's
-// tree — the shape-keyed structural cache, the artifact store and every
-// CacheStats counter — while owning its own device timing model, profiler,
-// communication model, and plan-level report cache.
+// tree — the shape-keyed structural cache, the artifact store, one device
+// timing model and profiler per GPU, and every CacheStats counter — while
+// owning its own communication model and plan-level report cache.
 //
 // Sharing is sound because a structural graph is hardware-invariant: Lower
 // emits tasks, dependency edges, and duration descriptors only, and
 // consults the profiler solely for each operator's kernel count, which is
 // fixed per operator kind across GPU generations. Everything a cluster
 // changes — kernel durations, collective latencies, link placement, price —
-// is bound per plan by Graph.Bind against the sibling's own profiler and
+// is bound per plan by Graph.Bind against the sibling's GPU profiler and
 // communication model. This is what makes a joint (hardware x plan) sweep
 // cheap: all hardware variants of one plan shape replay a single lowered
-// graph (see internal/clusterdse).
+// graph, and every candidate on one GPU profiles each operator once (see
+// internal/clusterdse).
 //
-// Options may tune the sibling's report cache, communication model, device,
-// or contention level (contention binds at replay time, never into the
-// shared structure), but must not change the fidelity or the artifact dir:
-// both are properties of the shared cache, so a mismatch is an error.
-// CacheStats on any sibling reports the tree's counters.
+// Options may tune the sibling's report cache, communication model,
+// device, fidelity, or contention level: the structural cache keys every
+// graph by its fidelity, and contention binds at replay time, so siblings
+// of one tree may differ in both. The artifact dir is a property of the
+// tree, so changing it is an error. CacheStats on any sibling reports the
+// tree's counters.
 func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	// Siblings for the same GPU specification (e.g. node-count or
-	// interconnect variants of one offering) reuse the parent's device and
-	// profiler: the operator-to-task table depends only on the GPU, and the
-	// profiler is internally synchronized, so sharing it skips re-profiling
-	// every operator shape per candidate.
-	dev, prof := s.device, s.profiler
-	if c.Node.GPU != s.cluster.Node.GPU {
-		dev = gpu.NewDevice(c.Node.GPU)
-		prof = profiler.New(dev)
-	}
 	sib := &Simulator{
 		cluster:     c,
-		device:      dev,
-		profiler:    prof,
 		comm:        comm.NewModel(c),
 		fidelity:    s.fidelity,
 		contention:  s.contention,
@@ -195,20 +183,14 @@ func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error)
 	for _, o := range opts {
 		o(sib)
 	}
-	if sib.fidelity != s.fidelity {
-		return nil, fmt.Errorf("core: ForCluster cannot change fidelity: the shared structural cache is keyed by the parent's")
-	}
 	if sib.artifactDir != s.artifactDir {
 		return nil, fmt.Errorf("core: ForCluster cannot change the artifact store: it is shared with the parent")
 	}
 	sib.reports = newFIFO[cacheKey, Report](sib.cacheSize)
-	if sib.profiler == s.profiler {
-		sib.opsSaved = s.opsSaved
+	if sib.timing == nil {
+		sib.timing = s.tree.timingFor(c.Node.GPU)
 	} else {
-		// A different GPU means a fresh profiler and its own persisted
-		// operator table.
-		sib.opsSaved = new(atomic.Int64)
-		sib.loadOps()
+		s.tree.loadOps(sib.timing)
 	}
 	return sib, nil
 }
@@ -245,24 +227,6 @@ type CacheStats struct {
 	DiskHits, DiskMisses, DiskWrites uint64
 }
 
-// Add returns the field-wise sum of s and t, for aggregating counters
-// across simulator trees — the serving layer's /metrics endpoint sums its
-// roots' stats into one scrape.
-func (s CacheStats) Add(t CacheStats) CacheStats {
-	return CacheStats{
-		ReportHits:   s.ReportHits + t.ReportHits,
-		ReportMisses: s.ReportMisses + t.ReportMisses,
-		StructHits:   s.StructHits + t.StructHits,
-		StructMisses: s.StructMisses + t.StructMisses,
-		BatchReplays: s.BatchReplays + t.BatchReplays,
-		BatchedPlans: s.BatchedPlans + t.BatchedPlans,
-		Lowerings:    s.Lowerings + t.Lowerings,
-		DiskHits:     s.DiskHits + t.DiskHits,
-		DiskMisses:   s.DiskMisses + t.DiskMisses,
-		DiskWrites:   s.DiskWrites + t.DiskWrites,
-	}
-}
-
 // CacheStats snapshots the counters of the simulator's tree.
 func (s *Simulator) CacheStats() CacheStats {
 	t := s.tree
@@ -285,7 +249,7 @@ func (s *Simulator) CacheStats() CacheStats {
 func (s *Simulator) Cluster() hw.Cluster { return s.cluster }
 
 // Profiler exposes the operator-to-task lookup table.
-func (s *Simulator) Profiler() *profiler.Profiler { return s.profiler }
+func (s *Simulator) Profiler() *profiler.Profiler { return s.timing.profiler }
 
 // Report is the outcome of simulating one training iteration.
 type Report struct {
@@ -360,9 +324,9 @@ func (s *Simulator) simulate(m model.Config, plan parallel.Plan, capture bool) (
 	// collective and P2P times from the communication model — onto the
 	// (possibly shared) structure, then replay. Binding allocates only the
 	// pooled table; the structure itself is reused untouched.
-	tbl := tg.Bind(s.profiler, s.comm, plan, s.cluster)
+	tbl := tg.Bind(s.timing.profiler, s.comm, plan, s.cluster)
 	defer tbl.Release()
-	s.saveOps()
+	s.tree.saveOps(s.timing)
 	var ct *taskgraph.ContentionTable
 	if s.contention {
 		ct = tg.BindContention(plan, s.cluster, tbl)
@@ -433,7 +397,7 @@ func (s *Simulator) lower(m model.Config, plan parallel.Plan) (*taskgraph.Graph,
 	if err != nil {
 		return nil, err
 	}
-	tg := taskgraph.Lower(og, s.profiler, s.fidelity)
+	tg := taskgraph.Lower(og, s.timing.profiler, s.fidelity)
 	// Lower copies everything the task graph needs, so the operator graph
 	// goes straight back to the construction pool.
 	og.Recycle()
@@ -452,49 +416,6 @@ func (s *Simulator) graphKey(m model.Config, plan parallel.Plan) string {
 		artifact.BuildID(),
 		fmt.Sprintf("%+v", shapeOf(m, plan, s.fidelity)),
 	)
-}
-
-// opsKey is the artifact store address of the profiler's operator table,
-// keyed by the full device timing model: a different GPU — or a tuned
-// device — must never read another's kernel timings.
-func (s *Simulator) opsKey() string {
-	return artifact.Key(
-		"ops",
-		strconv.Itoa(artifact.OpsEncodingVersion),
-		artifact.BuildID(),
-		fmt.Sprintf("%+v|%g|%g", s.device.Spec, s.device.MaxTensorEff, s.device.MemEff),
-	)
-}
-
-// loadOps pre-warms the profiler from the persisted operator table, if the
-// store has one for this device. Installed entries count as neither hits
-// nor misses, so profiler statistics still reflect this process's demand.
-func (s *Simulator) loadOps() {
-	if s.tree.artifacts == nil {
-		return
-	}
-	if entries, ok := s.tree.artifacts.LoadOperators(s.opsKey()); ok {
-		s.profiler.Install(entries)
-		s.opsSaved.Store(int64(s.profiler.Entries()))
-	}
-}
-
-// saveOps persists the operator table when it grew since the last save.
-// Callers save after binding a plan's durations: Lower reads only kernel
-// counts, so the table fills as plans bind, and only re-saving when it grew
-// keeps the write traffic bounded. Concurrent savers may both write; the
-// content is deterministic per device, so the duplicate write is harmless.
-func (s *Simulator) saveOps() {
-	if s.tree.artifacts == nil {
-		return
-	}
-	n := int64(s.profiler.Entries())
-	if n == 0 || n == s.opsSaved.Load() {
-		return
-	}
-	if s.tree.artifacts.SaveOperators(s.opsKey(), s.profiler.Table()) {
-		s.opsSaved.Store(n)
-	}
 }
 
 // assembleReport derives the Report quantities from a replay result.

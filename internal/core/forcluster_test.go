@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
+	"vtrain/internal/gpu"
 	"vtrain/internal/hw"
 	"vtrain/internal/model"
 	"vtrain/internal/parallel"
@@ -134,9 +136,9 @@ func TestForClusterConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-// TestForClusterRejections pins the error paths: invalid clusters, fidelity
-// changes, and structural-cache resizes are all refused, since each would
-// poison or fork the shared cache.
+// TestForClusterRejections pins the error paths: invalid clusters are
+// refused, while fidelity and report-cache options are a sibling's own
+// settings (the shared structural cache keys every graph by its fidelity).
 func TestForClusterRejections(t *testing.T) {
 	root, err := New(hw.PaperCluster(2))
 	if err != nil {
@@ -147,8 +149,8 @@ func TestForClusterRejections(t *testing.T) {
 	if _, err := root.ForCluster(bad); err == nil {
 		t.Error("invalid cluster accepted")
 	}
-	if _, err := root.ForCluster(hw.PaperCluster(4), WithFidelity(taskgraph.OperatorLevel)); err == nil {
-		t.Error("fidelity change accepted; the shared cache is keyed by the parent's fidelity")
+	if _, err := root.ForCluster(hw.PaperCluster(4), WithFidelity(taskgraph.OperatorLevel)); err != nil {
+		t.Errorf("fidelity option rejected: %v", err)
 	}
 	// Report-cache options remain free per sibling.
 	if _, err := root.ForCluster(hw.PaperCluster(4), WithCacheSize(0)); err != nil {
@@ -257,5 +259,103 @@ func TestTreeCountsEverySibling(t *testing.T) {
 	if st.ReportHits+st.ReportMisses != 2*goroutines || st.ReportMisses < 2 || st.Lowerings != 1 {
 		t.Errorf("concurrent: %d report hits, %d misses, %d lowerings; want %d lookups, at least 2 misses, 1 lowering",
 			st.ReportHits, st.ReportMisses, st.Lowerings, 2*goroutines)
+	}
+}
+
+// TestTreeSharesProfilerPerGPU pins where a GPU's profiler lives: in the
+// tree, so every sibling on one GPU binds through one profiler whatever it
+// was derived from — including a sibling on the root's GPU derived from a
+// sibling on another — while a sibling given WithDevice keeps its own.
+func TestTreeSharesProfilerPerGPU(t *testing.T) {
+	a100, h100, v100 := offering(t, "a100-sxm-80gb"), offering(t, "h100-sxm-80gb"), offering(t, "v100-sxm-32gb")
+	root, err := New(a100.Cluster(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	derive := func(parent *Simulator, c hw.Cluster, opts ...Option) *Simulator {
+		t.Helper()
+		sib, err := parent.ForCluster(c, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sib
+	}
+	viaH100 := derive(root, h100.Cluster(2))
+	viaV100 := derive(root, v100.Cluster(2))
+	if a, b := derive(viaH100, h100.Cluster(4)), derive(viaV100, h100.Cluster(8)); a.Profiler() != b.Profiler() {
+		t.Error("H100 siblings derived from an H100 and a V100 parent have two profilers")
+	}
+	if derive(viaV100, a100.Cluster(8)).Profiler() != root.Profiler() {
+		t.Error("A100 sibling derived from a V100 parent does not share the root's profiler")
+	}
+	if viaH100.Profiler() == root.Profiler() {
+		t.Error("an H100 sibling shares the A100 root's profiler")
+	}
+	tuned := derive(root, h100.Cluster(2), WithDevice(gpu.NewDevice(h100.Node.GPU)))
+	if tuned.Profiler() == viaH100.Profiler() {
+		t.Error("a sibling given WithDevice shares the tree's profiler")
+	}
+}
+
+// offering looks a catalog offering up by name.
+func offering(t *testing.T, name string) hw.Offering {
+	t.Helper()
+	o, err := hw.LookupOffering(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// TestMixedFidelityBatch pins fidelity as a sibling setting: siblings of a
+// task-level root at both fidelities and on two clusters batch together,
+// each report equals a fresh single-fidelity simulator's, and the shared
+// structural cache lowers each (shape, fidelity) pair once.
+func TestMixedFidelityBatch(t *testing.T) {
+	cat := hw.Catalog()
+	m := forClusterModel()
+	shapes := []parallel.Plan{
+		forClusterPlan(),
+		{Tensor: 4, Data: 1, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2},
+	}
+	root, err := New(cat[0].Cluster(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		sims  []*Simulator
+		plans []parallel.Plan
+		want  []Report
+	)
+	for _, fid := range []taskgraph.Fidelity{taskgraph.OperatorLevel, taskgraph.TaskLevel} {
+		for _, off := range []hw.Offering{cat[0], cat[3]} {
+			sib, err := root.ForCluster(off.Cluster(2), WithFidelity(fid))
+			if err != nil {
+				t.Fatalf("%s at %v: %v", off.Name, fid, err)
+			}
+			fresh, err := New(off.Cluster(2), WithFidelity(fid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, plan := range shapes {
+				rep, err := fresh.Simulate(m, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sims, plans, want = append(sims, sib), append(plans, plan), append(want, rep)
+			}
+		}
+	}
+	got, err := SimulateBatch(m, sims, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plans {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("lane %d (%s): mixed-fidelity batch report differs from a fresh simulator's", i, plans[i])
+		}
+	}
+	if st := root.CacheStats(); st.Lowerings != 4 {
+		t.Errorf("%d lowerings, want 4 (2 shapes x 2 fidelities)", st.Lowerings)
 	}
 }

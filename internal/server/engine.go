@@ -18,16 +18,17 @@ import (
 // DefaultPoolSize bounds how many distinct (cluster, fidelity, contention)
 // simulators the engine keeps warm. Each pooled simulator is a ForCluster
 // sibling that owns a report cache and binds against its own cluster, while
-// lowered graphs live in its fidelity root's shared structural cache; the
+// lowered graphs and GPU profilers live in the root's shared tree; the
 // bound keeps a hostile request stream (every request a new node count)
 // from growing the pool without limit.
 const DefaultPoolSize = 64
 
 // Engine is the transport-independent serving core: it resolves requests
-// to simulator inputs and routes them to one simulator tree per fidelity —
-// a root built with core.New on first use and a pool of its ForCluster
-// siblings, one per (cluster, contention) — so a plan shape is lowered once
-// per fidelity however many clusters request it. Identical concurrent work
+// to simulator inputs and routes them to one simulator tree — a root built
+// with core.New on first use and a pool of its ForCluster siblings, one per
+// (cluster, fidelity, contention) — so a plan shape is lowered once per
+// fidelity and each GPU's operators are profiled once, however many
+// clusters request them. Identical concurrent work
 // dedupes through the tree's single-flight lowering; repeated
 // configurations across users hit warm caches instead of paying cold
 // lowering, which is the whole point of running long-lived.
@@ -40,7 +41,7 @@ type Engine struct {
 	mu    sync.Mutex
 	sims  map[simKey]*core.Simulator
 	order []simKey // insertion order, for FIFO eviction
-	roots map[taskgraph.Fidelity]*core.Simulator
+	root  *core.Simulator
 }
 
 type simKey struct {
@@ -52,17 +53,17 @@ type simKey struct {
 // EngineOption configures an Engine.
 type EngineOption func(*Engine)
 
-// WithSimulatorOptions appends core options applied to every root simulator
-// the engine creates, and inherited by the root's siblings. One-shot CLI
+// WithSimulatorOptions appends core options applied to the engine's root
+// simulator, and inherited by the root's siblings. One-shot CLI
 // processes pass core.WithCacheSize(0): their configurations never repeat,
 // so the report cache would only hold garbage.
 func WithSimulatorOptions(opts ...core.Option) EngineOption {
 	return func(e *Engine) { e.simOpts = append(e.simOpts, opts...) }
 }
 
-// WithArtifactDir enables the persistent artifact tier under dir for every
+// WithArtifactDir enables the persistent artifact tier under dir for the
 // root simulator, and so for every sibling below it: lowered graphs survive
-// process restarts, and the disk counters in /metrics are the roots'
+// process restarts, and the disk counters in /metrics are the root's
 // store-wide totals. An empty dir leaves the tier disabled (the default).
 func WithArtifactDir(dir string) EngineOption {
 	return WithSimulatorOptions(core.WithArtifactDir(dir))
@@ -74,7 +75,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{
 		poolSize: DefaultPoolSize,
 		sims:     make(map[simKey]*core.Simulator),
-		roots:    make(map[taskgraph.Fidelity]*core.Simulator),
 	}
 	for _, o := range opts {
 		o(e)
@@ -82,38 +82,31 @@ func NewEngine(opts ...EngineOption) *Engine {
 	return e
 }
 
-// root returns the fidelity's root simulator, building it on cluster c on
-// first use. The root's cluster only decides which GPU's profiler later
-// siblings share — structure is hardware-invariant and every sibling binds
-// its own durations — and the root stays contention-off: contention binds
-// at replay time, so siblings set their own. c must be valid.
-func (e *Engine) root(fid taskgraph.Fidelity, c hw.Cluster) (*core.Simulator, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r, ok := e.roots[fid]; ok {
-		return r, nil
+// derive returns a new sibling of the root on cluster c, building the root
+// on c on first use. The root only anchors the tree: structure is
+// hardware-invariant, the tree keeps one profiler per GPU, and siblings set
+// their own cluster, fidelity and contention. c must be valid; e.mu must be
+// held.
+func (e *Engine) derive(c hw.Cluster, opts ...core.Option) (*core.Simulator, error) {
+	if e.root == nil {
+		r, err := core.New(c, e.simOpts...)
+		if err != nil {
+			return nil, err
+		}
+		e.root = r
 	}
-	r, err := core.New(c, append([]core.Option{core.WithFidelity(fid)}, e.simOpts...)...)
-	if err != nil {
-		return nil, err
-	}
-	e.roots[fid] = r
-	return r, nil
+	return e.root.ForCluster(c, opts...)
 }
 
 // simulator returns the pooled sibling for (c, fid, contention), deriving
-// it from the fidelity's root on first use. When the pool is full the
-// oldest entry is dropped: its report cache is garbage-collected once
-// in-flight requests release it, while its lowered graphs and its counters
-// stay on the root's tree (siblings are safe to use after eviction; new
-// requests just derive a fresh one).
+// it from the root on first use. When the pool is full the oldest entry is
+// dropped: its report cache is garbage-collected once in-flight requests
+// release it, while its lowered graphs and its counters stay on the root's
+// tree (siblings are safe to use after eviction; new requests just derive
+// a fresh one).
 func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool) (*core.Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, badRequest(err)
-	}
-	root, err := e.root(fid, c)
-	if err != nil {
-		return nil, err
 	}
 	key := simKey{cluster: c, fidelity: fid, contention: contention}
 	e.mu.Lock()
@@ -121,7 +114,7 @@ func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool
 	if s, ok := e.sims[key]; ok {
 		return s, nil
 	}
-	s, err := root.ForCluster(c, core.WithContention(contention))
+	s, err := e.derive(c, core.WithFidelity(fid), core.WithContention(contention))
 	if err != nil {
 		return nil, err
 	}
@@ -135,16 +128,16 @@ func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool
 }
 
 // CacheStats is the serving layer's cache-concentration view, exported by
-// /metrics: the sum of each fidelity tree's counters. Every sibling records
-// into its tree, so the totals stay monotone when the pool evicts.
+// /metrics: the root tree's counters (zero before the first request). Every
+// sibling records into the tree, so the totals stay monotone when the pool
+// evicts.
 func (e *Engine) CacheStats() core.CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var st core.CacheStats
-	for _, r := range e.roots {
-		st = st.Add(r.CacheStats())
+	if e.root == nil {
+		return core.CacheStats{}
 	}
-	return st
+	return e.root.CacheStats()
 }
 
 // Simulate resolves and runs one simulation request. Request-resolution
@@ -307,8 +300,8 @@ func (r *SweepRun) Cluster() hw.Cluster { return r.cluster }
 // TotalTokens returns the request's token budget (0 = no cost projection).
 func (r *SweepRun) TotalTokens() uint64 { return r.tokens }
 
-// CacheStats snapshots the counters of the serving sibling's fidelity
-// tree; sweep progress reporting polls it mid-run.
+// CacheStats snapshots the counters of the serving sibling's tree; sweep
+// progress reporting polls it mid-run.
 func (r *SweepRun) CacheStats() core.CacheStats { return r.sim.CacheStats() }
 
 // Run executes the sweep, streaming each evaluated point to fn. Calls to
@@ -329,17 +322,18 @@ func (r *SweepRun) Run(fn func(dse.Point)) (SweepSummary, error) {
 
 // ClusterRun is a resolved /v1/clusterdse request, ready to execute.
 type ClusterRun struct {
-	root       *core.Simulator
+	parent     *core.Simulator
 	model      model.Config
 	space      clusterdse.Space
 	candidates int
 	resilient  bool
 }
 
-// PrepareClusterDSE resolves a cluster-design sweep against the per-
-// fidelity root simulator; every request's candidate siblings share the
-// root's structural cache with the pool, so repeated sweeps — and shapes
-// other requests already lowered — re-lower nothing.
+// PrepareClusterDSE resolves a cluster-design sweep against a sweep parent
+// derived from the root at the requested fidelity; every request's
+// candidate siblings share the root's tree with the pool, so repeated
+// sweeps — and shapes and GPUs other requests already served — re-lower
+// and re-profile nothing.
 func (e *Engine) PrepareClusterDSE(req ClusterDSERequest) (*ClusterRun, error) {
 	m, err := req.Model.Resolve()
 	if err != nil {
@@ -401,12 +395,15 @@ func (e *Engine) PrepareClusterDSE(req ClusterDSERequest) (*ClusterRun, error) {
 	if req.MaxMicroBatches > 0 {
 		space.Plans.MaxMicroBatches = req.MaxMicroBatches
 	}
-	root, err := e.root(fid, offs[0].Cluster(req.NodeCounts[0]))
+	// The parent only anchors the sweep's siblings: it needs no report cache.
+	e.mu.Lock()
+	parent, err := e.derive(offs[0].Cluster(req.NodeCounts[0]), core.WithFidelity(fid), core.WithCacheSize(0))
+	e.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	return &ClusterRun{
-		root: root, model: m, space: space,
+		parent: parent, model: m, space: space,
 		candidates: len(offs) * len(req.NodeCounts),
 		resilient:  enabled,
 	}, nil
@@ -421,14 +418,14 @@ func (r *ClusterRun) Candidates() int { return r.candidates }
 // Resilient reports whether failure pricing is applied to every point.
 func (r *ClusterRun) Resilient() bool { return r.resilient }
 
-// CacheStats snapshots the counters of the root simulator's tree.
-func (r *ClusterRun) CacheStats() core.CacheStats { return r.root.CacheStats() }
+// CacheStats snapshots the counters of the engine's tree.
+func (r *ClusterRun) CacheStats() core.CacheStats { return r.parent.CacheStats() }
 
 // Run executes the joint sweep, streaming each evaluated point to fn under
 // the same no-emission-after-error discipline as SweepRun.Run.
 func (r *ClusterRun) Run(fn func(clusterdse.Point)) (ClusterSummary, error) {
 	n := 0
-	err := clusterdse.ExploreFunc(r.root, r.model, r.space, func(p clusterdse.Point) {
+	err := clusterdse.ExploreFunc(r.parent, r.model, r.space, func(p clusterdse.Point) {
 		n++
 		fn(p)
 	})
@@ -437,6 +434,6 @@ func (r *ClusterRun) Run(fn func(clusterdse.Point)) (ClusterSummary, error) {
 	}
 	return ClusterSummary{
 		Points: n, Candidates: r.candidates,
-		Resilience: r.resilient, Cache: r.root.CacheStats(),
+		Resilience: r.resilient, Cache: r.parent.CacheStats(),
 	}, nil
 }

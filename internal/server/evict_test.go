@@ -163,11 +163,11 @@ func TestEngineOperatorTablePersists(t *testing.T) {
 var contendedSimulateBody = strings.Replace(simulateBody, `"total_tokens": 20000000000`,
 	`"total_tokens": 20000000000, "contention": true`, 1)
 
-// TestEngineSiblingsShareLowering locks the one-tree-per-fidelity design:
-// three pool keys of one plan shape — two clusters, and one cluster with
-// contention on — lower the shape once, sequentially and when all three
-// arrive concurrently (single-flight across siblings on different
-// clusters), and the concurrent answers match the sequential bytes.
+// TestEngineSiblingsShareLowering locks the one-tree design: three pool
+// keys of one plan shape — two clusters, and one cluster with contention
+// on — lower the shape once, sequentially and when all three arrive
+// concurrently (single-flight across siblings on different clusters), and
+// the concurrent answers match the sequential bytes.
 func TestEngineSiblingsShareLowering(t *testing.T) {
 	bodies := []string{simulateBody, twoNodeBody, contendedSimulateBody}
 
@@ -212,4 +212,26 @@ func mustPostSimulate(t *testing.T, ts *httptest.Server, body string) string {
 		t.Fatalf("status %d: %s", code, resp)
 	}
 	return resp
+}
+
+// TestClusterDSEReusesGPUProfiler pins that a GPU's profiler belongs to the
+// engine's tree: a repeated /v1/clusterdse request on a GPU other than the
+// root's binds through the profiler the first request built, so it reads
+// nothing from the artifact store — not even that GPU's operator table.
+func TestClusterDSEReusesGPUProfiler(t *testing.T) {
+	eng := NewEngine(WithArtifactDir(t.TempDir()))
+	_, ts := newTestServer(t, Config{Engine: eng})
+	mustPostSimulate(t, ts, operatorBody) // the root runs on the default A100 cluster
+	h100 := strings.Replace(clusterBody, "a100-sxm-80gb", "h100-sxm-80gb", 1)
+	var hits [2]uint64
+	for i := range hits {
+		before := eng.CacheStats().DiskHits
+		if code, body, _ := post(t, ts, "/v1/clusterdse", h100); code != 200 {
+			t.Fatalf("request %d: status %d: %s", i, code, body)
+		}
+		hits[i] = eng.CacheStats().DiskHits - before
+	}
+	if hits[1] != 0 {
+		t.Errorf("repeated H100 sweep read %d artifacts from disk, want 0 (first sweep read %d)", hits[1], hits[0])
+	}
 }

@@ -2,14 +2,14 @@
 // warm shared caches. It has two halves:
 //
 //   - Engine is the transport-independent entry point. It owns one
-//     simulator tree per fidelity: a root whose structural cache persists
-//     across requests, and a bounded pool of its ForCluster siblings with
-//     their report caches, so concurrent users on any cluster concentrate
-//     onto shared lowered graphs (the single-flight machinery dedupes
-//     identical in-flight work). The CLIs (cmd/vtrain, cmd/vtrain-dse,
-//     cmd/vtrain-clusterdse) are thin clients of the same Engine methods
-//     the HTTP handlers call, so the server path and the CLI path cannot
-//     drift.
+//     simulator tree: a root whose structural cache and GPU profilers
+//     persist across requests, and a bounded pool of its ForCluster
+//     siblings with their report caches, so concurrent users on any cluster
+//     and fidelity concentrate onto shared lowered graphs (the single-flight
+//     machinery dedupes identical in-flight work). The CLIs (cmd/vtrain,
+//     cmd/vtrain-dse, cmd/vtrain-clusterdse) are thin clients of the same
+//     Engine methods the HTTP handlers call, so the server path and the
+//     CLI path cannot drift.
 //
 //   - Server wraps an Engine in a long-lived HTTP+JSON service:
 //     POST /v1/simulate, /v1/sweep, /v1/clusterdse with descfile-shaped
@@ -149,8 +149,8 @@ func (o SimulateOutcome) Result() SimulateResult {
 }
 
 // SweepSummary closes a /v1/sweep stream: how many points streamed and the
-// cumulative cache counters of the serving sibling's fidelity tree, which
-// other clusters' requests also move. The counters are cumulative
+// cumulative cache counters of the engine's simulator tree, which other
+// clusters' and fidelities' requests also move. The counters are cumulative
 // across the server's lifetime on purpose — warm-cache concentration
 // across requests is the service's value, and the rising hit rate is how
 // operators observe it. In a one-shot CLI process cumulative equals

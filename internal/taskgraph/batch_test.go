@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,22 +16,46 @@ import (
 
 // batchFixture lowers one structural graph and binds a table per plan, the
 // way SimulateBatch feeds ReplayBatchContended: all plans share the graph's
-// shape, only their bound durations differ.
+// shape, only their bound durations differ. It fails unless every plan is
+// valid on the fixture cluster and lowers to plans[0]'s graph, so a plan
+// set cannot silently bind onto a structure it does not have.
 func batchFixture(t *testing.T, plans []parallel.Plan) (*Graph, []*DurationTable) {
 	t.Helper()
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
-	og, err := opgraph.Build(tinyModel(), plans[0], c)
-	if err != nil {
-		t.Fatal(err)
+	var g *Graph
+	for _, plan := range plans {
+		og, err := opgraph.Build(tinyModel(), plan, c)
+		if err != nil {
+			t.Fatalf("%s: %v", plan, err)
+		}
+		pg := Lower(og, prof, OperatorLevel)
+		og.Recycle()
+		if g == nil {
+			g = pg
+		} else if !reflect.DeepEqual(pg, g) {
+			t.Fatalf("%s lowers to a different graph than %s", plan, plans[0])
+		}
 	}
-	g := Lower(og, prof, OperatorLevel)
 	cm := comm.NewModel(c)
 	tables := make([]*DurationTable, len(plans))
 	for i, plan := range plans {
 		tables[i] = g.Bind(prof, cm, plan, c)
 	}
 	return g, tables
+}
+
+// oneShapePlans share one structure with tensor-parallel and data-parallel
+// All-Reduces in it (t > 1 and d > 1 are shape fields): pipeline depth 2
+// and 8 micro-batches of GlobalBatch 64, over mixed tensor widths, data
+// widths and micro-batch sizes, so every lane binds different durations.
+func oneShapePlans() []parallel.Plan {
+	return []parallel.Plan{
+		{Tensor: 2, Data: 8, Pipeline: 2, MicroBatch: 1, GlobalBatch: 64, GradientBuckets: 2},
+		{Tensor: 4, Data: 4, Pipeline: 2, MicroBatch: 2, GlobalBatch: 64, GradientBuckets: 2},
+		{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 4, GlobalBatch: 64, GradientBuckets: 2},
+		{Tensor: 4, Data: 2, Pipeline: 2, MicroBatch: 4, GlobalBatch: 64, GradientBuckets: 2},
+	}
 }
 
 // requireIdentical fails unless got and want are bit-identical — float
@@ -140,29 +165,17 @@ func checkLanes(t *testing.T, g *Graph, tables []*DurationTable, places []*place
 // TestReplayBatchEquivalence pins the batch contract against the reference
 // replay: every lane at widths 1, 3, 8, and 16 is bit-identical to
 // referenceReplay of its own table, ideal and contended, for a shape group
-// mixing micro-batch sizes (same micro-batch count, so one structure;
-// different data widths, so different durations per lane).
+// mixing tensor widths, data widths and micro-batch sizes (one structure,
+// different durations per lane).
 func TestReplayBatchEquivalence(t *testing.T) {
-	// All plans share (pipeline depth 2, 8 micro-batches): d=1,mb=2 and
-	// d=2,mb=1 both split GlobalBatch 16 into 8 micro-batches, and tensor
-	// width never affects structure. One graph, eight distinct tables.
-	plans := []parallel.Plan{
-		{Tensor: 1, Data: 1, Pipeline: 2, MicroBatch: 2, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 2, Data: 1, Pipeline: 2, MicroBatch: 2, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 1, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 4, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 4, Data: 1, Pipeline: 2, MicroBatch: 2, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 1, Data: 4, Pipeline: 2, MicroBatch: 2, GlobalBatch: 64, GradientBuckets: 2},
-		{Tensor: 2, Data: 4, Pipeline: 2, MicroBatch: 2, GlobalBatch: 64, GradientBuckets: 2},
-	}
+	plans := oneShapePlans()
 	g, tables := batchFixture(t, plans)
 	checkLanes(t, g, tables, nil)
 	checkLanes(t, g, tables, placements(plans, hw.PaperCluster(8)))
 
 	// Batch composition must not leak between lanes: the same table in a
 	// different lane position still reproduces its reference result.
-	perm := []int{5, 0, 3}
+	perm := []int{3, 0, 2}
 	permTables := make([]*DurationTable, len(perm))
 	for lane, i := range perm {
 		permTables[lane] = tables[i]

@@ -19,12 +19,7 @@ import (
 // bit-identical float operations to the ideal reference replay, so the
 // contention-off path is exactly the pre-knob simulator.
 func TestReplayContendedNilMatchesReplay(t *testing.T) {
-	plans := []parallel.Plan{
-		{Tensor: 1, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 4, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-	}
-	g, tables := batchFixture(t, plans)
+	g, tables := batchFixture(t, oneShapePlans())
 	checkLanes(t, g, tables, nil)
 	checkLanes(t, g, tables, make([]*placement, len(tables)))
 	if _, err := g.ReplayBatchContended(tables, make([]*ContentionTable, 1)); err == nil {
@@ -40,12 +35,7 @@ func TestReplayContendedNilMatchesReplay(t *testing.T) {
 // cluster and on an oversubscribed one-node-per-leaf tree whose inter-node
 // flows all contend on the spine.
 func TestContendedBatchMatchesSequential(t *testing.T) {
-	plans := []parallel.Plan{
-		{Tensor: 1, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 4, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-		{Tensor: 8, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2},
-	}
+	plans := oneShapePlans()
 	g, tables := batchFixture(t, plans)
 	blocking := hw.PaperCluster(8)
 	blocking.NodesPerLeaf, blocking.Oversubscription = 1, 2

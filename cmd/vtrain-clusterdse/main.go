@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"vtrain/internal/clusterdse"
+	"vtrain/internal/core"
 	"vtrain/internal/descfile"
 	"vtrain/internal/server"
 )
@@ -98,7 +99,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		RestartSeconds:         *restart,
 	}
 
-	var engOpts []server.EngineOption
+	// One-shot process: every (candidate, plan) pair is distinct, so keep
+	// no report cache.
+	engOpts := []server.EngineOption{server.WithSimulatorOptions(core.WithCacheSize(0))}
 	if *cacheDir != "" {
 		engOpts = append(engOpts, server.WithArtifactDir(*cacheDir))
 	}

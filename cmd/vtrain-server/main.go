@@ -1,5 +1,5 @@
 // Command vtrain-server runs the vTrain simulator as a long-lived HTTP
-// service. Unlike the one-shot CLIs, its simulator pool keeps report and
+// service. Unlike the one-shot CLIs, its simulator tree keeps report and
 // structural caches warm across requests, so a team hammering the same
 // models concentrates onto shared lowered graphs instead of each request
 // paying cold lowering.

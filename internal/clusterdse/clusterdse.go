@@ -220,8 +220,8 @@ func NewSimulator(s Space, opts ...core.Option) (*core.Simulator, error) {
 //
 // All candidates are simulated through siblings derived straight from sim
 // (see core.Simulator.ForCluster), so they share sim's tree: the hardware
-// axes add design points but no lowerings, and each GPU profiles its
-// operators once. The sweep batches by structural shape across
+// axes add design points but no lowerings, each GPU profiles its operators
+// once, and a repeated sweep is answered from the tree's report cache. The sweep batches by structural shape across
 // candidates, not per candidate: every feasible (candidate, plan) pair is
 // enumerated up front and handed to dse.Sweep, so pairs sharing a shape —
 // regardless of which cluster they price — flush through one
@@ -280,9 +280,7 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 					return fmt.Errorf("clusterdse: %s: %w", cand, err)
 				}
 			}
-			// A sibling lives for one sweep and sees each of its plans
-			// once, so a report cache could never hit: derive it without.
-			sib, err := sim.ForCluster(cl, core.WithContention(s.Contention), core.WithCacheSize(0))
+			sib, err := sim.ForCluster(cl, core.WithContention(s.Contention))
 			if err != nil {
 				return fmt.Errorf("clusterdse: %s: %w", cand, err)
 			}

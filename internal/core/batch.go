@@ -73,35 +73,31 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 	}
 	reports := make([]Report, len(plans))
 
-	// Report-cache pass, in input order. A duplicate of a pending plan on
-	// the same simulator is resolved after its first occurrence simulates —
-	// through a cache get, so hit/miss totals match the sequential call
-	// sequence. (The same plan on different siblings is not a duplicate:
-	// their clusters differ, so their reports do.)
-	type seenKey struct {
-		sim *Simulator
-		key cacheKey
-	}
+	// Report-cache pass, in input order. A duplicate of a pending
+	// configuration is resolved after its first occurrence simulates —
+	// through Simulate, so hit/miss totals match the sequential call
+	// sequence. (The same plan on siblings of different clusters is not a
+	// duplicate: the key carries the cluster.)
 	pending := make([]int, 0, len(plans))
 	var dups []int
-	var seen map[seenKey]bool
+	var seen map[cacheKey]bool
 	for i, plan := range plans {
 		si := sims[i]
-		if si.reports == nil {
+		if si.tree.results == nil {
 			pending = append(pending, i)
 			continue
 		}
-		key := seenKey{sim: si, key: cacheKey{model: m, plan: plan, fidelity: si.fidelity, contention: si.contention}}
+		key := si.reportKey(m, plan)
 		if seen[key] {
 			dups = append(dups, i)
 			continue
 		}
-		if rep, ok := si.cachedReport(key.key); ok {
+		if rep, ok := si.cachedReport(key); ok {
 			reports[i] = rep
 			continue
 		}
 		if seen == nil {
-			seen = make(map[seenKey]bool)
+			seen = make(map[cacheKey]bool)
 		}
 		seen[key] = true
 		pending = append(pending, i)
@@ -178,8 +174,8 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 				si := sims[i]
 				rep := si.assembleReport(m, plans[i], results[j])
 				reports[i] = rep
-				if si.reports != nil {
-					si.reports.put(cacheKey{model: m, plan: plans[i], fidelity: si.fidelity, contention: si.contention}, rep)
+				if si.tree.results != nil {
+					si.tree.results.put(si.reportKey(m, plans[i]), rep)
 				}
 				// The whole chunk has bound, so a lane's operator table is
 				// saved at most once per chunk: saveOps writes only growth.

@@ -15,9 +15,9 @@ import (
 	"vtrain/internal/taskgraph"
 )
 
-// DefaultCacheSize is the report cache capacity of a new Simulator. A full
-// MT-NLG design-space sweep evaluates a few thousand plans; 16Ki entries
-// hold several sweeps at ~200 bytes per Report.
+// DefaultCacheSize is the report cache capacity of a new simulator tree. A
+// full MT-NLG design-space sweep evaluates a few thousand plans; 16Ki
+// entries hold several sweeps at ~200 bytes per Report.
 const DefaultCacheSize = 16384
 
 // DefaultStructCacheSize is the structural-graph cache capacity of a new
@@ -28,12 +28,13 @@ const DefaultCacheSize = 16384
 // cache's.
 const DefaultStructCacheSize = 128
 
-// cacheKey identifies one simulated configuration. Both model.Config and
-// parallel.Plan are flat comparable structs, so the tuple is a valid map
-// key; the fidelity and contention level complete the configuration (one
-// Simulator only ever uses one of each, but keying on them keeps the
-// invariant explicit).
+// cacheKey identifies one simulated configuration in a tree's report cache.
+// hw.Cluster, model.Config and parallel.Plan are flat comparable structs,
+// so the tuple is a valid map key. Within one tree the device timing model
+// follows from the cluster's GPU and the communication model from the
+// cluster, so the key determines the report.
 type cacheKey struct {
+	cluster    hw.Cluster
 	model      model.Config
 	plan       parallel.Plan
 	fidelity   taskgraph.Fidelity
@@ -41,12 +42,12 @@ type cacheKey struct {
 }
 
 // fifo is a concurrency-safe map bounded to max entries with FIFO
-// eviction. It backs both core caches: each simulator's plan-level report
-// cache (one Report per simulated configuration — design-space exploration,
-// the cluster scheduler's offline profiling and the Chinchilla search
-// evaluate overlapping configurations, and each dedupes to one simulation)
-// and its tree's shape-keyed structural cache (one lowered graph per plan
-// topology). Callers count their hits and misses on the tree.
+// eviction. It backs both of a tree's caches: the plan-level report cache
+// (one Report per simulated configuration — design-space exploration, the
+// cluster scheduler's offline profiling, the Chinchilla search and repeated
+// server requests evaluate overlapping configurations, and each dedupes to
+// one simulation) and the shape-keyed structural cache (one lowered graph
+// per plan topology). Callers count their hits and misses on the tree.
 type fifo[K comparable, V any] struct {
 	mu      sync.Mutex
 	max     int
@@ -169,13 +170,16 @@ type structEntry struct {
 }
 
 // tree is the state a root simulator shares, through one pointer, with
-// every ForCluster sibling derived from it: the structural cache, the
-// persistent artifact store, one device timing model and profiler per GPU,
-// and every CacheStats counter. A multi-cluster sweep therefore profiles
-// each operator once per GPU and reports its totals in one place, and a
-// sibling that is dropped has already recorded everything it did into its
-// tree.
+// every ForCluster sibling derived from it: the report cache, the
+// structural cache, the persistent artifact store, one device timing model
+// and profiler per GPU, and every CacheStats counter. A multi-cluster sweep
+// therefore profiles each operator once per GPU and reports its totals in
+// one place, and a sibling that is dropped has already recorded everything
+// it did into its tree.
 type tree struct {
+	// results is the report cache (nil when disabled), bounded by the
+	// root's WithCacheSize.
+	results *fifo[cacheKey, Report]
 	// shapes is the structural cache: one lowered graph per plan topology
 	// and fidelity.
 	shapes *fifo[shapeKey, *structEntry]
@@ -187,9 +191,7 @@ type tree struct {
 	// gpus holds each GPU's timing model, guarded by gpusMu.
 	gpusMu sync.Mutex
 	gpus   map[hw.GPU]*gpuTiming
-	// reports counts the report-cache lookups of every simulator in the
-	// tree (each owns its cache: a report depends on the cluster), structs
-	// the lookups in shapes.
+	// reports counts the lookups in results, structs those in shapes.
 	reports, structs lookups
 	// batchReplays counts batched replay passes, batchedPlans the plans
 	// they carried.

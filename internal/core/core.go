@@ -33,8 +33,7 @@ import (
 type Simulator struct {
 	cluster hw.Cluster
 	// timing is the device model and profiler the simulator binds with:
-	// its tree's entry for the cluster's GPU, or a private one given by
-	// WithDevice on a sibling.
+	// its tree's entry for the cluster's GPU.
 	timing   *gpuTiming
 	comm     taskgraph.CommTimer
 	fidelity taskgraph.Fidelity
@@ -43,13 +42,12 @@ type Simulator struct {
 	// concurrently in-flight ones (see taskgraph.BindContention). Off by
 	// default; with it off, reports are byte-identical to a build that
 	// predates the knob.
-	contention  bool
+	contention bool
+	// cacheSize and artifactDir are root-only settings New builds the tree
+	// from; tree holds what the root shares with its ForCluster siblings.
 	cacheSize   int
 	artifactDir string
-	// reports is the simulator's own plan-level report cache (nil when
-	// disabled); tree holds what it shares with its ForCluster siblings.
-	reports *fifo[cacheKey, Report]
-	tree    *tree
+	tree        *tree
 }
 
 // Option configures a Simulator.
@@ -60,8 +58,10 @@ func WithFidelity(f taskgraph.Fidelity) Option {
 	return func(s *Simulator) { s.fidelity = f }
 }
 
-// WithCommTimer overrides the communication model (the testbed injects a
-// contention-aware one here).
+// WithCommTimer overrides the root's communication model (the testbed
+// injects a contention-aware one here). Its reports are then not a function
+// of the cluster, so such a root keeps no report cache; its ForCluster
+// siblings use their own cluster's model. Root-only.
 func WithCommTimer(ct taskgraph.CommTimer) Option {
 	return func(s *Simulator) { s.comm = ct }
 }
@@ -79,16 +79,16 @@ func WithContention(on bool) Option {
 	return func(s *Simulator) { s.contention = on }
 }
 
-// WithDevice overrides the GPU timing model. On New it becomes the tree's
-// model for the root's GPU, which same-GPU siblings then share; a sibling
-// given WithDevice keeps a private model and profiler.
+// WithDevice overrides the GPU timing model: it becomes the tree's model for
+// the root's GPU, which every sibling on that GPU shares. Root-only.
 func WithDevice(d *gpu.Device) Option {
 	return func(s *Simulator) { s.timing = newGPUTiming(d) }
 }
 
-// WithCacheSize bounds the plan-level result cache to n entries
+// WithCacheSize bounds the tree's plan-level report cache to n entries
 // (DefaultCacheSize if the option is not given). n <= 0 disables caching —
 // useful for one-shot simulators whose configurations never repeat.
+// Root-only.
 func WithCacheSize(n int) Option {
 	return func(s *Simulator) { s.cacheSize = n }
 }
@@ -101,7 +101,7 @@ func WithCacheSize(n int) Option {
 // Artifacts are keyed by shape, fidelity, encoding version, and build ID,
 // and reports are byte-identical whether a graph was lowered, memory-
 // cached, or disk-loaded. An empty dir leaves the tier disabled (the
-// default).
+// default). Root-only.
 func WithArtifactDir(dir string) Option {
 	return func(s *Simulator) { s.artifactDir = dir }
 }
@@ -111,28 +111,30 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{
-		cluster:   c,
-		comm:      comm.NewModel(c),
-		fidelity:  taskgraph.TaskLevel,
-		cacheSize: DefaultCacheSize,
-	}
+	s := &Simulator{cluster: c, fidelity: taskgraph.TaskLevel, cacheSize: DefaultCacheSize}
 	for _, o := range opts {
 		o(s)
 	}
 	// The caches are created after the options so every entry reflects the
-	// final device, communication model, and fidelity; each New starts a
-	// tree of its own, so differently-configured simulators can never serve
-	// each other's reports or structural graphs — except siblings derived
-	// with ForCluster, which deliberately share the tree (structural graphs
-	// are hardware-invariant; see ForCluster).
+	// final device and communication model; each New starts a tree of its
+	// own, so differently-configured simulators can never serve each
+	// other's reports or structural graphs — except siblings derived with
+	// ForCluster, which deliberately share the tree (structural graphs are
+	// hardware-invariant; see ForCluster). A report is keyed by its
+	// cluster, which a custom communication model makes insufficient.
+	cacheSize := s.cacheSize
+	if s.comm == nil {
+		s.comm = comm.NewModel(c)
+	} else {
+		cacheSize = 0
+	}
 	if s.timing == nil {
 		s.timing = newGPUTiming(gpu.NewDevice(c.Node.GPU))
 	}
-	s.reports = newFIFO[cacheKey, Report](s.cacheSize)
 	s.tree = &tree{
-		shapes: newFIFO[shapeKey, *structEntry](DefaultStructCacheSize),
-		gpus:   map[hw.GPU]*gpuTiming{c.Node.GPU: s.timing},
+		shapes:  newFIFO[shapeKey, *structEntry](DefaultStructCacheSize),
+		results: newFIFO[cacheKey, Report](cacheSize),
+		gpus:    map[hw.GPU]*gpuTiming{c.Node.GPU: s.timing},
 	}
 	if s.artifactDir != "" {
 		st, err := artifact.Open(s.artifactDir)
@@ -146,9 +148,9 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 }
 
 // ForCluster derives a sibling simulator for cluster c that shares s's
-// tree — the shape-keyed structural cache, the artifact store, one device
-// timing model and profiler per GPU, and every CacheStats counter — while
-// owning its own communication model and plan-level report cache.
+// tree — the report cache, the shape-keyed structural cache, the artifact
+// store, one device timing model and profiler per GPU, and every CacheStats
+// counter — while owning its own communication model.
 //
 // Sharing is sound because a structural graph is hardware-invariant: Lower
 // emits tasks, dependency edges, and duration descriptors only, and
@@ -161,19 +163,17 @@ func New(c hw.Cluster, opts ...Option) (*Simulator, error) {
 // graph, and every candidate on one GPU profiles each operator once (see
 // internal/clusterdse).
 //
-// Options may tune the sibling's report cache, communication model,
-// device, fidelity, or contention level: the structural cache keys every
-// graph by its fidelity, and contention binds at replay time, so siblings
-// of one tree may differ in both. The artifact dir is a property of the
-// tree, so changing it is an error. CacheStats on any sibling reports the
-// tree's counters.
+// Options may set the sibling's fidelity or contention level: every cache
+// key carries both, and contention binds at replay time, so siblings of one
+// tree may differ in them. The root-only options configure the tree, so
+// ForCluster refuses any that would change it. CacheStats on any sibling
+// reports the tree's counters.
 func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	sib := &Simulator{
 		cluster:     c,
-		comm:        comm.NewModel(c),
 		fidelity:    s.fidelity,
 		contention:  s.contention,
 		cacheSize:   s.cacheSize,
@@ -183,20 +183,16 @@ func (s *Simulator) ForCluster(c hw.Cluster, opts ...Option) (*Simulator, error)
 	for _, o := range opts {
 		o(sib)
 	}
-	if sib.artifactDir != s.artifactDir {
-		return nil, fmt.Errorf("core: ForCluster cannot change the artifact store: it is shared with the parent")
+	if sib.timing != nil || sib.comm != nil || sib.cacheSize != s.cacheSize || sib.artifactDir != s.artifactDir {
+		return nil, fmt.Errorf("core: ForCluster cannot change the report cache, artifact store, device or communication model: they belong to the root")
 	}
-	sib.reports = newFIFO[cacheKey, Report](sib.cacheSize)
-	if sib.timing == nil {
-		sib.timing = s.tree.timingFor(c.Node.GPU)
-	} else {
-		s.tree.loadOps(sib.timing)
-	}
+	sib.comm = comm.NewModel(c)
+	sib.timing = s.tree.timingFor(c.Node.GPU)
 	return sib, nil
 }
 
 // CacheStats summarizes a simulator tree's caches: the plan-level report
-// caches (one entry per simulated configuration) and the shape-keyed
+// cache (one entry per simulated configuration) and the shape-keyed
 // structural cache (one lowered graph per plan topology). Every counter is
 // the tree's: a root and each of its ForCluster siblings report the same
 // totals, whichever of them did the work. StructMisses is exactly the
@@ -282,29 +278,36 @@ type Report struct {
 }
 
 // Simulate predicts the single-iteration training time of m under plan.
-// Results are memoized per (model, plan, fidelity): repeated configurations
-// across design-space sweeps, scheduler profiling, and Chinchilla searches
-// dedupe to one simulation. Reports served from the cache share their
-// Breakdown map; callers must treat it as read-only.
+// Results are memoized per (cluster, model, plan, fidelity, contention) in
+// the tree's report cache, which the root and every sibling read and fill:
+// repeated configurations across design-space sweeps, scheduler profiling,
+// Chinchilla searches and server requests dedupe to one simulation.
+// Reports served from the cache share their Breakdown map; callers must
+// treat it as read-only.
 func (s *Simulator) Simulate(m model.Config, plan parallel.Plan) (Report, error) {
-	var key cacheKey
-	if s.reports != nil {
-		key = cacheKey{model: m, plan: plan, fidelity: s.fidelity, contention: s.contention}
-		if rep, ok := s.cachedReport(key); ok {
-			return rep, nil
-		}
+	key := s.reportKey(m, plan)
+	if rep, ok := s.cachedReport(key); ok {
+		return rep, nil
 	}
 	rep, _, err := s.simulate(m, plan, false)
-	if err == nil && s.reports != nil {
-		s.reports.put(key, rep)
+	if err == nil && s.tree.results != nil {
+		s.tree.results.put(key, rep)
 	}
 	return rep, err
 }
 
-// cachedReport looks key up in the report cache, counting the hit or miss
-// on the tree. The cache must be enabled.
+// reportKey is (m, plan)'s report-cache key on this simulator.
+func (s *Simulator) reportKey(m model.Config, plan parallel.Plan) cacheKey {
+	return cacheKey{cluster: s.cluster, model: m, plan: plan, fidelity: s.fidelity, contention: s.contention}
+}
+
+// cachedReport looks key up in the tree's report cache, counting the hit or
+// miss; with the cache disabled it misses without counting.
 func (s *Simulator) cachedReport(key cacheKey) (Report, bool) {
-	rep, ok := s.reports.get(key)
+	if s.tree.results == nil {
+		return Report{}, false
+	}
+	rep, ok := s.tree.results.get(key)
 	s.tree.reports.record(ok)
 	return rep, ok
 }

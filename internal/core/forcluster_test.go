@@ -137,8 +137,9 @@ func TestForClusterConcurrentDeterministic(t *testing.T) {
 }
 
 // TestForClusterRejections pins the error paths: invalid clusters are
-// refused, while fidelity and report-cache options are a sibling's own
-// settings (the shared structural cache keys every graph by its fidelity).
+// refused, and so are the root-only options — the report cache bound, the
+// device and the communication model configure the tree — while a fidelity
+// option is a sibling's own setting (every cache key carries the fidelity).
 func TestForClusterRejections(t *testing.T) {
 	root, err := New(hw.PaperCluster(2))
 	if err != nil {
@@ -152,15 +153,20 @@ func TestForClusterRejections(t *testing.T) {
 	if _, err := root.ForCluster(hw.PaperCluster(4), WithFidelity(taskgraph.OperatorLevel)); err != nil {
 		t.Errorf("fidelity option rejected: %v", err)
 	}
-	// Report-cache options remain free per sibling.
-	if _, err := root.ForCluster(hw.PaperCluster(4), WithCacheSize(0)); err != nil {
-		t.Errorf("report-cache option rejected: %v", err)
+	for name, opt := range map[string]Option{
+		"WithCacheSize": WithCacheSize(0),
+		"WithDevice":    WithDevice(gpu.NewDevice(hw.PaperCluster(4).Node.GPU)),
+		"WithCommTimer": WithCommTimer(zeroComm{}),
+	} {
+		if _, err := root.ForCluster(hw.PaperCluster(4), opt); err == nil {
+			t.Errorf("root-only option %s accepted by ForCluster", name)
+		}
 	}
 }
 
-// TestForClusterSiblingsKeepOwnReports checks the report caches are NOT
-// shared: the same (model, plan) on two clusters yields two different
-// reports, each served from its own sibling's cache.
+// TestForClusterSiblingsKeepOwnReports checks the tree's report cache keys
+// on the cluster: the same (model, plan) on two clusters yields two
+// different reports, each served back to its own sibling.
 func TestForClusterSiblingsKeepOwnReports(t *testing.T) {
 	cat := hw.Catalog()
 	root, err := New(cat[0].Cluster(2), WithFidelity(taskgraph.OperatorLevel))
@@ -265,16 +271,16 @@ func TestTreeCountsEverySibling(t *testing.T) {
 // TestTreeSharesProfilerPerGPU pins where a GPU's profiler lives: in the
 // tree, so every sibling on one GPU binds through one profiler whatever it
 // was derived from — including a sibling on the root's GPU derived from a
-// sibling on another — while a sibling given WithDevice keeps its own.
+// sibling on another.
 func TestTreeSharesProfilerPerGPU(t *testing.T) {
 	a100, h100, v100 := offering(t, "a100-sxm-80gb"), offering(t, "h100-sxm-80gb"), offering(t, "v100-sxm-32gb")
 	root, err := New(a100.Cluster(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	derive := func(parent *Simulator, c hw.Cluster, opts ...Option) *Simulator {
+	derive := func(parent *Simulator, c hw.Cluster) *Simulator {
 		t.Helper()
-		sib, err := parent.ForCluster(c, opts...)
+		sib, err := parent.ForCluster(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,9 +297,83 @@ func TestTreeSharesProfilerPerGPU(t *testing.T) {
 	if viaH100.Profiler() == root.Profiler() {
 		t.Error("an H100 sibling shares the A100 root's profiler")
 	}
-	tuned := derive(root, h100.Cluster(2), WithDevice(gpu.NewDevice(h100.Node.GPU)))
-	if tuned.Profiler() == viaH100.Profiler() {
-		t.Error("a sibling given WithDevice shares the tree's profiler")
+}
+
+// TestTreeSharesReportCache pins where reports live: in the tree, so
+// siblings derived per request — 32 goroutines, each deriving a fresh
+// sibling on one of two clusters — read the reports a first pass put,
+// without a structural lookup.
+func TestTreeSharesReportCache(t *testing.T) {
+	cat := hw.Catalog()
+	m, plan := forClusterModel(), forClusterPlan()
+	clusters := []hw.Cluster{cat[0].Cluster(2), cat[3].Cluster(2)}
+	root, err := New(cat[0].Cluster(2), WithFidelity(taskgraph.OperatorLevel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Report, len(clusters))
+	for i, c := range clusters {
+		sib, err := root.ForCluster(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = sib.Simulate(m, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := root.CacheStats()
+	const goroutines = 32
+	var wg sync.WaitGroup
+	for i := range goroutines {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			sib, err := root.ForCluster(clusters[k])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if rep, err := sib.Simulate(m, plan); err != nil || !reflect.DeepEqual(rep, want[k]) {
+				t.Errorf("goroutine on cluster %d: err %v, report matches the first pass %v", k, err, reflect.DeepEqual(rep, want[k]))
+			}
+		}(i % len(clusters))
+	}
+	wg.Wait()
+	st := root.CacheStats()
+	if st.ReportHits-warm.ReportHits != goroutines || st.ReportMisses != warm.ReportMisses || st.StructHits+st.StructMisses != warm.StructHits+warm.StructMisses {
+		t.Errorf("per-request siblings: %+v -> %+v; want %d report hits and no other lookup", warm, st, goroutines)
+	}
+}
+
+// TestCommTimerRootKeepsNoReports: a root given WithCommTimer keeps no
+// report cache, since its reports are not a function of its cluster, so it
+// and a sibling on the same cluster never serve each other's reports.
+func TestCommTimerRootKeepsNoReports(t *testing.T) {
+	c := hw.PaperCluster(2)
+	m, plan := forClusterModel(), forClusterPlan()
+	root, err := New(c, WithFidelity(taskgraph.OperatorLevel), WithCommTimer(zeroComm{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := root.ForCluster(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := range 2 {
+		free, err := root.Simulate(m, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		priced, err := sib.Simulate(m, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if free.CommSeconds != 0 || priced.CommSeconds == 0 {
+			t.Errorf("pass %d: root comm %g s (want 0), sibling comm %g s (want > 0)", pass, free.CommSeconds, priced.CommSeconds)
+		}
+	}
+	if st := root.CacheStats(); st.ReportHits+st.ReportMisses != 0 {
+		t.Errorf("a WithCommTimer root counted %d report hits and %d misses; want no report cache", st.ReportHits, st.ReportMisses)
 	}
 }
 

@@ -15,48 +15,33 @@ import (
 	"vtrain/internal/taskgraph"
 )
 
-// DefaultPoolSize bounds how many distinct (cluster, fidelity, contention)
-// simulators the engine keeps warm. Each pooled simulator is a ForCluster
-// sibling that owns a report cache and binds against its own cluster, while
-// lowered graphs and GPU profilers live in the root's shared tree; the
-// bound keeps a hostile request stream (every request a new node count)
-// from growing the pool without limit.
-const DefaultPoolSize = 64
-
 // Engine is the transport-independent serving core: it resolves requests
 // to simulator inputs and routes them to one simulator tree — a root built
-// with core.New on first use and a pool of its ForCluster siblings, one per
-// (cluster, fidelity, contention) — so a plan shape is lowered once per
-// fidelity and each GPU's operators are profiled once, however many
-// clusters request them. Identical concurrent work
-// dedupes through the tree's single-flight lowering; repeated
+// with core.New on first use, and a ForCluster sibling of it per request,
+// at the request's cluster, fidelity and contention level. The tree holds
+// every cache, so a plan shape is lowered once per fidelity, each GPU's
+// operators are profiled once, and each configuration is simulated once,
+// however many requests and clusters ask for them; the root's report cache
+// bound (core.DefaultCacheSize) is the whole engine's. Identical concurrent
+// work dedupes through the tree's single-flight lowering; repeated
 // configurations across users hit warm caches instead of paying cold
 // lowering, which is the whole point of running long-lived.
 //
 // An Engine is safe for concurrent use.
 type Engine struct {
-	simOpts  []core.Option
-	poolSize int
+	simOpts []core.Option
 
-	mu    sync.Mutex
-	sims  map[simKey]*core.Simulator
-	order []simKey // insertion order, for FIFO eviction
-	root  *core.Simulator
-}
-
-type simKey struct {
-	cluster    hw.Cluster
-	fidelity   taskgraph.Fidelity
-	contention bool
+	mu   sync.Mutex
+	root *core.Simulator
 }
 
 // EngineOption configures an Engine.
 type EngineOption func(*Engine)
 
 // WithSimulatorOptions appends core options applied to the engine's root
-// simulator, and inherited by the root's siblings. One-shot CLI
-// processes pass core.WithCacheSize(0): their configurations never repeat,
-// so the report cache would only hold garbage.
+// simulator, and so to the tree every request's sibling shares. One-shot
+// CLI processes pass core.WithCacheSize(0): their configurations never
+// repeat, so the report cache would only hold garbage.
 func WithSimulatorOptions(opts ...core.Option) EngineOption {
 	return func(e *Engine) { e.simOpts = append(e.simOpts, opts...) }
 }
@@ -69,68 +54,42 @@ func WithArtifactDir(dir string) EngineOption {
 	return WithSimulatorOptions(core.WithArtifactDir(dir))
 }
 
-// NewEngine builds an empty engine; simulators are created lazily as
-// requests arrive and stay warm for the engine's lifetime.
+// NewEngine builds an empty engine; its simulator tree is created lazily
+// on the first request and stays warm for the engine's lifetime.
 func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{
-		poolSize: DefaultPoolSize,
-		sims:     make(map[simKey]*core.Simulator),
-	}
+	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
 	return e
 }
 
-// derive returns a new sibling of the root on cluster c, building the root
-// on c on first use. The root only anchors the tree: structure is
-// hardware-invariant, the tree keeps one profiler per GPU, and siblings set
-// their own cluster, fidelity and contention. c must be valid; e.mu must be
-// held.
-func (e *Engine) derive(c hw.Cluster, opts ...core.Option) (*core.Simulator, error) {
-	if e.root == nil {
-		r, err := core.New(c, e.simOpts...)
-		if err != nil {
-			return nil, err
-		}
-		e.root = r
-	}
-	return e.root.ForCluster(c, opts...)
-}
-
-// simulator returns the pooled sibling for (c, fid, contention), deriving
-// it from the root on first use. When the pool is full the oldest entry is
-// dropped: its report cache is garbage-collected once in-flight requests
-// release it, while its lowered graphs and its counters stay on the root's
-// tree (siblings are safe to use after eviction; new requests just derive
-// a fresh one).
+// simulator derives a sibling of the root on cluster c at fidelity fid,
+// building the root on c on first use. The root only anchors the tree:
+// structure is hardware-invariant, the tree keeps one profiler per GPU and
+// one report cache keyed by cluster, and siblings set their own cluster,
+// fidelity and contention.
 func (e *Engine) simulator(c hw.Cluster, fid taskgraph.Fidelity, contention bool) (*core.Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, badRequest(err)
 	}
-	key := simKey{cluster: c, fidelity: fid, contention: contention}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.sims[key]; ok {
-		return s, nil
+	if e.root == nil {
+		r, err := core.New(c, e.simOpts...)
+		if err != nil {
+			e.mu.Unlock()
+			return nil, err
+		}
+		e.root = r
 	}
-	s, err := e.derive(c, core.WithFidelity(fid), core.WithContention(contention))
-	if err != nil {
-		return nil, err
-	}
-	if len(e.order) >= e.poolSize {
-		delete(e.sims, e.order[0])
-		e.order = e.order[1:]
-	}
-	e.sims[key] = s
-	e.order = append(e.order, key)
-	return s, nil
+	root := e.root
+	e.mu.Unlock()
+	return root.ForCluster(c, core.WithFidelity(fid), core.WithContention(contention))
 }
 
 // CacheStats is the serving layer's cache-concentration view, exported by
 // /metrics: the root tree's counters (zero before the first request). Every
-// sibling records into the tree, so the totals stay monotone when the pool
-// evicts.
+// sibling records into the tree, so the totals are monotone.
 func (e *Engine) CacheStats() core.CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -201,7 +160,7 @@ func (e *Engine) project(out *SimulateOutcome, req SimulateRequest) error {
 		return nil
 	}
 	tr := cost.Train(out.Model, out.Plan.GlobalBatch, out.Report.IterTime, out.Plan.GPUs(), req.TotalTokens, out.Cluster)
-	ok := finite(tr.IterTime, tr.TotalSeconds, tr.Days, tr.GPUHours, tr.DollarsPerHour, tr.TotalDollars, tr.Utilization)
+	ok := finiteTraining(tr)
 	var res *cost.Resilience
 	if opts, enabled := req.ResilienceOptions(); enabled {
 		mod, err := resilience.For(out.Model, out.Cluster, out.Plan.GPUs(), opts)
@@ -217,11 +176,21 @@ func (e *Engine) project(out *SimulateOutcome, req SimulateRequest) error {
 			r.ReworkFraction, r.RestartFraction, r.ExpectedFailures, r.EffectiveDays, r.EffectiveGPUHours, r.EffectiveDollars)
 	}
 	if !ok {
-		return badRequest(fmt.Errorf("server: training economics overflow: %d tokens at $%g/GPU-hour on %d GPUs",
-			req.TotalTokens, out.Cluster.DollarsPerGPUHour, out.Plan.GPUs()))
+		return overflowError(req.TotalTokens, out.Cluster, out.Plan.GPUs())
 	}
 	out.Training, out.Resilience = &tr, res
 	return nil
+}
+
+// overflowError is the 400 for training economics that overflow.
+func overflowError(tokens uint64, c hw.Cluster, gpus int) error {
+	return badRequest(fmt.Errorf("server: training economics overflow: %d tokens at $%g/GPU-hour on %d GPUs",
+		tokens, c.DollarsPerGPUHour, gpus))
+}
+
+// finiteTraining reports whether JSON can encode every figure of tr.
+func finiteTraining(tr cost.Training) bool {
+	return finite(tr.IterTime, tr.TotalSeconds, tr.Days, tr.GPUHours, tr.DollarsPerHour, tr.TotalDollars, tr.Utilization)
 }
 
 // finite reports whether every value is neither ±Inf nor NaN.
@@ -245,7 +214,7 @@ type SweepRun struct {
 	tokens  uint64
 }
 
-// PrepareSweep resolves a sweep request against the pool. All failures are
+// PrepareSweep resolves a sweep request against the engine's tree. All failures are
 // *BadRequestError: an unresolvable model or cluster, a non-positive
 // batch, or a plan space with no valid point.
 func (e *Engine) PrepareSweep(req SweepRequest) (*SweepRun, error) {
@@ -300,8 +269,8 @@ func (r *SweepRun) Cluster() hw.Cluster { return r.cluster }
 // TotalTokens returns the request's token budget (0 = no cost projection).
 func (r *SweepRun) TotalTokens() uint64 { return r.tokens }
 
-// CacheStats snapshots the counters of the serving sibling's tree; sweep
-// progress reporting polls it mid-run.
+// CacheStats snapshots the counters of the engine's tree; sweep progress
+// reporting polls it mid-run.
 func (r *SweepRun) CacheStats() core.CacheStats { return r.sim.CacheStats() }
 
 // Run executes the sweep, streaming each evaluated point to fn. Calls to
@@ -331,9 +300,9 @@ type ClusterRun struct {
 
 // PrepareClusterDSE resolves a cluster-design sweep against a sweep parent
 // derived from the root at the requested fidelity; every request's
-// candidate siblings share the root's tree with the pool, so repeated
-// sweeps — and shapes and GPUs other requests already served — re-lower
-// and re-profile nothing.
+// candidate siblings share the root's tree, so repeated sweeps are answered
+// from its report cache, and shapes and GPUs other requests already served
+// re-lower and re-profile nothing.
 func (e *Engine) PrepareClusterDSE(req ClusterDSERequest) (*ClusterRun, error) {
 	m, err := req.Model.Resolve()
 	if err != nil {
@@ -395,10 +364,7 @@ func (e *Engine) PrepareClusterDSE(req ClusterDSERequest) (*ClusterRun, error) {
 	if req.MaxMicroBatches > 0 {
 		space.Plans.MaxMicroBatches = req.MaxMicroBatches
 	}
-	// The parent only anchors the sweep's siblings: it needs no report cache.
-	e.mu.Lock()
-	parent, err := e.derive(offs[0].Cluster(req.NodeCounts[0]), core.WithFidelity(fid), core.WithCacheSize(0))
-	e.mu.Unlock()
+	parent, err := e.simulator(offs[0].Cluster(req.NodeCounts[0]), fid, false)
 	if err != nil {
 		return nil, err
 	}

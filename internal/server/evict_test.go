@@ -8,10 +8,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"vtrain/internal/core"
 )
 
 // operatorBody is simulateBody at operator fidelity: same cluster, a
-// different pool key.
+// different sibling setting.
 const operatorBody = `{
   "model": {"preset": "megatron-3.6b"},
   "cluster": {"nodes": 1},
@@ -20,7 +22,7 @@ const operatorBody = `{
   "fidelity": "operator"
 }`
 
-// twoNodeBody is simulateBody on a two-node cluster: a third pool key.
+// twoNodeBody is simulateBody on a two-node cluster.
 const twoNodeBody = `{
   "model": {"preset": "megatron-3.6b"},
   "cluster": {"nodes": 2},
@@ -28,102 +30,47 @@ const twoNodeBody = `{
   "total_tokens": 20000000000
 }`
 
-// newPooledEngine is NewEngine with its sibling pool bounded to n.
-func newPooledEngine(n int, opts ...EngineOption) *Engine {
-	e := NewEngine(opts...)
-	e.poolSize = n
-	return e
-}
+// TestEngineReportCacheEvictsEngineWide: the root's report cache bound is
+// the whole engine's. With room for two reports, simulates on three
+// clusters evict the first cluster's report — the third stays resident —
+// and the evicted configuration re-simulates to byte-identical bytes:
+// eviction may cost time, never content.
+func TestEngineReportCacheEvictsEngineWide(t *testing.T) {
+	eng := NewEngine(WithSimulatorOptions(core.WithCacheSize(2)))
+	_, ts := newTestServer(t, Config{Engine: eng})
+	fourNodeBody := strings.Replace(twoNodeBody, `"nodes": 2`, `"nodes": 4`, 1)
 
-func poolLen(e *Engine) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.sims)
-}
-
-// TestEnginePoolFIFOEviction drives a 2-entry pool through three distinct
-// (cluster, fidelity) keys and back: the oldest entry is evicted, the pool
-// never exceeds its bound, and a re-warmed evicted configuration answers
-// with byte-identical response bodies — eviction may cost time, never
-// content.
-func TestEnginePoolFIFOEviction(t *testing.T) {
-	eng := newPooledEngine(2)
-	srv := New(Config{Engine: eng})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	respA := mustPostSimulate(t, ts, simulateBody) // key A: (1 node, task)
-	mustPostSimulate(t, ts, operatorBody)          // key B: (1 node, operator)
-	if n := poolLen(eng); n != 2 {
-		t.Fatalf("pool holds %d simulators after two keys, want 2", n)
+	respA := mustPostSimulate(t, ts, simulateBody)
+	mustPostSimulate(t, ts, twoNodeBody)
+	respC := mustPostSimulate(t, ts, fourNodeBody) // evicts A's report
+	if got := mustPostSimulate(t, ts, fourNodeBody); got != respC {
+		t.Error("resident report for the third cluster drifted")
 	}
-	respC := mustPostSimulate(t, ts, twoNodeBody) // key C evicts A
-	if n := poolLen(eng); n != 2 {
-		t.Fatalf("pool holds %d simulators after eviction, want 2", n)
+	if st := eng.CacheStats(); st.ReportHits != 1 || st.ReportMisses != 3 {
+		t.Fatalf("after three clusters and a repeat: %d report hits, %d misses; want 1, 3", st.ReportHits, st.ReportMisses)
 	}
-	if got := mustPostSimulate(t, ts, simulateBody); got != respA { // A re-warms (evicts B)
-		t.Error("re-warmed response for evicted key A differs from its original bytes")
+	if got := mustPostSimulate(t, ts, simulateBody); got != respA {
+		t.Error("re-simulated response for the evicted cluster differs from its original bytes")
 	}
-	if n := poolLen(eng); n != 2 {
-		t.Fatalf("pool holds %d simulators after re-warm, want 2", n)
-	}
-	if got := mustPostSimulate(t, ts, twoNodeBody); got != respC { // C still pooled: warm hit
-		t.Error("pooled response for key C drifted")
+	if st := eng.CacheStats(); st.ReportHits != 1 || st.ReportMisses != 4 {
+		t.Errorf("the first cluster's report was served after eviction: %d hits, %d misses; want 1, 4", st.ReportHits, st.ReportMisses)
 	}
 }
 
-// TestEnginePoolEvictionRewarmsFromDisk is the eviction test with the
-// artifact tier on. A single-entry pool thrashes, but an evicted sibling's
-// lowered graph stays in its fidelity root's structural cache, so the
-// re-warm is byte-identical and costs neither a lowering nor a disk load,
-// and every counter stays monotone. A second engine on the same directory
-// — a restarted server — answers from disk without lowering.
-func TestEnginePoolEvictionRewarmsFromDisk(t *testing.T) {
+// TestEngineRestartRewarmsFromDisk: a second engine on the artifact
+// directory a first one filled — a restarted server — answers from disk
+// without lowering, with byte-identical bytes.
+func TestEngineRestartRewarmsFromDisk(t *testing.T) {
 	dir := t.TempDir()
-	eng := newPooledEngine(1, WithArtifactDir(dir))
-	srv := New(Config{Engine: eng})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
+	eng := NewEngine(WithArtifactDir(dir))
+	_, ts := newTestServer(t, Config{Engine: eng})
 	respA := mustPostSimulate(t, ts, simulateBody)
 	if st := eng.CacheStats(); st.DiskWrites == 0 {
 		t.Fatalf("cold request persisted nothing: %+v", st)
 	}
-	mustPostSimulate(t, ts, operatorBody) // evicts A's sibling
-	before := eng.CacheStats()
-	m1 := scrape(t, ts)
-
-	if got := mustPostSimulate(t, ts, simulateBody); got != respA {
-		t.Error("re-warmed response differs from the original bytes")
-	}
-	if n := poolLen(eng); n != 1 {
-		t.Fatalf("pool holds %d simulators, want 1", n)
-	}
-	after := eng.CacheStats()
-	if after.Lowerings != before.Lowerings || after.DiskHits != before.DiskHits || after.DiskMisses != before.DiskMisses {
-		t.Errorf("re-warm after eviction lowered or loaded: %+v -> %+v", before, after)
-	}
-
-	mustPostSimulate(t, ts, operatorBody) // evict + re-warm once more
-	m2 := scrape(t, ts)
-	for _, name := range []string{
-		"vtrain_cache_report_hits_total",
-		"vtrain_cache_report_misses_total",
-		"vtrain_cache_struct_hits_total",
-		"vtrain_cache_struct_misses_total",
-		"vtrain_lowerings_total",
-		"vtrain_cache_disk_hits_total",
-		"vtrain_cache_disk_misses_total",
-		"vtrain_cache_disk_writes_total",
-	} {
-		if b, a := metricValue(t, m1, name), metricValue(t, m2, name); a < b {
-			t.Errorf("%s fell from %v to %v — counters must be monotone across eviction", name, b, a)
-		}
-	}
 
 	restarted := NewEngine(WithArtifactDir(dir))
-	ts2 := httptest.NewServer(New(Config{Engine: restarted}).Handler())
-	defer ts2.Close()
+	_, ts2 := newTestServer(t, Config{Engine: restarted})
 	if got := mustPostSimulate(t, ts2, simulateBody); got != respA {
 		t.Error("disk-warmed response differs from the original bytes")
 	}
@@ -159,13 +106,13 @@ func TestEngineOperatorTablePersists(t *testing.T) {
 }
 
 // contendedSimulateBody is simulateBody with the contention level on: the
-// same shape and cluster under a third pool key.
+// same shape and cluster at another sibling setting.
 var contendedSimulateBody = strings.Replace(simulateBody, `"total_tokens": 20000000000`,
 	`"total_tokens": 20000000000, "contention": true`, 1)
 
-// TestEngineSiblingsShareLowering locks the one-tree design: three pool
-// keys of one plan shape — two clusters, and one cluster with contention
-// on — lower the shape once, sequentially and when all three arrive
+// TestEngineSiblingsShareLowering locks the one-tree design: three
+// siblings of one plan shape — two clusters, and one cluster with
+// contention on — lower the shape once, sequentially and when all three arrive
 // concurrently (single-flight across siblings on different clusters), and
 // the concurrent answers match the sequential bytes.
 func TestEngineSiblingsShareLowering(t *testing.T) {
@@ -177,7 +124,7 @@ func TestEngineSiblingsShareLowering(t *testing.T) {
 		want[i] = mustPostSimulate(t, ts, b)
 	}
 	if lo := metricValue(t, scrape(t, ts), "vtrain_lowerings_total"); lo != 1 {
-		t.Errorf("sequential: %v lowerings for one shape on three pool keys, want 1", lo)
+		t.Errorf("sequential: %v lowerings for one shape on three siblings, want 1", lo)
 	}
 
 	_, ts = newTestServer(t, Config{})
@@ -200,7 +147,7 @@ func TestEngineSiblingsShareLowering(t *testing.T) {
 	}
 	wg.Wait()
 	if lo := metricValue(t, scrape(t, ts), "vtrain_lowerings_total"); lo != 1 {
-		t.Errorf("concurrent: %v lowerings for one shape on three pool keys, want 1", lo)
+		t.Errorf("concurrent: %v lowerings for one shape on three siblings, want 1", lo)
 	}
 }
 
@@ -233,5 +180,36 @@ func TestClusterDSEReusesGPUProfiler(t *testing.T) {
 	}
 	if hits[1] != 0 {
 		t.Errorf("repeated H100 sweep read %d artifacts from disk, want 0 (first sweep read %d)", hits[1], hits[0])
+	}
+}
+
+// TestClusterDSERepeatAnsweredFromReports: every candidate sibling of a
+// /v1/clusterdse request reads and fills the engine's report cache, so a
+// repeated request adds one report hit per point and nothing else — no
+// report miss, no structural lookup, no lowering — with byte-identical
+// point lines.
+func TestClusterDSERepeatAnsweredFromReports(t *testing.T) {
+	eng := NewEngine()
+	_, ts := newTestServer(t, Config{Engine: eng})
+	for _, body := range mixedClusterBodies {
+		code, first, _ := post(t, ts, "/v1/clusterdse", body)
+		if code != 200 {
+			t.Fatalf("status %d: %s", code, first)
+		}
+		before := eng.CacheStats()
+		code, again, _ := post(t, ts, "/v1/clusterdse", body)
+		if code != 200 {
+			t.Fatalf("status %d: %s", code, again)
+		}
+		after := eng.CacheStats()
+		want := canonicalPoints(t, first)
+		if canonicalPoints(t, again) != want {
+			t.Error("repeated request's points differ from the first request's")
+		}
+		points := uint64(strings.Count(want, "\n") + 1)
+		if after.ReportHits-before.ReportHits != points || after.ReportMisses != before.ReportMisses ||
+			after.StructHits != before.StructHits || after.StructMisses != before.StructMisses || after.Lowerings != before.Lowerings {
+			t.Errorf("repeat of a %d-point sweep: %+v -> %+v; want %d report hits and no other lookup", points, before, after, points)
+		}
 	}
 }

@@ -22,7 +22,8 @@ var fuzzPaths = []string{"/v1/simulate", "/v1/sweep", "/v1/clusterdse"}
 
 // fuzzSeeds are the request bodies of the server goldens and of the
 // benchmark's server-mixed traffic mix, plus bodies whose integer
-// arithmetic once wrapped into a plausible 200.
+// arithmetic once wrapped into a plausible 200 and a sweep whose economics
+// once overflowed into an in-band error under a 200.
 var fuzzSeeds = []struct {
 	path int
 	body string
@@ -45,6 +46,7 @@ var fuzzSeeds = []struct {
 	{2, `{"model":{"preset":"megatron-3.6b"},"global_batch":64,"total_tokens":20000000000,"node_counts":[2],"offerings":["h100-sxm-80gb"],"tensor_widths":[2,4],"data_widths":[4,8],"pipeline_depths":[1],"micro_batches":[1]}`},
 	{1, `{"model":{"preset":"megatron-3.6b"},"cluster":{"nodes":1},"global_batch":64,"tensor_widths":[2,4],"data_widths":[1],"pipeline_depths":[1],"micro_batches":[1]}`},
 	{1, `{"model":{"preset":"megatron-3.6b"},"cluster":{"nodes":2},"global_batch":64,"total_tokens":20000000000,"tensor_widths":[2,4],"data_widths":[1,2],"pipeline_depths":[1,2],"micro_batches":[1]}`},
+	{1, overflowingSweepBody},
 }
 
 // FuzzServerRequest posts fuzzed bodies to the three POST endpoints of an

@@ -88,19 +88,19 @@ func (m *metrics) observe(endpoint string, code int, d time.Duration) {
 // stable and testable.
 func (m *metrics) write(w io.Writer, e *Engine) {
 	st := e.CacheStats()
-	fmt.Fprintf(w, "# HELP vtrain_cache_report_hits_total Plan-level report cache hits across the simulator pool.\n")
+	fmt.Fprintf(w, "# HELP vtrain_cache_report_hits_total Plan-level report cache hits across the engine's simulator tree.\n")
 	fmt.Fprintf(w, "# TYPE vtrain_cache_report_hits_total counter\n")
 	fmt.Fprintf(w, "vtrain_cache_report_hits_total %d\n", st.ReportHits)
-	fmt.Fprintf(w, "# HELP vtrain_cache_report_misses_total Plan-level report cache misses across the simulator pool.\n")
+	fmt.Fprintf(w, "# HELP vtrain_cache_report_misses_total Plan-level report cache misses across the engine's simulator tree.\n")
 	fmt.Fprintf(w, "# TYPE vtrain_cache_report_misses_total counter\n")
 	fmt.Fprintf(w, "vtrain_cache_report_misses_total %d\n", st.ReportMisses)
-	fmt.Fprintf(w, "# HELP vtrain_cache_struct_hits_total Shape-keyed structural cache hits across the simulator pool.\n")
+	fmt.Fprintf(w, "# HELP vtrain_cache_struct_hits_total Shape-keyed structural cache hits across the engine's simulator tree.\n")
 	fmt.Fprintf(w, "# TYPE vtrain_cache_struct_hits_total counter\n")
 	fmt.Fprintf(w, "vtrain_cache_struct_hits_total %d\n", st.StructHits)
 	fmt.Fprintf(w, "# HELP vtrain_cache_struct_misses_total Structural cache misses (graphs actually lowered).\n")
 	fmt.Fprintf(w, "# TYPE vtrain_cache_struct_misses_total counter\n")
 	fmt.Fprintf(w, "vtrain_cache_struct_misses_total %d\n", st.StructMisses)
-	fmt.Fprintf(w, "# HELP vtrain_batch_replays_total Batched replay passes across the simulator pool.\n")
+	fmt.Fprintf(w, "# HELP vtrain_batch_replays_total Batched replay passes across the engine's simulator tree.\n")
 	fmt.Fprintf(w, "# TYPE vtrain_batch_replays_total counter\n")
 	fmt.Fprintf(w, "vtrain_batch_replays_total %d\n", st.BatchReplays)
 	fmt.Fprintf(w, "# HELP vtrain_batched_plans_total Plans carried by batched replay passes.\n")

@@ -2,11 +2,11 @@
 // warm shared caches. It has two halves:
 //
 //   - Engine is the transport-independent entry point. It owns one
-//     simulator tree: a root whose structural cache and GPU profilers
-//     persist across requests, and a bounded pool of its ForCluster
-//     siblings with their report caches, so concurrent users on any cluster
-//     and fidelity concentrate onto shared lowered graphs (the single-flight
-//     machinery dedupes identical in-flight work). The CLIs (cmd/vtrain,
+//     simulator tree: a root whose report cache, structural cache and GPU
+//     profilers persist across requests, and a ForCluster sibling of it per
+//     request, so concurrent users on any cluster and fidelity concentrate
+//     onto shared reports and lowered graphs (the single-flight machinery
+//     dedupes identical in-flight work). The CLIs (cmd/vtrain,
 //     cmd/vtrain-dse, cmd/vtrain-clusterdse) are thin clients of the same
 //     Engine methods the HTTP handlers call, so the server path and the
 //     CLI path cannot drift.

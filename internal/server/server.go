@@ -258,17 +258,17 @@ func (st *ndjsonStream) writeLine(line streamLine) {
 		if st.werr != nil {
 			return
 		}
-		// The 200 commits lazily with the first line: a sweep that fails
-		// before emitting anything still gets a real error status.
-		if !st.started {
-			st.w.Header().Set("Content-Type", "application/x-ndjson")
-			st.w.WriteHeader(http.StatusOK)
-			st.started = true
-		}
 		b, err := json.Marshal(line)
 		if err != nil {
 			st.werr, failed = err, err
 			return
+		}
+		// The 200 commits lazily with the first line that marshals: a sweep
+		// that fails before emitting anything still gets a real error status.
+		if !st.started {
+			st.w.Header().Set("Content-Type", "application/x-ndjson")
+			st.w.WriteHeader(http.StatusOK)
+			st.started = true
 		}
 		if _, err := st.w.Write(append(b, '\n')); err != nil {
 			st.werr, failed = err, err
@@ -332,7 +332,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	st := newNDJSONStream(w)
 	sum, err := run.Run(func(p dse.Point) {
-		st.point(NewSweepPoint(p, run.Cluster(), run.TotalTokens()))
+		sp := NewSweepPoint(p, run.Cluster(), run.TotalTokens())
+		if sp.Training != nil && !finiteTraining(*sp.Training) {
+			// Latched, the error ends the stream: as a real 400 when no
+			// point has streamed yet, else as a status-400 error line.
+			st.gate.Fail(overflowError(run.TotalTokens(), run.Cluster(), sp.GPUs))
+			return
+		}
+		st.point(sp)
 	})
 	if err != nil {
 		st.finish(nil, err)

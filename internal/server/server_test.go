@@ -252,6 +252,22 @@ func TestOverflowingEconomics400(t *testing.T) {
 	}
 }
 
+// overflowingSweepBody prices every sweep point at +Inf dollars.
+const overflowingSweepBody = `{"model":{"preset":"megatron-3.6b"},"cluster":{"nodes":1,"dollars_per_gpu_hour":1e308},"global_batch":64,"total_tokens":18000000000000000000,"tensor_widths":[2],"data_widths":[1],"pipeline_depths":[1],"micro_batches":[1]}`
+
+// TestSweepOverflowingEconomics400 extends the finite-economics contract to
+// /v1/sweep: a sweep whose first point's cost overflows answers the same
+// structured 400 as /v1/simulate, not a 200 whose only line is an error.
+func TestSweepOverflowingEconomics400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, resp, _ := post(t, ts, "/v1/sweep", overflowingSweepBody)
+	var eb errorBody
+	if code != http.StatusBadRequest || json.Unmarshal([]byte(resp), &eb) != nil || eb.Error.Status != code ||
+		!strings.Contains(eb.Error.Message, "overflow") {
+		t.Errorf("status %d, body %q; want a structured 400 explaining the overflow", code, resp)
+	}
+}
+
 // TestPlanPastTaskIDLimit400: a plan whose graph could number more tasks
 // than int32 holds is a structured 400, not a panic that drops the
 // connection.
@@ -387,7 +403,7 @@ func TestMetricsMonotone(t *testing.T) {
 		t.Errorf("simulate 400 count = %v, want 1", e)
 	}
 	if hits := metricValue(t, m2, "vtrain_cache_report_hits_total"); hits == 0 {
-		t.Error("report hits = 0 after repeating an identical simulate — the pool is not persisting caches")
+		t.Error("report hits = 0 after repeating an identical simulate — the engine's tree is not persisting reports")
 	}
 	if misses2 := metricValue(t, m2, "vtrain_cache_report_misses_total"); misses2 < misses1 {
 		t.Errorf("report misses fell from %v to %v — counters must be monotone", misses1, misses2)
@@ -480,9 +496,9 @@ const contendedBody = `{
 // TestSimulateContentionKnob pins the serving-layer contract of the
 // contention fidelity level: an explicit "contention": false body is
 // byte-identical to omitting the field, "contention": true routes to a
-// separately pooled simulator whose report is comm-monotone against the
-// ideal one, and the two pool entries coexist (the knob is part of the
-// simulator key, not mutable state on a shared engine).
+// sibling whose report is comm-monotone against the ideal one, and both
+// reports stay cached side by side (the knob is part of the report key,
+// not mutable state on a shared engine).
 func TestSimulateContentionKnob(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	idealBody := strings.Replace(contendedBody, `"contention": true`, `"contention": false`, 1)
@@ -523,12 +539,16 @@ func TestSimulateContentionKnob(t *testing.T) {
 	}
 
 	// Both contention levels stay warm side by side: same cluster, same
-	// fidelity, two pool entries.
-	srv.engine.mu.Lock()
-	entries := len(srv.engine.sims)
-	srv.engine.mu.Unlock()
-	if entries != 2 {
-		t.Errorf("pool holds %d simulators, want 2 (ideal + contended for one cluster)", entries)
+	// fidelity, two cached reports answering with identical bytes.
+	before := srv.Engine().CacheStats()
+	for _, pair := range [][2]string{{idealBody, ideal}, {contendedBody, contended}} {
+		if code, again, _ := post(t, ts, "/v1/simulate", pair[0]); code != http.StatusOK || again != pair[1] {
+			t.Errorf("repeat: status %d, bytes match %v", code, again == pair[1])
+		}
+	}
+	if st := srv.Engine().CacheStats(); st.ReportHits != before.ReportHits+2 || st.ReportMisses != before.ReportMisses {
+		t.Errorf("repeating both levels: %d report hits, %d misses; want %d, %d (both reports cached)",
+			st.ReportHits, st.ReportMisses, before.ReportHits+2, before.ReportMisses)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"vtrain/internal/hw"
 )
 
 // TestStreamNoEmissionAfterError drives the NDJSON stream with a hostile
@@ -106,6 +108,25 @@ func TestStreamPreStartErrorIsRealStatus(t *testing.T) {
 	}
 	if eb.Error.Message != "bad axis" || eb.Error.Status != 400 {
 		t.Errorf("error body = %+v", eb.Error)
+	}
+}
+
+// TestStreamLatchedBadRequestEndsStream: a client-fault error latched after
+// points have streamed — a later sweep point whose economics overflow —
+// drops every later point and ends the stream with an error line of
+// status 400.
+func TestStreamLatchedBadRequestEndsStream(t *testing.T) {
+	rec := httptest.NewRecorder()
+	st := newNDJSONStream(rec)
+	st.point(SweepPoint{Plan: "a"})
+	st.gate.Fail(overflowError(1, hw.PaperCluster(1), 8))
+	st.point(SweepPoint{Plan: "b"})
+	st.finish(&StreamSummary{Points: 2}, nil)
+	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	var last streamLine
+	if rec.Code != 200 || len(lines) != 2 || json.Unmarshal([]byte(lines[1]), &last) != nil ||
+		last.Error == nil || last.Error.Status != 400 {
+		t.Fatalf("status %d, stream %q; want one point line, then an error line of status 400", rec.Code, rec.Body.String())
 	}
 }
 

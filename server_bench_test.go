@@ -14,13 +14,9 @@ import (
 )
 
 // serverLoadBodies is the vtrain-server request mix: small cluster-design
-// sweeps over two GPU generations. Cluster sweeps are the structural
-// cache's stress case under serving — every request builds fresh
-// per-candidate simulators whose report caches start cold, so a warm
-// server answers repeats almost entirely from the shared structural
-// cache. (Repeated one-shot simulates are absorbed by the report cache
-// without touching the structural counters, so they cannot demonstrate
-// concentration.)
+// sweeps over two GPU generations. A cold request lowers each shape once
+// through the engine's structural cache and fills its report cache, from
+// which a warm server answers every repeat.
 var serverLoadBodies = []string{
 	`{
   "model": {"preset": "megatron-3.6b"},
@@ -62,11 +58,12 @@ func canonicalClusterPoints(stream string) string {
 // BenchmarkServerLoad measures the long-lived serving layer under
 // concurrent mixed load: one op = one /v1/clusterdse request against a
 // shared warm vtrain-server. The acceptance bar is the reason the server
-// exists — after a cold warm-up pass, the steady-state structural-cache
-// hit rate must be >= 90% (requests ride graphs lowered by earlier
-// requests instead of re-lowering), and every warm response must be
-// byte-identical to the cold baseline: shared caches are an optimization,
-// never a semantic.
+// exists — after a cold warm-up pass, warm requests pay nothing: they add
+// no lowering, no structural miss and no report miss, and every warm point
+// is a report hit. Every warm response must be byte-identical to the cold
+// baseline: shared caches are an optimization, never a semantic. An
+// untimed warm pass over every body follows the timed loop, so the bar is
+// evaluated at any b.N.
 func BenchmarkServerLoad(b *testing.B) {
 	srv := server.New(server.Config{MaxInflightSweeps: 64})
 	ts := httptest.NewServer(srv.Handler())
@@ -88,46 +85,54 @@ func BenchmarkServerLoad(b *testing.B) {
 		return string(data)
 	}
 
-	// Cold pass: pays every lowering once and pins the baseline bytes.
+	// Cold pass: pays every lowering once and pins the baseline bytes and
+	// each body's point count.
 	baseline := make(map[string]string, len(serverLoadBodies))
+	points := make(map[string]uint64, len(serverLoadBodies))
 	for _, body := range serverLoadBodies {
 		baseline[body] = canonicalClusterPoints(post(body))
+		points[body] = uint64(strings.Count(baseline[body], "\n") + 1)
 	}
 	cold := srv.Engine().CacheStats()
 
 	var divergence atomic.Value
+	var warmPoints atomic.Uint64
+	warmRequest := func(body string) {
+		warmPoints.Add(points[body])
+		if got := canonicalClusterPoints(post(body)); got != baseline[body] {
+			divergence.Store(fmt.Sprintf("warm response diverged from cold baseline:\n--- got ---\n%s\n--- want ---\n%s", got, baseline[body]))
+		}
+	}
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			body := serverLoadBodies[int(next.Add(1))%len(serverLoadBodies)]
-			if got := canonicalClusterPoints(post(body)); got != baseline[body] {
-				divergence.Store(fmt.Sprintf("warm response diverged from cold baseline:\n--- got ---\n%s\n--- want ---\n%s", got, baseline[body]))
-				return
-			}
+			warmRequest(serverLoadBodies[int(next.Add(1))%len(serverLoadBodies)])
 		}
 	})
 	b.StopTimer()
+	for _, body := range serverLoadBodies {
+		warmRequest(body)
+	}
 	if msg := divergence.Load(); msg != nil {
 		b.Fatal(msg)
 	}
 
 	warm := srv.Engine().CacheStats()
-	hits := warm.StructHits - cold.StructHits
-	misses := warm.StructMisses - cold.StructMisses
-	hitPct := 100 * float64(hits) / float64(max(hits+misses, 1))
-	b.ReportMetric(hitPct, "warm_struct_hit_pct")
+	hits := warm.ReportHits - cold.ReportHits
+	b.ReportMetric(float64(hits), "warm_report_hits")
 	b.ReportMetric(float64(warm.BatchReplays), "batch_replays")
 	once("server-load", func() {
-		fmt.Printf("\nServer load — %d warm requests, struct cache %d hits / %d misses (%.1f%% hit):\n",
-			b.N, hits, misses, hitPct)
+		fmt.Printf("\nServer load — %d timed + %d untimed warm requests, %d warm points, report cache %d hits / %d misses:\n",
+			b.N, len(serverLoadBodies), warmPoints.Load(), hits, warm.ReportMisses-cold.ReportMisses)
 	})
 
-	// The serving-layer acceptance bar: a warm server must answer from
-	// shared structures. Any steady-state miss means a request re-lowered
-	// a graph the pool had already paid for.
-	if b.N >= len(serverLoadBodies) && hitPct < 90 {
-		b.Fatalf("warm structural-cache hit rate %.1f%% (%d hits, %d misses), want >= 90%%",
-			hitPct, hits, misses)
+	// The serving-layer acceptance bar: a warm server answers every point
+	// from its report cache. Any miss or lowering means a request re-paid
+	// work the engine had already done.
+	if warm.Lowerings != cold.Lowerings || warm.StructMisses != cold.StructMisses ||
+		warm.ReportMisses != cold.ReportMisses || hits != warmPoints.Load() {
+		b.Fatalf("warm requests paid cold work: %+v -> %+v; want %d report hits and no miss or lowering",
+			cold, warm, warmPoints.Load())
 	}
 }

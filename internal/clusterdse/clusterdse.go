@@ -234,9 +234,9 @@ func NewSimulator(s Space, opts ...core.Option) (*core.Simulator, error) {
 //
 // Candidates on which the model has no valid, memory-feasible plan are
 // skipped; if every candidate is skipped the sweep returns an error. On a
-// simulation error the sweep stops without streaming any further point to
-// fn (see dse.Sweep).
-func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) error {
+// simulation error, or an error from fn, the sweep stops without streaming
+// any further point to fn (see dse.Sweep).
+func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point) error) error {
 	if len(s.Offerings) == 0 || len(s.NodeCounts) == 0 {
 		return fmt.Errorf("clusterdse: space needs at least one offering and one node count")
 	}
@@ -298,14 +298,14 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 		return fmt.Errorf("clusterdse: no feasible (offering, node count, plan) configuration for %s: %w", m.Name, dse.ErrNoValidPlan)
 	}
 
-	err := dse.Sweep(m, sims, plans, func(i int, rep core.Report) {
+	err := dse.Sweep(m, sims, plans, func(i int, rep core.Report) error {
 		e, plan := entries[i], plans[i]
 		tr := cost.Train(m, plan.GlobalBatch, rep.IterTime, plan.GPUs(), s.TotalTokens, e.cl)
 		pt := Point{Candidate: e.cand, Plan: plan, Report: rep, Training: tr}
 		if s.Resilience != nil {
 			pt.Resilience = cost.ApplyResilience(tr, e.res)
 		}
-		fn(pt)
+		return fn(pt)
 	})
 	var pe *core.PlanError
 	if errors.As(err, &pe) {
@@ -320,7 +320,10 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 // (see Point.Better).
 func Explore(sim *core.Simulator, m model.Config, s Space) ([]Point, error) {
 	var points []Point
-	if err := ExploreFunc(sim, m, s, func(p Point) { points = append(points, p) }); err != nil {
+	if err := ExploreFunc(sim, m, s, func(p Point) error {
+		points = append(points, p)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i].Better(points[j]) })

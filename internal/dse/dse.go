@@ -164,42 +164,42 @@ func (p Point) Better(q Point) bool {
 
 // StreamGate is the streaming discipline of Sweep (and of the serving
 // layer's NDJSON streams). It serializes point streaming and latches a
-// sweep's first error:
-// once Fail records an error, Publish refuses every subsequent emission, so
-// callers never observe output after a failure — including output from
-// batches that were already in flight on other workers when the error hit.
+// sweep's first error, whether a worker's or an emission's: once an error
+// is latched, Publish refuses every subsequent emission, so callers never
+// observe output after a failure — including output from batches that were
+// already in flight on other workers when the error hit.
 type StreamGate struct {
-	mu     sync.Mutex
-	failed bool
-	err    error
+	mu  sync.Mutex
+	err error
 }
 
-// Publish runs emit under the gate's lock, unless a failure has been
-// recorded; it reports whether emit ran.
-func (g *StreamGate) Publish(emit func()) bool {
+// Publish runs emit under the gate's lock, unless an error has been
+// latched, and latches emit's error. It returns the latched error, nil if
+// none.
+func (g *StreamGate) Publish(emit func() error) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.failed {
-		return false
+	if g.err == nil {
+		g.err = emit()
 	}
-	emit()
-	return true
+	return g.err
 }
 
-// Fail latches err as the sweep's error; only the first call wins.
+// Fail latches a non-nil err as the sweep's error; only the first call
+// wins.
 func (g *StreamGate) Fail(err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.failed {
-		g.failed, g.err = true, err
+	if g.err == nil {
+		g.err = err
 	}
 }
 
-// Stopped reports whether a failure has been latched.
+// Stopped reports whether an error has been latched.
 func (g *StreamGate) Stopped() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.failed
+	return g.err != nil
 }
 
 // FirstErr returns the latched error, nil if none.
@@ -221,9 +221,11 @@ func (g *StreamGate) FirstErr() error {
 //
 // Calls to emit are serialized, a whole batch at a time, in nondeterministic
 // batch order. On a simulation error the sweep stops and returns a
-// *core.PlanError whose Index points into plans; no emit runs after the
-// failure, even for batches that were still in flight (see StreamGate).
-func Sweep(m model.Config, sims []*core.Simulator, plans []parallel.Plan, emit func(i int, rep core.Report)) error {
+// *core.PlanError whose Index points into plans; on an emit error it stops
+// and returns that error. Either way no further batch starts, and no emit
+// runs after the failure, even for batches that were still in flight (see
+// StreamGate).
+func Sweep(m model.Config, sims []*core.Simulator, plans []parallel.Plan, emit func(i int, rep core.Report) error) error {
 	if len(sims) != len(plans) {
 		return fmt.Errorf("dse: Sweep got %d simulators for %d plans", len(sims), len(plans))
 	}
@@ -272,10 +274,13 @@ func Sweep(m model.Config, sims []*core.Simulator, plans []parallel.Plan, emit f
 					gate.Fail(err)
 					return
 				}
-				gate.Publish(func() {
+				gate.Publish(func() error {
 					for j, i := range idx {
-						emit(i, reps[j])
+						if err := emit(i, reps[j]); err != nil {
+							return err
+						}
 					}
+					return nil
 				})
 			}
 		}()
@@ -293,9 +298,9 @@ func Sweep(m model.Config, sims []*core.Simulator, plans []parallel.Plan, emit f
 // deterministic ranking. The workers share the simulator's caches, so
 // repeated configurations across sweeps cost one simulation.
 //
-// On a simulation error the sweep stops and the error is returned; no
-// point is streamed to fn after the failure.
-func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) error {
+// On a simulation error, or an error from fn, the sweep stops and the
+// error is returned; no point is streamed to fn after the failure.
+func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point) error) error {
 	plans := s.Enumerate(m, sim)
 	if len(plans) == 0 {
 		return fmt.Errorf("dse: %s: %w", m.Name, ErrNoValidPlan)
@@ -304,8 +309,8 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 	for i := range sims {
 		sims[i] = sim
 	}
-	err := Sweep(m, sims, plans, func(i int, rep core.Report) {
-		fn(Point{Plan: plans[i], Report: rep})
+	err := Sweep(m, sims, plans, func(i int, rep core.Report) error {
+		return fn(Point{Plan: plans[i], Report: rep})
 	})
 	var pe *core.PlanError
 	if errors.As(err, &pe) {
@@ -320,8 +325,9 @@ func ExploreFunc(sim *core.Simulator, m model.Config, s Space, fn func(Point)) e
 // evaluated points sorted fastest-first (see Point.Better).
 func Explore(sim *core.Simulator, m model.Config, s Space) ([]Point, error) {
 	points := make([]Point, 0, 64)
-	if err := ExploreFunc(sim, m, s, func(p Point) {
+	if err := ExploreFunc(sim, m, s, func(p Point) error {
 		points = append(points, p)
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -334,10 +340,11 @@ func Explore(sim *core.Simulator, m model.Config, s Space) ([]Point, error) {
 // without holding every point in memory. ok is false when no point was
 // evaluated or an error occurred.
 func ExploreBest(sim *core.Simulator, m model.Config, s Space) (best Point, ok bool, err error) {
-	err = ExploreFunc(sim, m, s, func(p Point) {
+	err = ExploreFunc(sim, m, s, func(p Point) error {
 		if !ok || p.Better(best) {
 			best, ok = p, true
 		}
+		return nil
 	})
 	if err != nil {
 		return Point{}, false, err

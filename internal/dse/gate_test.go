@@ -20,8 +20,12 @@ func TestStreamGateSuppressesAfterFailure(t *testing.T) {
 		t.Fatal("fresh gate reports an error")
 	}
 	emitted := 0
-	if !g.Publish(func() { emitted++ }) {
-		t.Fatal("publish before any failure must run")
+	emit := func() error {
+		emitted++
+		return nil
+	}
+	if err := g.Publish(emit); err != nil {
+		t.Fatalf("publish before any failure: %v", err)
 	}
 	if emitted != 1 {
 		t.Fatalf("emitted %d, want 1", emitted)
@@ -33,11 +37,31 @@ func TestStreamGateSuppressesAfterFailure(t *testing.T) {
 	if !g.Stopped() {
 		t.Fatal("gate not stopped after Fail")
 	}
-	if g.Publish(func() { emitted++ }) || emitted != 1 {
-		t.Fatalf("publish after failure ran (emitted %d)", emitted)
+	if err := g.Publish(emit); !errors.Is(err, first) || emitted != 1 {
+		t.Fatalf("publish after failure returned %v (emitted %d)", err, emitted)
 	}
 	if err := g.FirstErr(); !errors.Is(err, first) {
 		t.Fatalf("FirstErr = %v, want the first latched error", err)
+	}
+}
+
+// TestStreamGateLatchesEmitError pins the emission side of the latch: an
+// error from emit stops the gate exactly as Fail does, so a consumer that
+// cannot take a point stops the sweep feeding it.
+func TestStreamGateLatchesEmitError(t *testing.T) {
+	var g StreamGate
+	full := errors.New("consumer full")
+	if err := g.Publish(func() error { return full }); !errors.Is(err, full) {
+		t.Fatalf("Publish = %v, want the emit error", err)
+	}
+	if !g.Stopped() || !errors.Is(g.FirstErr(), full) {
+		t.Fatalf("emit error not latched: stopped %v, FirstErr %v", g.Stopped(), g.FirstErr())
+	}
+	g.Fail(errors.New("later"))
+	ran := false
+	g.Publish(func() error { ran = true; return nil })
+	if ran || !errors.Is(g.FirstErr(), full) {
+		t.Fatalf("after an emit error: publish ran %v, FirstErr %v", ran, g.FirstErr())
 	}
 }
 
@@ -59,10 +83,11 @@ func TestStreamGateConcurrentFail(t *testing.T) {
 				if w == 0 && i == 50 {
 					g.Fail(errors.New("boom"))
 				}
-				g.Publish(func() {
+				g.Publish(func() error {
 					mu.Lock()
 					published++
 					mu.Unlock()
+					return nil
 				})
 			}
 		}(w)
@@ -75,7 +100,7 @@ func TestStreamGateConcurrentFail(t *testing.T) {
 	// Re-check the invariant after all workers drained: the gate stays
 	// closed forever.
 	before := published
-	if g.Publish(func() { published++ }) || published != before {
+	if g.Publish(func() error { published++; return nil }) == nil || published != before {
 		t.Fatal("gate reopened after workers drained")
 	}
 }

@@ -82,9 +82,10 @@ func TestSweepMatchesSequential(t *testing.T) {
 
 	got := make([]core.Report, len(plans))
 	seen := make([]int, len(plans))
-	if err := Sweep(m, sims, plans, func(i int, rep core.Report) {
+	if err := Sweep(m, sims, plans, func(i int, rep core.Report) error {
 		seen[i]++
 		got[i] = rep
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 		t.Errorf("batching: %d plans over %d replays, want 30 over 3", st.BatchedPlans, st.BatchReplays)
 	}
 
-	if err := Sweep(m, sims[:1], plans, func(int, core.Report) {}); err == nil {
+	if err := Sweep(m, sims[:1], plans, func(int, core.Report) error { return nil }); err == nil {
 		t.Fatal("mismatched sims/plans lengths must be rejected")
 	}
 }
@@ -146,7 +147,7 @@ func TestSweepNoEmissionAfterError(t *testing.T) {
 		root, one := siblings()
 		emitted := 0
 		err := Sweep(m, []*core.Simulator{root, root, one}, []parallel.Plan{bad, other, bad},
-			func(int, core.Report) { emitted++ })
+			func(int, core.Report) error { emitted++; return nil })
 		checkErr(err, 2, one)
 		if emitted != 0 {
 			t.Fatalf("%d points emitted after the first batch failed", emitted)
@@ -163,7 +164,7 @@ func TestSweepNoEmissionAfterError(t *testing.T) {
 		failing := []int{len(plans), len(plans) + 1}
 		sims, plans = append(sims, root, one), append(plans, bad, bad)
 		seen := make([]int, len(plans))
-		err := Sweep(m, sims, plans, func(i int, _ core.Report) { seen[i]++ })
+		err := Sweep(m, sims, plans, func(i int, _ core.Report) error { seen[i]++; return nil })
 		checkErr(err, failing[1], one)
 		for i, n := range seen {
 			if n > 1 {
@@ -176,4 +177,26 @@ func TestSweepNoEmissionAfterError(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSweepStopsOnEmitError covers a consumer that fails: with one worker
+// the 24-lane batch of the first shape runs first, its first emission
+// fails, and the sweep returns that error without emitting again or
+// simulating the second shape's batch.
+func TestSweepStopsOnEmitError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := sweepModel()
+	sims, plans := crossPlans(sweepSiblings(t), sweepPlans())
+	full := errors.New("consumer full")
+	emitted := 0
+	err := Sweep(m, sims, plans, func(int, core.Report) error {
+		emitted++
+		return full
+	})
+	if !errors.Is(err, full) || emitted != 1 {
+		t.Fatalf("Sweep = %v after %d emissions, want the emit error after one", err, emitted)
+	}
+	if st := sims[0].CacheStats(); st.BatchedPlans != 24 {
+		t.Errorf("%d plans simulated, want only the first shape's 24", st.BatchedPlans)
+	}
 }

@@ -278,10 +278,19 @@ func (r *SweepRun) CacheStats() core.CacheStats { return r.sim.CacheStats() }
 // under dse.ExploreFunc, guarantees no emission follows a failure,
 // including from batches already in flight on other workers.
 func (r *SweepRun) Run(fn func(dse.Point)) (SweepSummary, error) {
-	n := 0
-	err := dse.ExploreFunc(r.sim, r.model, r.space, func(p dse.Point) {
-		n++
+	return r.Stream(func(p dse.Point) error {
 		fn(p)
+		return nil
+	})
+}
+
+// Stream is Run for an fn that can fail: its first error stops the sweep,
+// so no further batch is simulated, and is returned.
+func (r *SweepRun) Stream(fn func(dse.Point) error) (SweepSummary, error) {
+	n := 0
+	err := dse.ExploreFunc(r.sim, r.model, r.space, func(p dse.Point) error {
+		n++
+		return fn(p)
 	})
 	if err != nil {
 		return SweepSummary{}, err
@@ -390,10 +399,18 @@ func (r *ClusterRun) CacheStats() core.CacheStats { return r.parent.CacheStats()
 // Run executes the joint sweep, streaming each evaluated point to fn under
 // the same no-emission-after-error discipline as SweepRun.Run.
 func (r *ClusterRun) Run(fn func(clusterdse.Point)) (ClusterSummary, error) {
-	n := 0
-	err := clusterdse.ExploreFunc(r.parent, r.model, r.space, func(p clusterdse.Point) {
-		n++
+	return r.Stream(func(p clusterdse.Point) error {
 		fn(p)
+		return nil
+	})
+}
+
+// Stream is Run for an fn that can fail, as SweepRun.Stream.
+func (r *ClusterRun) Stream(fn func(clusterdse.Point) error) (ClusterSummary, error) {
+	n := 0
+	err := clusterdse.ExploreFunc(r.parent, r.model, r.space, func(p clusterdse.Point) error {
+		n++
+		return fn(p)
 	})
 	if err != nil {
 		return ClusterSummary{}, err

@@ -226,19 +226,16 @@ func (s *Server) releaseSweep() {
 }
 
 // ndjsonStream writes the line-delimited stream of a sweep response. It
-// reuses dse.StreamGate at the HTTP boundary: the first write error latches
-// and every later publish is dropped, so a slow or disconnected client
-// never observes a partial line after a failure and the sweep's own
-// no-emission-after-error contract extends through the socket.
+// reuses dse.StreamGate at the HTTP boundary: the first marshal or write
+// error latches and every later publish is dropped, so a slow or
+// disconnected client never observes a partial line after a failure and
+// the sweep's own no-emission-after-error contract extends through the
+// socket.
 type ndjsonStream struct {
 	w       http.ResponseWriter
 	flush   http.Flusher
 	gate    dse.StreamGate
 	started bool
-	// werr is the first marshal/write failure. It is only touched inside
-	// Publish closures — the gate serializes those — so publishers racing
-	// the latch still see the failure and skip the socket.
-	werr error
 }
 
 func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
@@ -249,19 +246,12 @@ func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
 	return st
 }
 
-func (st *ndjsonStream) writeLine(line streamLine) {
-	// Fail cannot be called from inside Publish (it would re-enter the
-	// gate's lock), so the failure is recorded under the gate and latched
-	// right after.
-	var failed error
-	st.gate.Publish(func() {
-		if st.werr != nil {
-			return
-		}
+// writeLine publishes one line and returns the stream's latched error.
+func (st *ndjsonStream) writeLine(line streamLine) error {
+	return st.gate.Publish(func() error {
 		b, err := json.Marshal(line)
 		if err != nil {
-			st.werr, failed = err, err
-			return
+			return err
 		}
 		// The 200 commits lazily with the first line that marshals: a sweep
 		// that fails before emitting anything still gets a real error status.
@@ -271,20 +261,18 @@ func (st *ndjsonStream) writeLine(line streamLine) {
 			st.started = true
 		}
 		if _, err := st.w.Write(append(b, '\n')); err != nil {
-			st.werr, failed = err, err
-			return
+			return err
 		}
 		if st.flush != nil {
 			st.flush.Flush()
 		}
+		return nil
 	})
-	if failed != nil {
-		st.gate.Fail(failed)
-	}
 }
 
-// point streams one result line.
-func (st *ndjsonStream) point(p any) { st.writeLine(streamLine{Point: p}) }
+// point streams one result line. Its error, the stream's latched one,
+// stops the sweep that feeds the stream.
+func (st *ndjsonStream) point(p any) error { return st.writeLine(streamLine{Point: p}) }
 
 // finish closes the stream: a summary line on success, an error line (or a
 // real error status if nothing has streamed yet) on failure.
@@ -331,15 +319,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := newNDJSONStream(w)
-	sum, err := run.Run(func(p dse.Point) {
+	sum, err := run.Stream(func(p dse.Point) error {
 		sp := NewSweepPoint(p, run.Cluster(), run.TotalTokens())
 		if sp.Training != nil && !finiteTraining(*sp.Training) {
-			// Latched, the error ends the stream: as a real 400 when no
-			// point has streamed yet, else as a status-400 error line.
-			st.gate.Fail(overflowError(run.TotalTokens(), run.Cluster(), sp.GPUs))
-			return
+			// The error stops the sweep and ends the stream: as a real 400
+			// when no point has streamed yet, else as a status-400 error
+			// line.
+			return overflowError(run.TotalTokens(), run.Cluster(), sp.GPUs)
 		}
-		st.point(sp)
+		return st.point(sp)
 	})
 	if err != nil {
 		st.finish(nil, err)
@@ -366,8 +354,8 @@ func (s *Server) handleClusterDSE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := newNDJSONStream(w)
-	sum, err := run.Run(func(p clusterdse.Point) {
-		st.point(NewClusterPoint(p))
+	sum, err := run.Stream(func(p clusterdse.Point) error {
+		return st.point(NewClusterPoint(p))
 	})
 	if err != nil {
 		st.finish(nil, err)

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -265,6 +266,33 @@ func TestSweepOverflowingEconomics400(t *testing.T) {
 	if code != http.StatusBadRequest || json.Unmarshal([]byte(resp), &eb) != nil || eb.Error.Status != code ||
 		!strings.Contains(eb.Error.Message, "overflow") {
 		t.Errorf("status %d, body %q; want a structured 400 explaining the overflow", code, resp)
+	}
+}
+
+// TestSweepStopsAfterOverflow: a sweep whose first emitted point's
+// economics overflow stops simulating once it has failed. After its 400,
+// the engine has simulated fewer plans than the space holds, counted
+// against the same sweep at a finite price on a fresh server. Two workers
+// bound the batches in flight when the first point fails.
+func TestSweepStopsAfterOverflow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const body = `{"model":{"preset":"megatron-3.6b"},"cluster":{"nodes":2%s},"global_batch":256%s}`
+	srv, ts := newTestServer(t, Config{})
+	code, resp, _ := post(t, ts, "/v1/sweep", fmt.Sprintf(body, `,"dollars_per_gpu_hour":1e308`, `,"total_tokens":18000000000000000000`))
+	if code != http.StatusBadRequest || !strings.Contains(resp, "overflow") {
+		t.Fatalf("status %d, body %q; want a structured 400 explaining the overflow", code, resp)
+	}
+	misses := srv.Engine().CacheStats().ReportMisses
+
+	_, ts = newTestServer(t, Config{})
+	code, resp, _ = post(t, ts, "/v1/sweep", fmt.Sprintf(body, "", ""))
+	lines := strings.Split(strings.TrimSpace(resp), "\n")
+	var last streamLine
+	if code != http.StatusOK || json.Unmarshal([]byte(lines[len(lines)-1]), &last) != nil || last.Summary == nil {
+		t.Fatalf("finite sweep: status %d, last line %q", code, lines[len(lines)-1])
+	}
+	if points := last.Summary.Points; misses >= uint64(points) {
+		t.Errorf("the failed sweep simulated %d plans of the space's %d: it kept going after its 400", misses, points)
 	}
 }
 

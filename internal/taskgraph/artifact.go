@@ -229,7 +229,8 @@ func (r *artifactReader) i32Slab(n int) []int32 {
 // structural Graph equivalent to the freshly lowered one: same tasks in the
 // same dispatch order, same parents CSR, same descriptor table. Any
 // malformed input — including one Bind or Replay could not run, such as a
-// parent that does not precede its task — returns ErrBadArtifact.
+// parent that does not precede its task, or a comm task on a stream Lower
+// never issues it on — returns ErrBadArtifact.
 //
 // The returned Graph aliases data where alignment allows: the caller must
 // not modify the payload afterwards. The artifact store reads a fresh
@@ -331,6 +332,19 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 			// the operator graph it labels from.
 			uint32(g.sources[i]) >= uint32(nTasks) {
 			return nil, fmt.Errorf("%w: task indices", ErrBadArtifact)
+		}
+		// Lower issues every comm task on a comm stream, and a pipeline
+		// transfer on its receiving stage's, which BindContention's
+		// private-class rule relies on.
+		onStream := true
+		switch d := &g.descs[g.durIdx[i]]; d.kind {
+		case descAllReduceTP, descAllReduceDP:
+			onStream = g.slotOf[i]&1 == int32(CommStream)
+		case descP2P:
+			onStream = g.slotOf[i] == 2*d.to+int32(CommStream)
+		}
+		if !onStream {
+			return nil, fmt.Errorf("%w: comm task %d off its stream", ErrBadArtifact, i)
 		}
 	}
 	return g, nil

@@ -135,9 +135,10 @@ func TestArtifactContentionEquivalence(t *testing.T) {
 // in-range by every count, but that Bind or Replay could not run — a kernel
 // index past its operator's decomposition, a model dimension of zero, a
 // parent that does not precede its task (a cycle or an out-of-order edge),
-// parent offsets out of order, a source past the task count — must be
-// rejected at decode, so the artifact tier treats them as a disk miss
-// instead of handing a sweep a graph that panics or hangs.
+// parent offsets out of order, a source past the task count, a comm task
+// off the stream Lower issues it on — must be rejected at decode, so the
+// artifact tier treats them as a disk miss instead of handing a sweep a
+// graph that panics or hangs.
 func TestUnmarshalRejectsUnbindable(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
@@ -171,7 +172,9 @@ func TestUnmarshalRejectsUnbindable(t *testing.T) {
 			i := firstWithParent(t, g) + 1
 			g.parentStart[i+1] = g.parentStart[i] - 1
 		},
-		"source out of range": func(g *Graph) { g.sources[len(g.sources)-1] = int32(g.NumTasks()) },
+		"source out of range":                     func(g *Graph) { g.sources[len(g.sources)-1] = int32(g.NumTasks()) },
+		"transfer off its receiver's comm stream": misplaceTransfer,
+		"collective on a compute stream":          misplaceCollective,
 	} {
 		g := Lower(og, prof, TaskLevel)
 		corrupt(g)
@@ -181,6 +184,46 @@ func TestUnmarshalRejectsUnbindable(t *testing.T) {
 		}
 		if _, err := UnmarshalArtifact(data); !errors.Is(err, ErrBadArtifact) {
 			t.Errorf("%s: decode err = %v, want ErrBadArtifact", name, err)
+		}
+	}
+}
+
+// misplaceTransfer moves g's first pipeline transfer onto its sending
+// stage's comm stream; Lower issues it on the receiving stage's.
+func misplaceTransfer(g *Graph) {
+	for i, di := range g.durIdx {
+		if d := g.descs[di]; d.kind == descP2P {
+			g.slotOf[i] = 2*d.from + int32(CommStream)
+			return
+		}
+	}
+	panic("no transfer to misplace")
+}
+
+// misplaceCollective moves g's first data-parallel All-Reduce onto its
+// device's compute stream.
+func misplaceCollective(g *Graph) {
+	for i, di := range g.durIdx {
+		if g.descs[di].kind == descAllReduceDP {
+			g.slotOf[i] = g.slotOf[i]&^1 | int32(ComputeStream)
+			return
+		}
+	}
+	panic("no collective to misplace")
+}
+
+// requireCommPlacement fails unless every comm task of g sits where Lower
+// issues it: collectives on a comm stream, and each pipeline transfer on
+// its receiving stage's — the placement BindContention's private-class
+// rule relies on.
+func requireCommPlacement(t *testing.T, g *Graph) {
+	t.Helper()
+	for id := 0; id < g.NumTasks(); id++ {
+		task, d := g.TaskAt(id), g.descs[g.durIdx[id]]
+		switch {
+		case d.kind == descP2P && (task.Device != int(d.to) || task.Stream != CommStream),
+			(d.kind == descAllReduceTP || d.kind == descAllReduceDP) && task.Stream != CommStream:
+			t.Fatalf("task %d (%s) on device %d's stream %d", id, task.Class, task.Device, task.Stream)
 		}
 	}
 }
@@ -199,9 +242,11 @@ func firstWithParent(t *testing.T, g *Graph) int {
 // FuzzUnmarshalArtifact throws mutated encodings at the decoder: whatever
 // the bytes, it must return a graph or ErrBadArtifact — never panic and
 // never hang on an attacker-chosen allocation size. Every graph it accepts
-// must then bind (with a real profiler and communication model), replay,
+// must place its comm tasks where Lower does, then bind (with a real
+// profiler and communication model), replay ideally and under contention,
 // and trace without panicking; errors are fine. Seeded with real encodings
-// so mutations explore the format's interior, not just the header.
+// so mutations explore the format's interior, not just the header, and
+// with two that misplace a comm task.
 func FuzzUnmarshalArtifact(f *testing.F) {
 	c := hw.PaperCluster(8)
 	cm := comm.NewModel(c)
@@ -221,6 +266,15 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	for _, misplace := range []func(*Graph){misplaceTransfer, misplaceCollective} {
+		g := Lower(ogs[1], nil, OperatorLevel)
+		misplace(g)
+		data, err := g.MarshalArtifact()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := UnmarshalArtifact(data)
@@ -235,10 +289,12 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 		}
 		// A fresh profiler per input: decoded model dimensions are
 		// arbitrary, and a shared one would cache every shape tried.
+		requireCommPlacement(t, g)
 		prof := profiler.New(gpu.NewDevice(c.Node.GPU))
 		for i, plan := range plans {
 			tbl := g.Bind(prof, cm, plan, c)
 			g.Replay(tbl, nil)
+			g.Replay(tbl, g.BindContention(plan, c, tbl))
 			g.ReplayTrace(tbl, nil, ogs[i])
 			tbl.Release()
 		}

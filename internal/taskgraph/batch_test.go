@@ -316,6 +316,13 @@ func FuzzReplay(f *testing.F) {
 	// data-parallel collectives and two transfers contend on the spine,
 	// beside a tensor-parallel collective and a compute task.
 	f.Add([]byte{123, 5, 84, 0, 85, 0, 86, 0, 87, 0, 92, 0, 93, 1, 76, 0, 48, 3})
+	// Two stages, each a tensor-parallel group filling its own node
+	// (t=8): both stages run a TP and a DP collective and receive a
+	// transfer, every link class has one owner, and every route is cleared.
+	f.Add([]byte{13, 0, 76, 0, 77, 0, 84, 0, 85, 0, 93, 0, 92, 0, 73, 1})
+	// The same tasks at t=2: both stages sit on node 0, so their
+	// collectives share its NVSwitch and contend.
+	f.Add([]byte{5, 0, 76, 0, 77, 0, 84, 0, 85, 0, 93, 0, 92, 0, 73, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		devices, tasks, edges := fuzzDAG(data)
 		if len(tasks) == 0 {

@@ -19,16 +19,16 @@ import (
 // plan's placement once per (graph, plan, cluster), by the placement rule
 // Bind prices with, and resolves every route a comm task can take into the
 // link classes it occupies: each device's tensor- and data-parallel
-// collective, and each pipeline-transfer descriptor. The immutable
-// ContentionTable holds those routes. The replay-time part (this file's
-// occupancy ledger, pooled and owned per replay call and per batch lane)
-// picks a comm task's route by its descriptor kind, then counts interval
-// overlaps against the flows already recorded on the route's link classes;
-// it never builds a comm.Path. Contention never
-// changes the graph's structure, so structural caching, artifact
-// round-trips, and cross-plan sharing are untouched; with a nil table every
-// replay entry point performs bit-identical float operations to the
-// contention-free path.
+// collective, and each pipeline-transfer descriptor, less the classes no
+// other device can share. The immutable ContentionTable holds those
+// routes. The replay-time part (this file's occupancy ledger, pooled and
+// owned per replay call and per batch lane) picks a comm task's route by
+// its descriptor kind, then counts interval overlaps against the flows
+// already recorded on the route's link classes; it never builds a
+// comm.Path. Contention never changes the graph's structure, so structural
+// caching, artifact round-trips, and cross-plan sharing are untouched; with
+// a nil table every replay entry point performs bit-identical float
+// operations to the contention-free path.
 //
 // Each link class keeps the start values and the end values of its
 // recorded flows in two ascending arrays. Because every recorded interval
@@ -44,10 +44,22 @@ import (
 // interval.
 //
 // The arrays stay cheap to keep sorted because replay records flows in
-// nearly time order: over the 1,068-point contended cluster sweep, 98.7% of
-// the 15M value inserts land at the tail and none shifts more than 3 slots.
-// An insert costs O(slots shifted), so a class fed in reverse time order
-// degrades to a quadratic (memmove) insert cost — never to a wrong count.
+// nearly time order: over the 1,068-point contended cluster sweep, 88.7% of
+// the 1.67M value inserts land at the tail and none shifts more than 3
+// slots. An insert costs O(slots shifted), so a class fed in reverse time
+// order degrades to a quadratic (memmove) insert cost — never to a wrong
+// count.
+//
+// Most classes need no ledger at all. Every comm task of a device runs on
+// its one comm-stream slot and starts at or after that slot's free time,
+// the latest finish of any task the slot has run, and so the end of every
+// flow the slot has recorded. On a class that only one device's flows can
+// occupy, every recorded interval therefore ends at or before the query's
+// start, and both counts above are 0. BindContention clears such private
+// classes from every route (so a sweep where each stage owns its node
+// keeps no NVSwitch ledger), and contend returns an empty route's duration
+// at once: Derate sees the same counts, so every result is bit-identical.
+// Clearing them cut the sweep's value inserts from 15.0M to 1.67M.
 
 // ContentionTable is the per-(plan, cluster) contention binding of one
 // structural graph: the derate weights and every comm task's route, with
@@ -102,9 +114,10 @@ func routeOf(p comm.Path) route {
 // and data-parallel collectives from the stage's representative node (the
 // node holding its first rank) over the collectives' node spans, and per
 // pipeline-transfer descriptor, the path between its stages'
-// representative nodes. tbl, the plan's bound DurationTable, is unused:
-// the parameter keeps call sites binding contention next to the durations
-// it derates.
+// representative nodes; then it clears from every route the classes only
+// one device can occupy (see the file comment). tbl, the plan's bound
+// DurationTable, is unused: the parameter keeps call sites binding
+// contention next to the durations it derates.
 func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTable) *ContentionTable {
 	gpn := c.Node.GPUsPerNode
 	cg := comm.NewCongestion(c)
@@ -117,19 +130,73 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 		dp:  routes[g.Devices : 2*g.Devices : 2*g.Devices],
 		p2p: routes[2*g.Devices:],
 	}
+	maxNode := (g.Devices*plan.Tensor*plan.Data - 1) / gpn // the last rank's node
+	ct.classes = hcaClass(maxNode) + 1
+	// Each route is claimed by the device whose comm stream issues it: a
+	// collective by its device, a pipeline transfer by its `to` stage, on
+	// whose comm stream Lower places it (UnmarshalArtifact rejects any
+	// other placement). A route no task issues still claims its classes,
+	// which can only keep a class shared.
+	owner := make([]int32, ct.classes)
 	for dev := range ct.tp {
 		node := stageNode(dev, plan, gpn)
 		ct.tp[dev] = routeOf(cg.CollectivePath(node, tpSpan))
 		ct.dp[dev] = routeOf(cg.CollectivePath(node, dpSpan))
+		ct.tp[dev].claim(owner, int32(dev))
+		ct.dp[dev].claim(owner, int32(dev))
 	}
 	for di := range g.descs {
 		if d := &g.descs[di]; d.kind == descP2P {
 			ct.p2p[di] = routeOf(cg.SendRecvPath(stageNode(int(d.from), plan, gpn), stageNode(int(d.to), plan, gpn)))
+			ct.p2p[di].claim(owner, d.to)
 		}
 	}
-	maxNode := (g.Devices*plan.Tensor*plan.Data - 1) / gpn // the last rank's node
-	ct.classes = hcaClass(maxNode) + 1
+	for dev := range ct.tp {
+		ct.tp[dev].clearPrivate(owner)
+		ct.dp[dev].clearPrivate(owner)
+	}
+	for di := range g.descs {
+		if g.descs[di].kind == descP2P {
+			ct.p2p[di].clearPrivate(owner)
+		}
+	}
 	return ct
+}
+
+// claim records in owner that dev can put flows on r's classes. owner[c]
+// is 0 while no route claims class c, dev+1 while only device dev does,
+// and -1 once two devices do.
+func (r route) claim(owner []int32, dev int32) {
+	spine := int32(-1)
+	if r.spine {
+		spine = 0
+	}
+	for _, c := range [...]int32{r.nv, r.hca[0], r.hca[1], spine} {
+		if c < 0 {
+			continue
+		}
+		if o := &owner[c]; *o == 0 {
+			*o = dev + 1
+		} else if *o != dev+1 {
+			*o = -1
+		}
+	}
+}
+
+// clearPrivate clears from r each class that only one device claims in
+// owner: no other device's flow can overlap a flow there (see the file
+// comment), so replay keeps no ledger for it.
+func (r *route) clearPrivate(owner []int32) {
+	private := func(c int32) bool { return c >= 0 && owner[c] > 0 }
+	if private(r.nv) {
+		r.nv = -1
+	}
+	for j, c := range r.hca {
+		if private(c) {
+			r.hca[j] = -1
+		}
+	}
+	r.spine = r.spine && !private(0)
 }
 
 // nodeSpan is the node count a collective with the given pricing arguments
@@ -321,9 +388,11 @@ func (cs *contState) record(class int, start, end float64) {
 // link, pass through unchanged, and so do tasks that occupy no time:
 // zero-duration tasks (e.g. width-1 collectives) and tasks so short that
 // start+dur rounds to start. Such a query interval would be empty, on
-// which the overlap count's decomposition can go negative. The returned
-// duration is always >= dur: every weight is non-negative and the overlap
-// counts only grow with concurrency.
+// which the overlap count's decomposition can go negative. A task whose
+// route BindContention emptied, because no other device shares any of its
+// classes, also passes through: its counts would all be 0 (see the file
+// comment). The returned duration is always >= dur: every weight is
+// non-negative and the overlap counts only grow with concurrency.
 func (ct *ContentionTable) contend(st *contState, slot, di int32, kind descKind, start, dur float64) float64 {
 	if start+dur <= start {
 		return dur
@@ -337,6 +406,9 @@ func (ct *ContentionTable) contend(st *contState, slot, di int32, kind descKind,
 	case descP2P:
 		r = &ct.p2p[di]
 	default:
+		return dur
+	}
+	if r.nv < 0 && r.hca[0] < 0 && r.hca[1] < 0 && !r.spine {
 		return dur
 	}
 	end := start + dur

@@ -471,11 +471,14 @@ func TestCommScopes(t *testing.T) {
 // comm's fat-tree paths: every device's tensor- and data-parallel route
 // and every pipeline-transfer descriptor's route must be the link-class
 // translation of comm.CollectivePath / comm.SendRecvPath for the same
-// placement, with every class inside the table's class count. The plans
-// cover one-node and one-stage placements, tensor widths beyond a node,
-// interleaved schedules whose last-to-first-stage transfer wraps, and leaf
-// radices small enough that routes cross the spine; the test fails unless
-// each of those cases actually occurs.
+// placement, with exactly the classes only one device can occupy cleared,
+// and every class inside the table's class count. A device occupies the
+// classes of its own collectives and of the transfers it receives. The
+// plans cover one-node and one-stage placements, tensor widths beyond a
+// node, interleaved schedules whose last-to-first-stage transfer wraps,
+// leaf radices small enough that routes cross the spine, a cleared class
+// and an NVSwitch two stages share; the test fails unless each of those
+// cases actually occurs.
 func TestContentionRoutesMatchComm(t *testing.T) {
 	// classesOf is the test's own translation of a path into link classes.
 	classesOf := func(p comm.Path) route {
@@ -497,7 +500,7 @@ func TestContentionRoutesMatchComm(t *testing.T) {
 		{Tensor: 1, Data: 1, Pipeline: 4, MicroBatch: 1, GlobalBatch: 8, VirtualStages: 2, GradientBuckets: 2},
 	}
 	widths := [][2]int{{1, 1}, {2, 2}, {2, 3}, {4, 8}, {8, 2}, {16, 1}, {16, 4}, {32, 2}}
-	var sawOneNode, sawWideTP, sawWrap, sawSpine, sawNV bool
+	var sawOneNode, sawWideTP, sawWrap, sawSpine, sawNV, sawCleared, sawSharedNV bool
 	for _, shape := range shapes {
 		g, _ := lowerOn(t, deepModel(), shape, hw.PaperCluster(1), OperatorLevel)
 		for _, w := range widths {
@@ -510,23 +513,20 @@ func TestContentionRoutesMatchComm(t *testing.T) {
 				gpn := c.Node.GPUsPerNode
 				cg := comm.NewCongestion(c)
 				ct := g.BindContention(plan, c, nil)
-				check := func(what string, got route, p comm.Path) {
-					t.Helper()
-					if want := classesOf(p); got != want {
-						t.Fatalf("%s leaf %d: %s route %+v, want %+v from %+v", plan, leaf, what, got, want, p)
-					}
-					for _, class := range []int32{got.nv, got.hca[0], got.hca[1]} {
-						if int(class) >= ct.classes {
-							t.Fatalf("%s leaf %d: %s class %d outside %d classes", plan, leaf, what, class, ct.classes)
-						}
-					}
-					sawSpine = sawSpine || got.spine
-					sawNV = sawNV || got.nv >= 0
-				}
 				if len(ct.tp) != g.Devices || len(ct.dp) != g.Devices || len(ct.p2p) != len(g.descs) {
 					t.Fatalf("%s: %d tp / %d dp / %d p2p routes for %d devices and %d descriptors",
 						plan, len(ct.tp), len(ct.dp), len(ct.p2p), g.Devices, len(g.descs))
 				}
+
+				// Every route comm resolves, with the device whose comm
+				// stream issues it.
+				type owned struct {
+					what string
+					got  route
+					full route
+					dev  int
+				}
+				var routes []owned
 				tpN, tpIntra := allReduceTPArgs(plan, gpn)
 				dpN, dpIntra := allReduceDPArgs(plan, gpn)
 				tpSpan, dpSpan := tpN, dpN
@@ -538,23 +538,102 @@ func TestContentionRoutesMatchComm(t *testing.T) {
 				}
 				for dev := 0; dev < g.Devices; dev++ {
 					node := stageNode(dev, plan, gpn)
-					check("tp", ct.tp[dev], cg.CollectivePath(node, tpSpan))
-					check("dp", ct.dp[dev], cg.CollectivePath(node, dpSpan))
+					routes = append(routes,
+						owned{"tp", ct.tp[dev], classesOf(cg.CollectivePath(node, tpSpan)), dev},
+						owned{"dp", ct.dp[dev], classesOf(cg.CollectivePath(node, dpSpan)), dev})
 				}
 				for di, d := range g.descs {
 					if d.kind != descP2P {
 						continue
 					}
-					check("p2p", ct.p2p[di], cg.SendRecvPath(stageNode(int(d.from), plan, gpn), stageNode(int(d.to), plan, gpn)))
+					p := cg.SendRecvPath(stageNode(int(d.from), plan, gpn), stageNode(int(d.to), plan, gpn))
+					routes = append(routes, owned{"p2p", ct.p2p[di], classesOf(p), int(d.to)})
 					sawWrap = sawWrap || d.from > d.to
+				}
+
+				// The devices occupying each class, and each route with
+				// its single-device classes cleared.
+				devs := map[int32]map[int]bool{}
+				claim := func(c int32, dev int) {
+					if devs[c] == nil {
+						devs[c] = map[int]bool{}
+					}
+					devs[c][dev] = true
+				}
+				for _, o := range routes {
+					for _, c := range []int32{o.full.nv, o.full.hca[0], o.full.hca[1]} {
+						if c >= 0 {
+							claim(c, o.dev)
+						}
+					}
+					if o.full.spine {
+						claim(0, o.dev)
+					}
+				}
+				shared := func(c int32) bool { return len(devs[c]) > 1 }
+				for _, o := range routes {
+					want := o.full
+					if want.nv >= 0 && !shared(want.nv) {
+						want.nv = -1
+					}
+					for i, c := range want.hca {
+						if c >= 0 && !shared(c) {
+							want.hca[i] = -1
+						}
+					}
+					want.spine = want.spine && shared(0)
+					if o.got != want {
+						t.Fatalf("%s leaf %d: %s route of device %d %+v, want %+v (uncleared %+v)",
+							plan, leaf, o.what, o.dev, o.got, want, o.full)
+					}
+					for _, class := range []int32{o.got.nv, o.got.hca[0], o.got.hca[1]} {
+						if int(class) >= ct.classes {
+							t.Fatalf("%s leaf %d: %s class %d outside %d classes", plan, leaf, o.what, class, ct.classes)
+						}
+					}
+					sawSpine = sawSpine || o.got.spine
+					sawNV = sawNV || o.full.nv >= 0
+					sawSharedNV = sawSharedNV || o.got.nv >= 0
+					sawCleared = sawCleared || o.got != o.full
 				}
 				sawOneNode = sawOneNode || ranks <= gpn
 				sawWideTP = sawWideTP || plan.Tensor > gpn
 			}
 		}
 	}
-	if !sawOneNode || !sawWideTP || !sawWrap || !sawSpine || !sawNV {
-		t.Fatalf("coverage: one-node %v, t > gpn %v, wrapping transfer %v, spine %v, NVSwitch %v",
-			sawOneNode, sawWideTP, sawWrap, sawSpine, sawNV)
+	if !sawOneNode || !sawWideTP || !sawWrap || !sawSpine || !sawNV || !sawCleared || !sawSharedNV {
+		t.Fatalf("coverage: one-node %v, t > gpn %v, wrapping transfer %v, spine %v, NVSwitch %v, cleared class %v, shared NVSwitch %v",
+			sawOneNode, sawWideTP, sawWrap, sawSpine, sawNV, sawCleared, sawSharedNV)
+	}
+}
+
+// TestBindContentionElidesPrivateClasses pins the private-class rule: on
+// plans where every stage owns its nodes, no other device can put a flow
+// on a stage's NVSwitch, so every tensor-parallel route comes back empty
+// and contend skips its ledgers. The contended replay still matches the
+// reference, which scans every flow on every link of the full comm paths.
+func TestBindContentionElidesPrivateClasses(t *testing.T) {
+	c := hw.PaperCluster(8)
+	m := model.Config{Name: "private", Hidden: 512, Layers: 8, SeqLen: 128, Heads: 8, Vocab: 1024}
+	for _, plan := range []parallel.Plan{
+		{Tensor: 8, Data: 1, Pipeline: 4, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2},
+		{Tensor: 8, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2},
+		{Tensor: 4, Data: 2, Pipeline: 4, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2},
+	} {
+		g, prof := lowerOn(t, m, plan, c, OperatorLevel)
+		tbl := g.Bind(prof, comm.NewModel(c), plan, c)
+		ct := g.BindContention(plan, c, tbl)
+		empty := route{nv: -1, hca: [2]int32{-1, -1}}
+		for dev, r := range ct.tp {
+			if r != empty {
+				t.Errorf("%s: device %d owns its node, but its TP route is %+v, want empty", plan, dev, r)
+			}
+		}
+		got, err := g.Replay(tbl, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, 0, got, referenceReplay(g, tbl, &placement{plan, c}))
+		tbl.Release()
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -171,5 +172,26 @@ func TestForClusterContention(t *testing.T) {
 	// lowered exactly once no matter how many contention levels replayed it.
 	if st := parent.CacheStats(); st.Lowerings != 1 {
 		t.Errorf("expected 1 lowering across contention levels sharing a shape, got %d", st.Lowerings)
+	}
+}
+
+// TestRejectsInfiniteOversubscription: an infinite spine oversubscription
+// has no physical meaning. Were it accepted, the spine's derate weight
+// would be +Inf and Derate NaN even at zero overlaps, and the replay's
+// comparisons would drop the NaN finishes, so this plan's contended
+// iteration would end before its ideal one. Both ways to a simulator on
+// such a cluster refuse it.
+func TestRejectsInfiniteOversubscription(t *testing.T) {
+	m := model.Config{Name: "cont-tiny", Hidden: 256, Layers: 4, SeqLen: 128, Heads: 4, Vocab: 1024}
+	plan := parallel.Plan{Tensor: 2, Data: 8, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2}
+	c := hw.PaperCluster(8)
+	c.NodesPerLeaf, c.Oversubscription = 1, math.Inf(1)
+	if s, err := New(c, WithFidelity(taskgraph.OperatorLevel), WithContention(true)); err == nil {
+		rep, err := s.Simulate(m, plan)
+		t.Fatalf("New accepted an infinite oversubscription; plan %s simulated to %+v, %v", plan, rep, err)
+	}
+	parent := sim(t, 8, WithFidelity(taskgraph.OperatorLevel), WithContention(true))
+	if _, err := parent.ForCluster(c); err == nil {
+		t.Fatal("ForCluster accepted an infinite oversubscription")
 	}
 }

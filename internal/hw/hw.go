@@ -142,7 +142,17 @@ const DefaultNodesPerLeaf = 20
 // TotalGPUs returns the number of GPUs in the cluster.
 func (c Cluster) TotalGPUs() int { return c.NodeCount * c.Node.GPUsPerNode }
 
-// Validate reports an error for physically meaningless descriptions.
+// Validate reports an error for physically meaningless descriptions. Every
+// float field it checks rejects NaN, and none accepts +Inf, which would
+// price a transfer, a failure, or a dollar at zero or at NaN:
+//
+//   - the GPU's PeakTensorFLOPS and MemBandwidth are positive and finite;
+//   - InterNodeBandwidth is non-negative and finite, and positive on more
+//     than one node;
+//   - Alpha lies in (0, 1];
+//   - DollarsPerGPUHour, CheckpointBandwidth, the GPU's MTBF, and
+//     Oversubscription are non-negative and finite (zero means free,
+//     unknown, unknown, and non-blocking).
 func (c Cluster) Validate() error {
 	if c.NodeCount <= 0 {
 		return fmt.Errorf("hw: cluster needs at least one node, got %d", c.NodeCount)
@@ -153,26 +163,30 @@ func (c Cluster) Validate() error {
 	if c.NodeCount > math.MaxInt/c.Node.GPUsPerNode {
 		return fmt.Errorf("hw: %d nodes of %d GPUs overflow the GPU count", c.NodeCount, c.Node.GPUsPerNode)
 	}
-	if c.Node.GPU.PeakTensorFLOPS <= 0 || c.Node.GPU.MemBandwidth <= 0 {
-		return fmt.Errorf("hw: GPU %q has non-positive peak throughput", c.Node.GPU.Name)
+	if !positive(c.Node.GPU.PeakTensorFLOPS) || !positive(c.Node.GPU.MemBandwidth) {
+		return fmt.Errorf("hw: GPU %q needs positive, finite peak throughput, got %v FLOP/s and %v B/s",
+			c.Node.GPU.Name, c.Node.GPU.PeakTensorFLOPS, c.Node.GPU.MemBandwidth)
 	}
 	if c.Node.GPU.MemCapacity == 0 {
 		return fmt.Errorf("hw: GPU %q has zero memory capacity", c.Node.GPU.Name)
 	}
-	if c.InterNodeBandwidth <= 0 && c.NodeCount > 1 {
+	if !nonNegative(c.InterNodeBandwidth) {
+		return fmt.Errorf("hw: inter-node bandwidth must be non-negative and finite, got %v", c.InterNodeBandwidth)
+	}
+	if c.InterNodeBandwidth == 0 && c.NodeCount > 1 {
 		return fmt.Errorf("hw: multi-node cluster needs inter-node bandwidth")
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
+	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return fmt.Errorf("hw: bandwidth effectiveness factor alpha must be in (0,1], got %v", c.Alpha)
 	}
-	if c.DollarsPerGPUHour < 0 {
-		return fmt.Errorf("hw: negative GPU-hour price %v", c.DollarsPerGPUHour)
+	if !nonNegative(c.DollarsPerGPUHour) {
+		return fmt.Errorf("hw: GPU-hour price must be non-negative and finite, got %v", c.DollarsPerGPUHour)
 	}
-	if c.Node.GPU.MTBF < 0 {
-		return fmt.Errorf("hw: GPU %q has negative MTBF %v", c.Node.GPU.Name, c.Node.GPU.MTBF)
+	if !nonNegative(c.Node.GPU.MTBF) {
+		return fmt.Errorf("hw: GPU %q needs a non-negative, finite MTBF, got %v", c.Node.GPU.Name, c.Node.GPU.MTBF)
 	}
-	if c.CheckpointBandwidth < 0 {
-		return fmt.Errorf("hw: negative checkpoint write bandwidth %v", c.CheckpointBandwidth)
+	if !nonNegative(c.CheckpointBandwidth) {
+		return fmt.Errorf("hw: checkpoint write bandwidth must be non-negative and finite, got %v", c.CheckpointBandwidth)
 	}
 	if c.NetworkLinks < 0 {
 		return fmt.Errorf("hw: negative per-node network link count %d", c.NetworkLinks)
@@ -180,11 +194,18 @@ func (c Cluster) Validate() error {
 	if c.NodesPerLeaf < 0 {
 		return fmt.Errorf("hw: negative nodes-per-leaf count %d", c.NodesPerLeaf)
 	}
-	if c.Oversubscription < 0 {
-		return fmt.Errorf("hw: negative fat-tree oversubscription ratio %v", c.Oversubscription)
+	if !nonNegative(c.Oversubscription) {
+		return fmt.Errorf("hw: fat-tree oversubscription ratio must be non-negative and finite, got %v", c.Oversubscription)
 	}
 	return nil
 }
+
+// positive reports whether v is finite and above zero. NaN fails every
+// comparison, so it is neither positive nor non-negative.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// nonNegative reports whether v is finite and at least zero.
+func nonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // A100SXM80GB returns the datasheet description of the paper's GPU.
 func A100SXM80GB() GPU {

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -57,6 +58,38 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatal("Validate() = nil, want error")
 			}
 		})
+	}
+}
+
+// TestValidateRejectsNonFinite: every float field Validate range-checks
+// rejects NaN, which slips past a plain "< 0" check, and +Inf, which is no
+// physical value for any of them (an infinite spine oversubscription, for
+// one, makes the contention derate NaN).
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		at   func(*Cluster) *float64
+	}{
+		{"peak flops", func(c *Cluster) *float64 { return &c.Node.GPU.PeakTensorFLOPS }},
+		{"memory bandwidth", func(c *Cluster) *float64 { return &c.Node.GPU.MemBandwidth }},
+		{"mtbf", func(c *Cluster) *float64 { return &c.Node.GPU.MTBF }},
+		{"inter-node bandwidth", func(c *Cluster) *float64 { return &c.InterNodeBandwidth }},
+		{"alpha", func(c *Cluster) *float64 { return &c.Alpha }},
+		{"gpu-hour price", func(c *Cluster) *float64 { return &c.DollarsPerGPUHour }},
+		{"checkpoint bandwidth", func(c *Cluster) *float64 { return &c.CheckpointBandwidth }},
+		{"oversubscription", func(c *Cluster) *float64 { return &c.Oversubscription }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
+				c := PaperCluster(4)
+				c.NodesPerLeaf = 1
+				*f.at(&c) = v
+				if err := c.Validate(); err == nil {
+					t.Fatal("Validate() = nil, want error")
+				}
+			})
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func wantShrink(c, need int, oversized *int8) bool {
 
 // fitZero returns a zeroed slice of length n, reusing s's storage unless it
 // is too small or drop demands oversized capacity be shed.
-func fitZero[T int32 | float64 | taskOffsets](s []T, n int, drop bool) []T {
+func fitZero[T bool | int32 | float64 | taskOffsets](s []T, n int, drop bool) []T {
 	if cap(s) < n || drop {
 		return make([]T, n)
 	}
@@ -72,6 +72,10 @@ type batchScratch struct {
 	// states[lane] is lane's pooled occupancy ledger under contention
 	// (nil for ideal lanes and fully ideal batches).
 	states []*contState
+	// live is a contended lock-step batch's mask: the OR of its contended
+	// lanes' ContentionTable.live masks, so a task no lane can contend on
+	// runs the ideal lane loop.
+	live []bool
 	// oversized counts consecutive resets whose pooled capacity exceeded 4x
 	// the request (see wantShrink).
 	oversized int8
@@ -198,8 +202,9 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 		// performs the identical float operations on the same columnar state
 		// with lane subscripts collapsed away, and alone captures spans.
 		var st *contState
+		var live []bool
 		if states != nil {
-			st = states[0]
+			st, live = states[0], cts[0].live
 		}
 		if label != nil {
 			spans = make([]Span, 0, n)
@@ -221,8 +226,8 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 			if f := sc.free[slot]; f > start {
 				start = f
 			}
-			if st != nil && int(slot)&1 == int(CommStream) {
-				d = cts[0].contend(st, slot, di, g.descs[di].kind, start, d)
+			if live != nil && live[int(di)*g.Devices+int(slot>>1)] {
+				d = cts[0].contend(st, slot>>1, di, g.descs[di].kind, start, d)
 			}
 			finish := start + d
 			sc.finish[id] = finish
@@ -235,6 +240,18 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 			}
 		}
 		sc.flopsSum[0] = flopsSum
+	}
+	var live []bool
+	if k > 1 && states != nil {
+		sc.live = fitZero(sc.live, len(g.descs)*g.Devices, false)
+		live = sc.live
+		for _, ct := range cts {
+			if ct != nil {
+				for m, b := range ct.live {
+					live[m] = live[m] || b
+				}
+			}
+		}
 	}
 	for id := 0; k > 1 && id < n; id++ {
 		slot := int(g.slotOf[id])
@@ -258,14 +275,32 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 				}
 			}
 		}
+		if m := int(di)*g.Devices + slot>>1; live != nil && live[m] {
+			// Some lane can contend on this task: the same lane loop,
+			// calling contend for the lanes whose own entry is set.
+			kind := g.descs[di].kind
+			for l := 0; l < k; l++ {
+				dur := row[l].dur
+				start := finish[l]
+				if f := free[l]; f > start {
+					start = f
+				}
+				if ct := cts[l]; ct != nil && ct.live[m] {
+					dur = ct.contend(states[l], int32(slot>>1), di, kind, start, dur)
+				}
+				finish[l] = start + dur
+				free[l] = finish[l] // proceed lane l's timeline
+				busy[l] += dur
+				classSec[l] += dur
+				sc.flopsSum[l] += row[l].flops
+			}
+			continue
+		}
 		for l := 0; l < k; l++ {
 			dur := row[l].dur
 			start := finish[l]
 			if f := free[l]; f > start {
 				start = f
-			}
-			if states != nil && states[l] != nil && slot&1 == int(CommStream) {
-				dur = cts[l].contend(states[l], int32(slot), di, g.descs[di].kind, start, dur)
 			}
 			finish[l] = start + dur
 			free[l] = finish[l] // proceed lane l's timeline

@@ -91,12 +91,13 @@ func requireIdentical(t *testing.T, lane int, got, want Result) {
 }
 
 // checkLanes binds a contention table for every non-nil places[i] and
-// replays every (tables[i], cts[i]) pair at widths 1, 3, 8, and 16 — wider
-// batches cycle the pairs, so duplicated lanes must reproduce the same
-// result — and through the single-lane Replay and ReplayTrace, and requires
-// every lane to match referenceReplay of places[i] bit for bit. places may
-// be nil (a fully ideal batch: a nil cts slice) or hold nil entries (ideal
-// lanes in a mixed batch: nil tables in cts).
+// replays every (tables[i], cts[i]) pair at widths 1, 3, 8, 16, and
+// len(tables) — wider batches cycle the pairs, so duplicated lanes must
+// reproduce the same result — and through the single-lane Replay and
+// ReplayTrace, and requires every lane to match referenceReplay of
+// places[i] bit for bit. places may be nil (a fully ideal batch: a nil cts
+// slice) or hold nil entries (ideal lanes in a mixed batch: nil tables in
+// cts).
 func checkLanes(t *testing.T, g *Graph, tables []*DurationTable, places []*placement) {
 	t.Helper()
 	var cts []*ContentionTable
@@ -137,7 +138,7 @@ func checkLanes(t *testing.T, g *Graph, tables []*DurationTable, places []*place
 			t.Fatalf("table %d: %d spans for %d tasks", i, len(spans), want[i].Executed)
 		}
 	}
-	for _, k := range []int{1, 3, 8, 16} {
+	for _, k := range []int{1, 3, 8, 16, len(tables)} {
 		wideTables := make([]*DurationTable, k)
 		var wideCts []*ContentionTable
 		if cts != nil {
@@ -269,20 +270,18 @@ func fuzzDAG(data []byte) (devices int, tasks []fuzzTask, edges [][2]int) {
 	return devices, tasks, edges
 }
 
-// fuzzPlacement decodes the plan and cluster a fuzzed DAG's contended
-// replay binds: tensor and data widths of 1-8 from the first byte's upper
-// bits, over just enough 8-GPU nodes, with one node per leaf and a 2:1
-// oversubscribed spine when bit 6 is set, so inter-node flows also contend
-// on the spine.
-func fuzzPlacement(data []byte, devices int) (parallel.Plan, hw.Cluster) {
-	b := data[0]
+// fuzzPlacement decodes a placement a fuzzed DAG's contended replay binds:
+// tensor and data widths of 1-8 from b's upper bits, over just enough 8-GPU
+// nodes, with one node per leaf and a 2:1 oversubscribed spine when bit 6
+// is set, so inter-node flows also contend on the spine.
+func fuzzPlacement(b byte, devices int) *placement {
 	plan := parallel.Plan{Tensor: 1 << (b / 4 % 4), Data: 1 << (b / 16 % 4), Pipeline: devices, MicroBatch: 1}
 	plan.GlobalBatch = plan.Data
 	c := hw.PaperCluster((devices*plan.Tensor*plan.Data + 7) / 8)
 	if b&64 != 0 {
 		c.NodesPerLeaf, c.Oversubscription = 1, 2
 	}
-	return plan, c
+	return &placement{plan, c}
 }
 
 // buildFuzzDAG hand-builds the decoded DAG, plus any extra edges.
@@ -301,12 +300,14 @@ func buildFuzzDAG(devices int, tasks []fuzzTask, edges [][2]int, extra ...[2]int
 // shuffled edge-insertion order it checks that Build numbers tasks in
 // Algorithm 1's FIFO order (roots in insertion order, children in
 // edge-insertion order), that Replay matches referenceReplay bit for bit
-// under several duration tables, ideal and contended, that every lane of
-// ReplayBatchContended at widths 1-17 matches Replay, that IterTime bounds
-// every slot's busy seconds, that contention never shortens a task or the
-// iteration, that raising one task's duration never lowers IterTime
-// (replay is a max-plus recurrence over a dispatch order fixed when the
-// graph is built), and that a back edge makes Build fail.
+// under several duration tables, ideal and contended on two placements the
+// first two bytes decode, that every lane of ReplayBatchContended at widths
+// 1-17 matches Replay, ideal and in a batch mixing both placements with
+// ideal lanes, that IterTime bounds every slot's busy seconds, that
+// contention never shortens a task or the iteration, that raising one
+// task's duration never lowers IterTime (replay is a max-plus recurrence
+// over a dispatch order fixed when the graph is built), and that a back
+// edge makes Build fail.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 7, 0, 0, 5, 1, 24, 1, 48, 3, 72, 6, 96, 5})
@@ -323,6 +324,9 @@ func FuzzReplay(f *testing.F) {
 	// The same tasks at t=2: both stages sit on node 0, so their
 	// collectives share its NVSwitch and contend.
 	f.Add([]byte{5, 0, 76, 0, 77, 0, 84, 0, 85, 0, 93, 0, 92, 0, 73, 1})
+	// Both in one batch: the first placement (t=8) clears every class, the
+	// second (t=2) shares node 0's NVSwitch, so only the t=2 lanes contend.
+	f.Add([]byte{13, 5, 76, 0, 77, 0, 84, 0, 85, 0, 93, 0, 92, 0, 73, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		devices, tasks, edges := fuzzDAG(data)
 		if len(tasks) == 0 {
@@ -401,23 +405,31 @@ func FuzzReplay(f *testing.F) {
 			}
 		}
 
-		// Under contention every lane matches the reference, and so does
-		// the batch. Spans are in id order; a task's contended span covers
-		// at least its ideal duration (End = Start + derated duration, and
-		// rounding is monotone, so the comparison is exact), and the
-		// iteration never shortens.
-		plan, c := fuzzPlacement(data, devices)
-		ct := g.BindContention(plan, c, literal)
+		// Under contention every lane matches the reference of its own
+		// placement, and so does the batch. The lanes cycle through two
+		// placements, decoded from the first two bytes, and an ideal lane,
+		// so the batch mixes lanes that can contend on different tasks.
+		// Spans are in id order; a task's contended span covers at least
+		// its ideal duration (End = Start + derated duration, and rounding
+		// is monotone, so the comparison is exact), and the iteration never
+		// shortens.
+		places := []*placement{fuzzPlacement(data[0], devices), fuzzPlacement(data[1], devices), nil}
+		bound := make([]*ContentionTable, len(places))
+		for i, pl := range places {
+			if pl != nil {
+				bound[i] = g.BindContention(pl.plan, pl.c, literal)
+			}
+		}
 		cts := make([]*ContentionTable, widest)
 		contended := make([]Result, widest)
 		for l, tbl := range tables {
-			cts[l] = ct
-			res, spans, err := g.ReplayTrace(tbl, ct, nil)
+			cts[l] = bound[l%len(bound)]
+			res, spans, err := g.ReplayTrace(tbl, cts[l], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			contended[l] = res
-			requireIdentical(t, l, res, referenceReplay(g, tbl, &placement{plan, c}))
+			requireIdentical(t, l, res, referenceReplay(g, tbl, places[l%len(places)]))
 			for id, sp := range spans {
 				if ideal := tbl.Duration(id); sp.End < sp.Start+ideal {
 					t.Fatalf("lane %d: task %d's contended span [%v, %v) is shorter than its ideal duration %v", l, id, sp.Start, sp.End, ideal)

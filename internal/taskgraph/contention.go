@@ -57,9 +57,16 @@ import (
 // occupy, every recorded interval therefore ends at or before the query's
 // start, and both counts above are 0. BindContention clears such private
 // classes from every route (so a sweep where each stage owns its node
-// keeps no NVSwitch ledger), and contend returns an empty route's duration
-// at once: Derate sees the same counts, so every result is bit-identical.
-// Clearing them cut the sweep's value inserts from 15.0M to 1.67M.
+// keeps no NVSwitch ledger): Derate sees the same counts, so every result
+// is bit-identical. Clearing them cut the sweep's value inserts from 15.0M
+// to 1.67M.
+//
+// A task whose route is left empty would pass through contend unchanged,
+// so BindContention also marks, per (descriptor, device), which comm tasks
+// keep a route (ContentionTable.live), and replay calls contend for those
+// alone. In the sweep only 7.5% of comm task-lanes keep one, and 132 of its
+// 1,068 lanes have none. A lock-step batch ORs its lanes' masks, so a task
+// no lane can contend on runs the ideal lane loop.
 
 // ContentionTable is the per-(plan, cluster) contention binding of one
 // structural graph: the derate weights and every comm task's route, with
@@ -76,6 +83,12 @@ type ContentionTable struct {
 	// descriptor between its stages' representative nodes. Entries of
 	// other descriptor kinds are unused.
 	p2p []route
+	// live[di*Devices+dev] reports whether a comm task of descriptor di on
+	// device dev's comm stream has a route left once the private classes
+	// are cleared. Only such a task can be derated or record a flow, so
+	// replay calls contend for it alone. A pipeline transfer's row sets at
+	// most its to stage's entry, the one comm stream that issues it.
+	live []bool
 	// classes is the link-class count: spine, then (nv, hca) per node.
 	classes int
 }
@@ -115,9 +128,10 @@ func routeOf(p comm.Path) route {
 // node holding its first rank) over the collectives' node spans, and per
 // pipeline-transfer descriptor, the path between its stages'
 // representative nodes; then it clears from every route the classes only
-// one device can occupy (see the file comment). tbl, the plan's bound
-// DurationTable, is unused: the parameter keeps call sites binding
-// contention next to the durations it derates.
+// one device can occupy and marks the tasks whose route keeps a class (see
+// the file comment). tbl, the plan's bound DurationTable, is unused: the
+// parameter keeps call sites binding contention next to the durations it
+// derates.
 func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTable) *ContentionTable {
 	gpn := c.Node.GPUsPerNode
 	cg := comm.NewCongestion(c)
@@ -155,9 +169,22 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 		ct.tp[dev].clearPrivate(owner)
 		ct.dp[dev].clearPrivate(owner)
 	}
+	ct.live = make([]bool, len(g.descs)*g.Devices)
 	for di := range g.descs {
-		if g.descs[di].kind == descP2P {
+		live := ct.live[di*g.Devices : (di+1)*g.Devices]
+		switch d := &g.descs[di]; d.kind {
+		case descAllReduceTP:
+			for dev, r := range ct.tp {
+				live[dev] = !r.empty()
+			}
+		case descAllReduceDP:
+			for dev, r := range ct.dp {
+				live[dev] = !r.empty()
+			}
+		case descP2P:
+			// Only the to stage's comm stream issues the transfer.
 			ct.p2p[di].clearPrivate(owner)
+			live[d.to] = !ct.p2p[di].empty()
 		}
 	}
 	return ct
@@ -182,6 +209,9 @@ func (r route) claim(owner []int32, dev int32) {
 		}
 	}
 }
+
+// empty reports whether r occupies no link class.
+func (r route) empty() bool { return r.nv < 0 && r.hca[0] < 0 && r.hca[1] < 0 && !r.spine }
 
 // clearPrivate clears from r each class that only one device claims in
 // owner: no other device's flow can overlap a flow there (see the file
@@ -380,36 +410,32 @@ func (cs *contState) record(class int, start, end float64) {
 	led.ends = cs.insert(led.ends, end)
 }
 
-// contend derates the base duration of the comm task in slot with
+// contend derates the base duration of the comm task on device dev with
 // descriptor index di and kind, given its dependency-and-stream start time,
 // and records the derated flow on its link classes. The route was resolved
-// at bind time and is picked by kind: a collective's by the slot's device,
-// a pipeline transfer's by its descriptor. Compute tasks, which occupy no
-// link, pass through unchanged, and so do tasks that occupy no time:
-// zero-duration tasks (e.g. width-1 collectives) and tasks so short that
-// start+dur rounds to start. Such a query interval would be empty, on
-// which the overlap count's decomposition can go negative. A task whose
-// route BindContention emptied, because no other device shares any of its
-// classes, also passes through: its counts would all be 0 (see the file
-// comment). The returned duration is always >= dur: every weight is
-// non-negative and the overlap counts only grow with concurrency.
-func (ct *ContentionTable) contend(st *contState, slot, di int32, kind descKind, start, dur float64) float64 {
+// at bind time and is picked by kind: a collective's by its device, a
+// pipeline transfer's by its descriptor. Replay calls contend only for a
+// task whose live entry is set, so the task is a comm task with a
+// non-empty route; every other task's counts would all be 0 (see the file
+// comment), and its duration passes through untouched. Tasks that occupy
+// no time also pass through: zero-duration tasks (e.g. width-1
+// collectives) and tasks so short that start+dur rounds to start. Such a
+// query interval would be empty, on which the overlap count's
+// decomposition can go negative. The returned duration is always >= dur:
+// every weight is non-negative and the overlap counts only grow with
+// concurrency.
+func (ct *ContentionTable) contend(st *contState, dev, di int32, kind descKind, start, dur float64) float64 {
 	if start+dur <= start {
 		return dur
 	}
 	var r *route
 	switch kind {
 	case descAllReduceTP:
-		r = &ct.tp[slot>>1]
+		r = &ct.tp[dev]
 	case descAllReduceDP:
-		r = &ct.dp[slot>>1]
-	case descP2P:
+		r = &ct.dp[dev]
+	default: // descP2P, the only other kind live marks
 		r = &ct.p2p[di]
-	default:
-		return dur
-	}
-	if r.nv < 0 && r.hca[0] < 0 && r.hca[1] < 0 && !r.spine {
-		return dur
 	}
 	end := start + dur
 	nv, hca, spine := 0, 0, 0

@@ -11,6 +11,7 @@ import (
 	"vtrain/internal/model"
 	"vtrain/internal/opgraph"
 	"vtrain/internal/parallel"
+	"vtrain/internal/profiler"
 )
 
 // TestReplayContendedNilMatchesReplay pins the equivalence lock of the
@@ -46,6 +47,79 @@ func TestContendedBatchMatchesSequential(t *testing.T) {
 		places[1] = nil
 		checkLanes(t, g, tables, places)
 	}
+}
+
+// TestContendedBatchMixedLiveness pins the lock-step loop's batch mask: one
+// batch of one hand-built two-stage graph whose lanes can contend on
+// different tasks. On the private lane (t=8, each stage owns its node)
+// every class has one owner and no task can contend; on the NVSwitch lane
+// (t=2) both stages share node 0, so every comm task can; on the spine
+// lane (t=8, d=2 over a blocking one-node-per-leaf tree) the gradient
+// All-Reduces and the transfer share the spine while each tensor-parallel
+// All-Reduce keeps its own NVSwitch; the fourth lane is ideal. Each lane
+// matches referenceReplay, which scans every flow on the full paths and so
+// never reads a mask, at width 1 and in every batch checkLanes replays.
+func TestContendedBatchMixedLiveness(t *testing.T) {
+	b := NewBuilder(2)
+	tp := durDesc{kind: descAllReduceTP}
+	dp := durDesc{kind: descAllReduceDP, stageParams: 1 << 20, buckets: 1}
+	c0 := b.AddTask(0, ComputeStream, 0, compute(profiler.FwdMHA), 1e-3)
+	b.AddTask(1, ComputeStream, 1, compute(profiler.FwdMHA), 1e-3)
+	tp0 := b.AddTask(0, CommStream, 2, tp, 2e-4)
+	tp1 := b.AddTask(1, CommStream, 3, tp, 2e-4)
+	b.AddEdge(tp0, b.AddTask(0, CommStream, 4, dp, 5e-4))
+	dp1 := b.AddTask(1, CommStream, 5, dp, 5e-4)
+	b.AddEdge(tp1, dp1)
+	p2p := b.AddTask(1, CommStream, 6, durDesc{kind: descP2P, from: 0, to: 1}, 1e-4)
+	b.AddEdge(c0, p2p)
+	b.AddEdge(dp1, p2p)
+	g, tbl := mustBuild(t, b)
+
+	blocking := hw.PaperCluster(4)
+	blocking.NodesPerLeaf, blocking.Oversubscription = 1, 2
+	places := []*placement{
+		{parallel.Plan{Tensor: 8, Data: 1, Pipeline: 2, MicroBatch: 1, GlobalBatch: 1}, hw.PaperCluster(4)},
+		{parallel.Plan{Tensor: 2, Data: 1, Pipeline: 2, MicroBatch: 1, GlobalBatch: 1}, hw.PaperCluster(4)},
+		{parallel.Plan{Tensor: 8, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 2}, blocking},
+		nil,
+	}
+	// Each lane's live entries by descriptor kind, as "TP DP P2P" per
+	// device; the transfer only runs on its receiving stage.
+	wantLive := []string{"--- ---", "TD- TDP", "-D- -DP"}
+	ideal := referenceReplay(g, tbl, nil)
+	for lane, pl := range places[:3] {
+		ct := g.BindContention(pl.plan, pl.c, tbl)
+		got := []byte("--- ---")
+		for di, d := range g.descs {
+			for dev := range g.Devices {
+				if !ct.live[di*g.Devices+dev] {
+					continue
+				}
+				switch d.kind {
+				case descAllReduceTP:
+					got[4*dev] = 'T'
+				case descAllReduceDP:
+					got[4*dev+1] = 'D'
+				case descP2P:
+					if dev == int(d.to) {
+						got[4*dev+2] = 'P'
+					}
+				default:
+					t.Errorf("lane %d: compute descriptor %d is live on device %d", lane, di, dev)
+				}
+			}
+		}
+		if string(got) != wantLive[lane] {
+			t.Errorf("lane %d (%s): live tasks %q, want %q", lane, pl.plan, got, wantLive[lane])
+		}
+		// A lane that can contend must actually be derated, or the batch
+		// mask is never exercised.
+		res := referenceReplay(g, tbl, pl)
+		if slowed := !slices.Equal(res.CommBusy, ideal.CommBusy); slowed != (lane > 0) {
+			t.Errorf("lane %d (%s): comm busy %v against ideal %v", lane, pl.plan, res.CommBusy, ideal.CommBusy)
+		}
+	}
+	checkLanes(t, g, []*DurationTable{tbl, tbl, tbl, tbl}, places)
 }
 
 // bruteOverlaps is the flat scan the occupancy ledger must reproduce: the

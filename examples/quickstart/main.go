@@ -4,10 +4,9 @@
 // training projection for 300B tokens.
 //
 // Under the hood, core.Simulator runs the full pipeline per simulation:
-// opgraph.Build assembles the immutable operator graph (one slice of value
-// nodes, lazy labels), taskgraph.Lower expands each operator into its
-// kernel tasks in an immutable task graph, and the Algorithm 1 replay
-// engine walks that graph with pooled scratch state. Results are memoized
+// taskgraph.LowerPlan expands each operator into its kernel tasks in an
+// immutable task graph as the opgraph builder emits the operators, and the
+// Algorithm 1 replay engine walks that graph with pooled scratch state. Results are memoized
 // per (model, plan, fidelity), so re-simulating this configuration is a
 // cache hit. See docs/ARCHITECTURE.md for the layer contracts.
 package main

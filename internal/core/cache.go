@@ -196,9 +196,9 @@ type tree struct {
 	// batchReplays counts batched replay passes, batchedPlans the plans
 	// they carried.
 	batchReplays, batchedPlans atomic.Uint64
-	// lowerings counts actual taskgraph.Lower runs; with a persistent tier
-	// it can be smaller than the structural misses, since misses served
-	// from disk do not lower.
+	// lowerings counts actual lowerings (taskgraph.LowerPlan runs); with a
+	// persistent tier it can be smaller than the structural misses, since
+	// misses served from disk do not lower.
 	lowerings atomic.Uint64
 }
 
@@ -271,7 +271,7 @@ func (t *tree) loadOps(gt *gpuTiming) {
 }
 
 // saveOps persists gt's operator table when it grew since the last save.
-// Callers save after binding a plan's durations: Lower reads only kernel
+// Callers save after binding a plan's durations: lowering reads only kernel
 // counts, so the table fills as plans bind, and only re-saving when it grew
 // keeps the write traffic bounded. Concurrent savers may both write; the
 // content is deterministic per device, so the duplicate write is harmless.

@@ -209,7 +209,7 @@ type CacheStats struct {
 	// they carried; BatchedPlans/BatchReplays is the sweep's mean batch
 	// width.
 	BatchReplays, BatchedPlans uint64
-	// Lowerings counts actual graph lowerings (taskgraph.Lower runs).
+	// Lowerings counts actual graph lowerings (taskgraph.LowerPlan runs).
 	// Without a persistent tier it equals StructMisses — every miss lowers;
 	// with one it can be smaller, since misses served from disk skip the
 	// lowering. This is the "cold work actually paid" figure a fully warm
@@ -396,14 +396,10 @@ func (s *Simulator) buildStructural(m model.Config, plan parallel.Plan) (*taskgr
 // lower builds the structural graph from scratch — every cache tier
 // missed — counting the lowering.
 func (s *Simulator) lower(m model.Config, plan parallel.Plan) (*taskgraph.Graph, error) {
-	og, err := opgraph.Build(m, plan, s.cluster)
+	tg, err := taskgraph.LowerPlan(m, plan, s.cluster, s.fidelity)
 	if err != nil {
 		return nil, err
 	}
-	tg := taskgraph.Lower(og, s.timing.profiler, s.fidelity)
-	// Lower copies everything the task graph needs, so the operator graph
-	// goes straight back to the construction pool.
-	og.Recycle()
 	s.tree.lowerings.Add(1)
 	return tg, nil
 }

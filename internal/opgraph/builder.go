@@ -9,18 +9,19 @@ import (
 	"vtrain/internal/profiler"
 )
 
-// builder appends nodes to the graph through a small API: add appends a
-// node, dep appends a dependency of the node added last. Nodes are emitted
-// one at a time, each with all its dependencies, so the dependency CSR
-// grows in final order and needs no sorting. All cross-references during
-// construction are node indices, never pointers; -1 means "absent".
+// builder emits nodes into a Sink through a small API: add emits a node,
+// dep a dependency of the node added last. Nodes are emitted one at a
+// time, each with all its dependencies, so a sink sees every node's
+// dependencies in final order and needs no sorting. All cross-references
+// during construction are node indices, never pointers; -1 means "absent".
 //
 // Builders (and, via Graph.Recycle, graph storage) are pooled: a sweep
 // building thousands of graphs back to back reuses the same schedule
 // buffers and node and dependency slices instead of reallocating them per
 // plan.
 type builder struct {
-	g    *Graph
+	s    Sink
+	n    int32 // nodes emitted so far
 	m    model.Config
 	plan parallel.Plan
 	nmb  int
@@ -56,19 +57,10 @@ var builderPool = sync.Pool{New: func() any { return new(builder) }}
 // Recycle and the next Build.
 var graphPool = sync.Pool{New: func() any { return new(Graph) }}
 
-func newBuilder(m model.Config, plan parallel.Plan, nmb int) *builder {
-	v := max(plan.VirtualStages, 1)
-	g := graphPool.Get().(*Graph)
-	*g = Graph{
-		nodes:    g.nodes[:0],
-		depStart: g.depStart[:0],
-		deps:     g.deps[:0],
-		Stages:   plan.Pipeline,
-		Plan:     plan,
-		Model:    m,
-	}
+func newBuilder(m model.Config, plan parallel.Plan, s Sink) *builder {
+	v, nmb := max(plan.VirtualStages, 1), plan.MicroBatches()
 	b := builderPool.Get().(*builder)
-	b.g = g
+	b.s, b.n = s, 0
 	b.m, b.plan = m, plan
 	b.nmb, b.v = nmb, v
 	b.fwdOut = fitRaw(b.fwdOut, plan.Pipeline*v*nmb)
@@ -97,19 +89,18 @@ func fitRaw[T int32 | slot](s []T, n int) []T {
 	return s[:n]
 }
 
-// add appends a node and opens its dependency row, returning its ID.
+// add emits a node, opening its dependency row, and returns its ID.
 func (b *builder) add(n Node) int32 {
-	g := b.g
-	g.nodes = append(g.nodes, n)
-	g.depStart = append(g.depStart, int32(len(g.deps)))
-	return int32(len(g.nodes) - 1)
+	b.s.Node(n)
+	b.n++
+	return b.n - 1
 }
 
 // dep records that the node added last depends on node from; from < 0 is
 // "no dependency".
 func (b *builder) dep(from int32) {
 	if from >= 0 {
-		b.g.deps = append(b.g.deps, from)
+		b.s.Dep(from)
 	}
 }
 
@@ -201,8 +192,6 @@ func (b *builder) build() {
 	}
 
 	b.emitGradientSync(prevSlotEnd)
-	// Close the last node's dependency row.
-	b.g.depStart = append(b.g.depStart, int32(len(b.g.deps)))
 }
 
 // emitSlot builds the operator chain of one forward or backward slot and

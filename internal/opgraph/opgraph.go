@@ -30,18 +30,19 @@
 //
 // The graph is built for the same sweep-heavy workload the replay engine in
 // internal/taskgraph serves: thousands of (t, d, p) plans constructed and
-// lowered back to back. Nodes are therefore plain values in one pooled
-// slice (no per-node heap allocation), each node's dependencies are
-// appended to a CSR-style index slice as the node is emitted, and node
-// labels are lazy — a node carries only its (kind, op, stage, chunk, micro,
-// layer) coordinates, and Node.Label composes the human-readable string on
-// demand for trace rendering and tests. Nodes also carry no per-plan numbers
-// (transfer sizes, shard sizes, group widths, node placement): every field
-// is the same for all plans sharing the graph's structural shape, and
-// duration binding in internal/taskgraph derives the numbers for a
-// concrete plan. A built Graph is immutable: nothing in
-// this package mutates it after Build returns, so it is safe to share
-// across goroutines.
+// lowered back to back. The builder emits through a Sink, so a lowering
+// can consume the graph without storing it (Emit). Build stores it: nodes
+// are plain values in one pooled slice (no per-node heap allocation), each
+// node's dependencies are appended to a CSR-style index slice as the node
+// is emitted, and node labels are lazy — a node carries only its (kind,
+// op, stage, chunk, micro, layer) coordinates, and Node.Label composes the
+// human-readable string on demand for trace rendering and tests. Nodes
+// also carry no per-plan numbers (transfer sizes, shard sizes, group
+// widths, node placement): every field is the same for all plans sharing
+// the graph's structural shape, and duration binding in internal/taskgraph
+// derives the numbers for a concrete plan. A built Graph is immutable:
+// nothing in this package mutates it after Build returns, so it is safe to
+// share across goroutines.
 package opgraph
 
 import (
@@ -202,18 +203,46 @@ func fitsIDs(m model.Config, plan parallel.Plan) bool {
 	return plan.MicroBatches() <= (limit-L-p)/(4*p*v+12*L)
 }
 
+// Sink receives the graph as the builder emits it: each node through Node,
+// then its dependencies through Dep. The i-th node emitted is node i, and
+// every dependency names an earlier node.
+type Sink interface {
+	Node(n Node)
+	Dep(from int32)
+}
+
+// Emit validates (m, plan, c) as Build does and emits the execution graph
+// of one training iteration into s without storing it.
+func Emit(m model.Config, plan parallel.Plan, c hw.Cluster, s Sink) error {
+	if err := Validate(m, plan, c); err != nil {
+		return err
+	}
+	b := newBuilder(m, plan, s)
+	b.build()
+	b.s = nil
+	builderPool.Put(b)
+	return nil
+}
+
+// graphSink is Build's Sink: the graph's own node slice and dependency CSR.
+type graphSink Graph
+
+func (g *graphSink) Node(n Node) {
+	g.nodes = append(g.nodes, n)
+	g.depStart = append(g.depStart, int32(len(g.deps)))
+}
+
+func (g *graphSink) Dep(from int32) { g.deps = append(g.deps, from) }
+
 // Build constructs the execution graph for one training iteration of m
 // under plan on cluster c. The returned graph is immutable.
 func Build(m model.Config, plan parallel.Plan, c hw.Cluster) (*Graph, error) {
-	if err := Validate(m, plan, c); err != nil {
+	g := graphPool.Get().(*Graph)
+	*g = Graph{nodes: g.nodes[:0], depStart: g.depStart[:0], deps: g.deps[:0], Stages: plan.Pipeline, Plan: plan, Model: m}
+	if err := Emit(m, plan, c, (*graphSink)(g)); err != nil {
 		return nil, err
 	}
-
-	b := newBuilder(m, plan, plan.MicroBatches())
-	b.build()
-	g := b.g
-	b.g = nil
-	builderPool.Put(b)
+	g.depStart = append(g.depStart, int32(len(g.deps))) // close the last row
 	return g, nil
 }
 

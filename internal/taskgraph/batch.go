@@ -41,7 +41,7 @@ func fitZero[T bool | int32 | float64 | taskOffsets](s []T, n int, drop bool) []
 
 // fitRaw is fitZero without the zeroing, for buffers the caller fully
 // overwrites before reading.
-func fitRaw[T int32 | float64 | descVal | provTask](s []T, n int, drop bool) []T {
+func fitRaw[T int32 | float64 | descVal](s []T, n int, drop bool) []T {
 	if cap(s) < n || drop {
 		return make([]T, n)
 	}
@@ -69,8 +69,8 @@ type batchScratch struct {
 	classSec []float64
 	// flopsSum[lane] accumulates lane's executed FLOPs.
 	flopsSum []float64
-	// states[lane] is lane's pooled occupancy ledger under contention
-	// (nil for ideal lanes and fully ideal batches).
+	// states[lane] is lane's pooled occupancy ledger under contention (nil
+	// for ideal lanes, which include lanes with no live task).
 	states []*contState
 	// live is a contended lock-step batch's mask: the OR of its contended
 	// lanes' ContentionTable.live masks, so a task no lane can contend on
@@ -167,12 +167,12 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 
 	// Occupancy ledgers are per lane: each lane is an independent simulated
 	// cluster, so flows contend only within their own lane. states stays nil
-	// for fully ideal batches, keeping the hot loops branch-predictable; the
-	// ledgers themselves come from the contState pool, like every other
-	// piece of replay scratch.
+	// for batches of ideal lanes (a lane with no live task is one), keeping
+	// the hot loops branch-predictable; the ledgers themselves come from the
+	// contState pool, like every other piece of replay scratch.
 	var states []*contState
 	for l, ct := range cts {
-		if ct == nil {
+		if ct == nil || !ct.anyLive {
 			continue
 		}
 		if states == nil {
@@ -245,8 +245,8 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 	if k > 1 && states != nil {
 		sc.live = fitZero(sc.live, len(g.descs)*g.Devices, false)
 		live = sc.live
-		for _, ct := range cts {
-			if ct != nil {
+		for l, ct := range cts {
+			if states[l] != nil {
 				for m, b := range ct.live {
 					live[m] = live[m] || b
 				}
@@ -258,47 +258,61 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 		di := g.durIdx[id]
 		// Row subslices fix the bounds once, so the lane loops below are
 		// check-free.
-		row := vals[int(di)*k : int(di)*k+k]
 		finish := sc.finish[id*k : id*k+k]
-		free := sc.free[slot*k : slot*k+k]
-		busy := sc.busy[slot*k : slot*k+k]
+		row := vals[int(di)*k:][:len(finish)]
+		free := sc.free[slot*k:][:len(finish)]
+		busy := sc.busy[slot*k:][:len(finish)]
 		c := int(g.descClass[di])
-		classSec := sc.classSec[c*k : c*k+k]
-		// Lane by lane as in the scalar loop, the ready time collects in
-		// the task's own row.
-		clear(finish)
-		for _, p := range g.parents[g.parentStart[id]:g.parentStart[id+1]] {
-			pf := sc.finish[int(p)*k:][:len(finish)]
-			for l := range finish {
-				if f := pf[l]; f > finish[l] {
-					finish[l] = f
+		classSec := sc.classSec[c*k:][:len(finish)]
+		flopsSum := sc.flopsSum[:len(finish)]
+		ps := g.parents[g.parentStart[id]:g.parentStart[id+1]]
+		m := int(di)*g.Devices + slot>>1
+		contends := live != nil && live[m]
+		// The ready time is max(0, pf): a lone parent's finish row, or the
+		// task's own row, where the parents' finish times merge lane by
+		// lane as in the scalar loop (never below +0, so the max is exact).
+		pf := finish
+		if len(ps) == 1 && !contends {
+			pf = sc.finish[int(ps[0])*k:][:len(finish)]
+		} else {
+			clear(finish)
+			for _, p := range ps {
+				pr := sc.finish[int(p)*k:][:len(finish)]
+				for l := range finish {
+					if f := pr[l]; f > finish[l] {
+						finish[l] = f
+					}
 				}
 			}
 		}
-		if m := int(di)*g.Devices + slot>>1; live != nil && live[m] {
+		if contends {
 			// Some lane can contend on this task: the same lane loop,
 			// calling contend for the lanes whose own entry is set.
 			kind := g.descs[di].kind
-			for l := 0; l < k; l++ {
+			for l := range finish {
 				dur := row[l].dur
 				start := finish[l]
 				if f := free[l]; f > start {
 					start = f
 				}
-				if ct := cts[l]; ct != nil && ct.live[m] {
-					dur = ct.contend(states[l], int32(slot>>1), di, kind, start, dur)
+				if st := states[l]; st != nil && cts[l].live[m] {
+					dur = cts[l].contend(st, int32(slot>>1), di, kind, start, dur)
 				}
 				finish[l] = start + dur
 				free[l] = finish[l] // proceed lane l's timeline
 				busy[l] += dur
 				classSec[l] += dur
-				sc.flopsSum[l] += row[l].flops
+				flopsSum[l] += row[l].flops
 			}
 			continue
 		}
-		for l := 0; l < k; l++ {
+		pf = pf[:len(finish)]
+		for l := range finish {
 			dur := row[l].dur
-			start := finish[l]
+			start := 0.0
+			if f := pf[l]; f > start {
+				start = f
+			}
 			if f := free[l]; f > start {
 				start = f
 			}
@@ -306,7 +320,7 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 			free[l] = finish[l] // proceed lane l's timeline
 			busy[l] += dur
 			classSec[l] += dur
-			sc.flopsSum[l] += row[l].flops
+			flopsSum[l] += row[l].flops
 		}
 	}
 

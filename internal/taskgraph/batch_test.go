@@ -3,6 +3,7 @@ package taskgraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -299,7 +300,8 @@ func buildFuzzDAG(devices int, tasks []fuzzTask, edges [][2]int, extra ...[2]int
 // FuzzReplay is the replay engine's fuzzer. Over hand-built DAGs with
 // shuffled edge-insertion order it checks that Build numbers tasks in
 // Algorithm 1's FIFO order (roots in insertion order, children in
-// edge-insertion order), that Replay matches referenceReplay bit for bit
+// ascending insertion id, whatever the edge order), that Replay matches
+// referenceReplay bit for bit
 // under several duration tables, ideal and contended on two placements the
 // first two bytes decode, that every lane of ReplayBatchContended at widths
 // 1-17 matches Replay, ideal and in a batch mixing both placements with
@@ -337,12 +339,16 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("acyclic graph: %v", err)
 		}
 
-		// The FIFO order over insertion ids, computed naively.
+		// The FIFO order over insertion ids, computed naively, visiting
+		// each task's children in ascending id.
 		children := make([][]int, len(tasks))
 		ref := make([]int, len(tasks))
 		for _, e := range edges {
 			children[e[0]] = append(children[e[0]], e[1])
 			ref[e[1]]++
+		}
+		for _, c := range children {
+			slices.Sort(c)
 		}
 		var order []int
 		for i := range tasks {

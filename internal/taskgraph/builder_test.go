@@ -1,6 +1,8 @@
 package taskgraph
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"vtrain/internal/profiler"
@@ -75,7 +77,10 @@ func (b *Builder) AddTask(device int, stream Stream, source int, d durDesc, dur 
 	return len(b.tasks) - 1
 }
 
-// AddEdge records that task to depends on task from.
+// AddEdge records that task to depends on task from. The order of AddEdge
+// calls does not matter: Build groups the edges into each task's
+// dependency row, and finalize visits a task's children in ascending
+// provisional id.
 func (b *Builder) AddEdge(from, to int) {
 	b.edges = append(b.edges, [2]int32{int32(from), int32(to)})
 }
@@ -86,9 +91,25 @@ func (b *Builder) AddEdge(from, to int) {
 // binding every task to its literal duration, with zero FLOPs. A
 // dependency cycle, or an edge naming an unknown task, is an error.
 func (b *Builder) Build() (*Graph, *DurationTable, error) {
+	n := len(b.tasks)
+	depStart := make([]int32, n+1)
+	for _, e := range b.edges {
+		if uint32(e[1]) >= uint32(n) {
+			return nil, nil, fmt.Errorf("taskgraph: edge %d -> %d names a task outside [0, %d)", e[0], e[1], n)
+		}
+		depStart[e[1]+1]++
+	}
+	for i := 0; i < n; i++ {
+		depStart[i+1] += depStart[i]
+	}
+	deps, next := make([]int32, len(b.edges)), slices.Clone(depStart)
+	for _, e := range b.edges {
+		deps[next[e[1]]] = e[0]
+		next[e[1]]++
+	}
 	g := b.g
 	var sc finalizeScratch
-	if err := sc.finalize(&g, b.tasks, b.edges); err != nil {
+	if err := sc.finalize(&g, b.tasks, depStart, deps); err != nil {
 		return nil, nil, err
 	}
 	g.indexClasses()

@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -65,8 +66,9 @@ import (
 // so BindContention also marks, per (descriptor, device), which comm tasks
 // keep a route (ContentionTable.live), and replay calls contend for those
 // alone. In the sweep only 7.5% of comm task-lanes keep one, and 132 of its
-// 1,068 lanes have none. A lock-step batch ORs its lanes' masks, so a task
-// no lane can contend on runs the ideal lane loop.
+// 1,068 lanes have none, so they replay as ideal lanes. A lock-step batch
+// ORs its lanes' masks, so a task no lane can contend on runs the ideal lane
+// loop.
 
 // ContentionTable is the per-(plan, cluster) contention binding of one
 // structural graph: the derate weights and every comm task's route, with
@@ -89,6 +91,9 @@ type ContentionTable struct {
 	// replay calls contend for it alone. A pipeline transfer's row sets at
 	// most its to stage's entry, the one comm stream that issues it.
 	live []bool
+	// anyLive reports whether any live entry is set: replay runs a lane
+	// without one as ideal, with no ledger.
+	anyLive bool
 	// classes is the link-class count: spine, then (nv, hca) per node.
 	classes int
 }
@@ -187,6 +192,7 @@ func (g *Graph) BindContention(plan parallel.Plan, c hw.Cluster, tbl *DurationTa
 			live[d.to] = !ct.p2p[di].empty()
 		}
 	}
+	ct.anyLive = slices.Contains(ct.live, true)
 	return ct
 }
 

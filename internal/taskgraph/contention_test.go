@@ -58,7 +58,9 @@ func TestContendedBatchMatchesSequential(t *testing.T) {
 // All-Reduces and the transfer share the spine while each tensor-parallel
 // All-Reduce keeps its own NVSwitch; the fourth lane is ideal. Each lane
 // matches referenceReplay, which scans every flow on the full paths and so
-// never reads a mask, at width 1 and in every batch checkLanes replays.
+// never reads a mask, at width 1 and in every batch checkLanes replays; the
+// private lane's table reports no live entry, so it replays without a
+// ledger.
 func TestContendedBatchMixedLiveness(t *testing.T) {
 	b := NewBuilder(2)
 	tp := durDesc{kind: descAllReduceTP}
@@ -112,12 +114,22 @@ func TestContendedBatchMixedLiveness(t *testing.T) {
 		if string(got) != wantLive[lane] {
 			t.Errorf("lane %d (%s): live tasks %q, want %q", lane, pl.plan, got, wantLive[lane])
 		}
+		// The private lane has no live entry, so replay gives it no
+		// ledger; it must still match the reference bit for bit.
+		if ct.anyLive != (lane > 0) {
+			t.Errorf("lane %d (%s): anyLive = %v with live tasks %q", lane, pl.plan, ct.anyLive, got)
+		}
 		// A lane that can contend must actually be derated, or the batch
 		// mask is never exercised.
 		res := referenceReplay(g, tbl, pl)
 		if slowed := !slices.Equal(res.CommBusy, ideal.CommBusy); slowed != (lane > 0) {
 			t.Errorf("lane %d (%s): comm busy %v against ideal %v", lane, pl.plan, res.CommBusy, ideal.CommBusy)
 		}
+		single, err := g.Replay(tbl, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, lane, single, res)
 	}
 	checkLanes(t, g, []*DurationTable{tbl, tbl, tbl, tbl}, places)
 }

@@ -2,149 +2,172 @@ package taskgraph
 
 import (
 	"fmt"
-	"slices"
 
+	"vtrain/internal/hw"
+	"vtrain/internal/model"
 	"vtrain/internal/opgraph"
+	"vtrain/internal/parallel"
 	"vtrain/internal/profiler"
 )
 
+// LowerPlan lowers the operator graph of (m, plan) on c into a structural
+// task graph as the opgraph builder emits it, never storing the operator
+// graph. It validates as opgraph.Build does, and builds the graph Lower
+// builds from opgraph.Build(m, plan, c).
+func LowerPlan(m model.Config, plan parallel.Plan, c hw.Cluster, fid Fidelity) (*Graph, error) {
+	lw := newLowering(m, plan.Pipeline, fid)
+	if err := opgraph.Emit(m, plan, c, lw); err != nil {
+		return nil, err
+	}
+	return lw.finish(), nil
+}
+
 // Lower translates the operator graph into a structural task graph: tasks,
-// dependency edges, and one duration descriptor per task — no durations.
-// The result depends only on the plan's structural shape (schedule,
-// pipeline depth, micro-batch count, interleaving, layer split, fidelity),
-// so it can be cached and shared across every plan of that shape; Bind
-// resolves the descriptors into per-plan durations.
-//
-// Both fidelities share one loop: each node becomes its profiled kernels.
-// A communication node, and every node at OperatorLevel, becomes one task.
-// At TaskLevel a compute node of k > 1 kernels becomes a chain of k kernel
-// tasks, and a dependency edge runs from the dependency's last task to the
-// node's first. Provisional task ids follow node order, kernels in order,
-// and each task's out-edges are emitted in node order, from which finalize
-// derives the dispatch order. Each task's class follows from its
-// descriptor (see indexClasses).
+// dependencies, and one duration descriptor per task — no durations. The
+// result depends only on the plan's structural shape (schedule, pipeline
+// depth, micro-batch count, interleaving, layer split, fidelity), so it can
+// be cached and shared across every plan of that shape; Bind resolves the
+// descriptors into per-plan durations. It walks og into the lowering that
+// LowerPlan uses.
 //
 // The profiler parameter is unused: kernel counts are static per operator
 // kind (profiler.KernelCount), and durations bind later.
 func Lower(og *opgraph.Graph, _ *profiler.Profiler, fid Fidelity) *Graph {
-	n := og.NumNodes()
-	g := &Graph{
-		Devices: og.Stages,
-		Model:   og.Model,
-	}
-	// Sweeps lower many operator-level graphs, so their temporaries are
-	// pooled. Task-level lowerings are one-offs several times larger,
-	// whose temporaries a pool would pin: they are counted, allocated
-	// exactly, and left to the collector.
-	var sc *finalizeScratch
-	var last []int32 // each node's last task, when nodes expand
-	if fid == OperatorLevel {
-		sc = finalizeScratchPool.Get().(*finalizeScratch)
-		defer finalizeScratchPool.Put(sc)
-		sc.tasks = slices.Grow(sc.tasks[:0], n)
-	} else {
-		nTasks, nEdges := 0, 0
-		for id := 0; id < n; id++ {
-			k := 1
-			if nd := og.Node(id); nd.Kind == opgraph.Compute {
-				k = max(profiler.KernelCount(nd.Op), 1)
-			}
-			nTasks += k
-			nEdges += k - 1 + len(og.Deps(id))
+	lw := newLowering(og.Model, og.Stages, fid)
+	for id := range og.NumNodes() {
+		lw.Node(*og.Node(id))
+		for _, d := range og.Deps(id) {
+			lw.Dep(d)
 		}
-		sc = &finalizeScratch{tasks: make([]provTask, 0, nTasks), edges: make([][2]int32, 0, nEdges)}
-		last = make([]int32, n)
 	}
-	tasks, edges := sc.tasks[:0], sc.edges[:0]
+	return lw.finish()
+}
 
-	// Descriptors intern in first-appearance order. Intern cache, -1 = not
-	// seen: the first descriptor of each operator kind's expansion (for
-	// operators without stage parameters). The operator kinds are a dense
-	// enum, so only parameter-bearing descriptors (a handful per graph)
-	// reach the map.
-	var opDesc [profiler.WeightUpdate + 1]int32
-	for i := range opDesc {
-		opDesc[i] = -1
-	}
-	tpDesc := int32(-1)
-	var descID map[durDesc]int32
+// lowering is the structural opgraph.Sink of both fidelities: each node
+// becomes its profiled kernels. A communication node, and every node at
+// OperatorLevel, becomes one task. At TaskLevel a compute node of k > 1
+// kernels becomes a chain of k kernel tasks; the node's dependencies are
+// its first task's, each from the dependency's last task. Provisional task
+// ids follow node order, kernels in order, and each task's dependency row
+// is written in id order into finalize's scratch, so the rest of a chain is
+// appended once the node's own row is complete: when the next node arrives,
+// or at finish. Each task's class follows from its descriptor (see
+// indexClasses).
+type lowering struct {
+	g   *Graph
+	fid Fidelity
+	sc  *finalizeScratch
+	// chain is the first task of the last node, and chainLen its kernel
+	// count: the chain's other tasks are pending.
+	chain    provTask
+	chainLen int32
+	// Descriptors intern in first-appearance order. opDesc caches one plus
+	// the first descriptor of each operator kind's expansion (0 = not seen)
+	// for operators without stage parameters, and tpDesc one plus the
+	// tensor-parallel descriptor. The operator kinds are a dense enum, so
+	// only parameter-bearing descriptors (a handful per graph) reach the map.
+	opDesc [profiler.WeightUpdate + 1]int32
+	tpDesc int32
+	descID map[durDesc]int32
+}
 
-	// internDesc returns the index of d, interning it on first sight
-	// together with the k-1 descriptors of its operator's later kernels,
-	// which are always emitted with it.
-	internDesc := func(d durDesc, k int32) int32 {
-		if di, ok := descID[d]; ok {
-			return di
-		}
-		if descID == nil {
-			descID = make(map[durDesc]int32)
-		}
-		di := int32(len(g.descs))
-		descID[d] = di
-		for ; d.kernel < k; d.kernel++ {
-			g.descs = append(g.descs, d)
-		}
+// newLowering starts a lowering over devices stages of m. Its temporaries
+// come from a pool: sweeps lower many graphs, and a pooled scratch that a
+// large task-level lowering grew serves the next lowering without growing
+// again.
+func newLowering(m model.Config, devices int, fid Fidelity) *lowering {
+	sc := finalizeScratchPool.Get().(*finalizeScratch)
+	sc.tasks, sc.last, sc.depStart, sc.deps = sc.tasks[:0], sc.last[:0], sc.depStart[:0], sc.deps[:0]
+	return &lowering{g: &Graph{Devices: devices, Model: m}, fid: fid, sc: sc}
+}
+
+// internDesc returns the index of d, interning it on first sight together
+// with the k-1 descriptors of its operator's later kernels, which are
+// always emitted with it.
+func (lw *lowering) internDesc(d durDesc, k int32) int32 {
+	if di, ok := lw.descID[d]; ok {
 		return di
 	}
-
-	for id := 0; id < n; id++ {
-		nd := og.Node(id)
-		first := int32(len(tasks))
-		for _, d := range og.Deps(id) {
-			if last != nil {
-				d = last[d]
-			}
-			edges = append(edges, [2]int32{d, first})
-		}
-		if nd.Kind == opgraph.Compute {
-			op := nd.Op
-			k := int32(profiler.KernelCount(op))
-			if k == 0 {
-				panic(fmt.Sprintf("taskgraph: unknown operator kind %v", op))
-			}
-			kind := descKernel
-			if k == 1 || fid == OperatorLevel {
-				k, kind = 1, descOperator
-			}
-			di := opDesc[op]
-			if di < 0 || nd.StageParams != 0 {
-				di = internDesc(durDesc{kind: kind, op: op, stageParams: nd.StageParams}, k)
-				if nd.StageParams == 0 {
-					opDesc[op] = di
-				}
-			}
-			slot := 2*nd.Stage + int32(ComputeStream)
-			tasks = append(tasks, provTask{slot, int32(id), di})
-			for i := int32(1); i < k; i++ {
-				edges = append(edges, [2]int32{first + i - 1, first + i})
-				tasks = append(tasks, provTask{slot, int32(id), di + i})
-			}
-		} else {
-			var di int32
-			switch nd.Kind {
-			case opgraph.AllReduceTP:
-				if tpDesc < 0 {
-					tpDesc = internDesc(durDesc{kind: descAllReduceTP}, 1)
-				}
-				di = tpDesc
-			case opgraph.AllReduceDP:
-				di = internDesc(durDesc{kind: descAllReduceDP, stageParams: nd.StageParams, buckets: nd.Buckets}, 1)
-			case opgraph.P2P:
-				di = internDesc(durDesc{kind: descP2P, from: nd.FromStage, to: nd.Stage}, 1)
-			default:
-				panic(fmt.Sprintf("taskgraph: unknown node kind %v", nd.Kind))
-			}
-			tasks = append(tasks, provTask{2*nd.Stage + int32(CommStream), int32(id), di})
-		}
-		if last != nil {
-			last[id] = int32(len(tasks)) - 1
-		}
+	if lw.descID == nil {
+		lw.descID = make(map[durDesc]int32)
 	}
+	di := int32(len(lw.g.descs))
+	lw.descID[d] = di
+	for ; d.kernel < k; d.kernel++ {
+		lw.g.descs = append(lw.g.descs, d)
+	}
+	return di
+}
 
-	sc.tasks, sc.edges = tasks, edges
-	if err := sc.finalize(g, tasks, edges); err != nil {
+// addTask appends a task, opening its dependency row.
+func (sc *finalizeScratch) addTask(t provTask) {
+	sc.depStart = append(sc.depStart, int32(len(sc.deps)))
+	sc.tasks = append(sc.tasks, t)
+}
+
+// expandChain appends the pending tasks of the last node's kernel chain,
+// each depending on the task before it.
+func (lw *lowering) expandChain() {
+	for i := int32(1); i < lw.chainLen; i++ {
+		lw.sc.addTask(provTask{lw.chain.slot, lw.chain.source, lw.chain.desc + i})
+		lw.sc.deps = append(lw.sc.deps, int32(len(lw.sc.tasks)-2))
+	}
+	lw.chainLen = 0
+}
+
+// Node lowers one operator-graph node into its task or kernel chain.
+func (lw *lowering) Node(nd opgraph.Node) {
+	lw.expandChain()
+	k, di, stream := int32(1), int32(0), CommStream
+	switch nd.Kind {
+	case opgraph.Compute:
+		op := nd.Op
+		if k = int32(profiler.KernelCount(op)); k == 0 {
+			panic(fmt.Sprintf("taskgraph: unknown operator kind %v", op))
+		}
+		kind := descKernel
+		if k == 1 || lw.fid == OperatorLevel {
+			k, kind = 1, descOperator
+		}
+		if di = lw.opDesc[op] - 1; di < 0 || nd.StageParams != 0 {
+			di = lw.internDesc(durDesc{kind: kind, op: op, stageParams: nd.StageParams}, k)
+			if nd.StageParams == 0 {
+				lw.opDesc[op] = di + 1
+			}
+		}
+		stream = ComputeStream
+	case opgraph.AllReduceTP:
+		if lw.tpDesc == 0 {
+			lw.tpDesc = lw.internDesc(durDesc{kind: descAllReduceTP}, 1) + 1
+		}
+		di = lw.tpDesc - 1
+	case opgraph.AllReduceDP:
+		di = lw.internDesc(durDesc{kind: descAllReduceDP, stageParams: nd.StageParams, buckets: nd.Buckets}, 1)
+	case opgraph.P2P:
+		di = lw.internDesc(durDesc{kind: descP2P, from: nd.FromStage, to: nd.Stage}, 1)
+	default:
+		panic(fmt.Sprintf("taskgraph: unknown node kind %v", nd.Kind))
+	}
+	sc := lw.sc
+	lw.chain, lw.chainLen = provTask{2*nd.Stage + int32(stream), int32(len(sc.last)), di}, k
+	sc.addTask(lw.chain)
+	sc.last = append(sc.last, int32(len(sc.tasks))-2+k)
+}
+
+// Dep records that the node received last depends on node from: an edge
+// from from's last task to the node's first.
+func (lw *lowering) Dep(from int32) { lw.sc.deps = append(lw.sc.deps, lw.sc.last[from]) }
+
+// finish expands the last pending chain, closes the dependency CSR and
+// fixes the dispatch order.
+func (lw *lowering) finish() *Graph {
+	lw.expandChain()
+	sc := lw.sc
+	sc.depStart = append(sc.depStart, int32(len(sc.deps)))
+	if err := sc.finalize(lw.g, sc.tasks, sc.depStart, sc.deps); err != nil {
 		panic(err) // unreachable: operator-graph dependencies point backward
 	}
-	g.indexClasses()
-	return g
+	finalizeScratchPool.Put(sc)
+	lw.g.indexClasses()
+	return lw.g
 }

@@ -138,7 +138,20 @@ func structureDigest(h hash.Hash, g *Graph) {
 	fmt.Fprintln(h, g.parentStart, g.parents)
 }
 
-// TestLowerMatchesReference pins Lower to referenceLower at both
+// lowerBoth lowers og's plan at fid along both paths, LowerPlan and Lower over
+// a built operator graph, and fails unless they build the same graph.
+func lowerBoth(t *testing.T, what string, og *opgraph.Graph, c hw.Cluster, fid Fidelity) *Graph {
+	t.Helper()
+	g, err := LowerPlan(og.Model, og.Plan, c, fid)
+	if err != nil {
+		t.Fatalf("%s: LowerPlan: %v", what, err)
+	}
+	requireSameGraph(t, what+": LowerPlan against Lower", g, Lower(og, nil, fid))
+	return g
+}
+
+// TestLowerMatchesReference pins LowerPlan, the path core lowers through,
+// to Lower over the built operator graph and to referenceLower at both
 // fidelities across schedules, interleaving, uneven layer splits,
 // recomputation and gradient buckets, and pins the lowered structure twice:
 // its artifact bytes to loweredStructureSHA256, and the graphs themselves
@@ -154,7 +167,7 @@ func TestLowerMatchesReference(t *testing.T) {
 		}
 		for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
 			what := fmt.Sprintf("plan %s at %s level", plan, fidName[fid])
-			g := Lower(og, prof, fid)
+			g := lowerBoth(t, what, og, c, fid)
 			requireSameGraph(t, what, g, referenceLower(og, prof, fid))
 			data, err := g.MarshalArtifact()
 			if err != nil {
@@ -182,9 +195,10 @@ var maxKernels = func() int {
 }()
 
 // FuzzLower lowers random valid plans of the tiny model at both fidelities
-// and checks that Lower builds referenceLower's graph within the task bound
-// opgraph.Validate enforces, and that the graph survives an artifact round
-// trip unchanged and replays bit-identically after it. The inputs pick t, d, p, the micro-batch size and count, the
+// and checks that LowerPlan and Lower both build referenceLower's graph
+// within the task bound opgraph.Validate enforces, and that the graph
+// survives an artifact round trip unchanged and replays bit-identically
+// after it. The inputs pick t, d, p, the micro-batch size and count, the
 // schedule, virtual stages, recomputation and gradient buckets; invalid
 // combinations are skipped.
 func FuzzLower(f *testing.F) {
@@ -220,7 +234,7 @@ func FuzzLower(f *testing.F) {
 		}
 		for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
 			what := fmt.Sprintf("plan %s at %s level", plan, fidName[fid])
-			g := Lower(og, prof, fid)
+			g := lowerBoth(t, what, og, c, fid)
 			if g.NumTasks() > nodeBound*maxKernels {
 				t.Fatalf("%s: %d tasks, over the bound %d", what, g.NumTasks(), nodeBound*maxKernels)
 			}

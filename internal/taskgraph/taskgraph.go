@@ -16,19 +16,19 @@
 // Lowering is split into two phases so design-space sweeps can share work
 // across plans:
 //
-//   - Lower builds the structural graph: tasks, dependency edges, and a
-//     compact duration descriptor per task — but no numbers. The structure
-//     depends only on the plan's shape (schedule, pipeline depth,
-//     micro-batch count, interleaving, layer split, fidelity), so one
-//     structural graph serves every (t, d, micro-batch-size) variant of
-//     that shape.
+//   - Lowering (LowerPlan, or Lower over a built operator graph) builds
+//     the structural graph: tasks, dependencies, and a compact duration
+//     descriptor per task — but no numbers. The structure depends only on
+//     the plan's shape (schedule, pipeline depth, micro-batch count,
+//     interleaving, layer split, fidelity), so one structural graph serves
+//     every (t, d, micro-batch-size) variant of that shape.
 //   - Bind resolves each descriptor against the profiler and the
 //     communication model for one concrete plan, producing a DurationTable:
 //     one priced (duration, FLOPs) value per descriptor, which Replay
 //     gathers through the graph's per-task descriptor index.
 //
-// Lower is the only producer of graphs, so every descriptor is one Bind
-// prices, and a task's accounting class follows from its descriptor.
+// The lowering is the only producer of graphs, so every descriptor is one
+// Bind prices, and a task's accounting class follows from its descriptor.
 //
 // A lowered Graph is immutable: all per-replay state (finish times,
 // resource timelines) lives in a pooled scratch structure, and all per-plan
@@ -123,63 +123,64 @@ func (g *Graph) NumTasks() int { return len(g.slotOf) }
 // finalize places them in dispatch order.
 type provTask struct{ slot, source, desc int32 }
 
-// finalizeScratch holds the temporaries of finalize, and the provisional
-// tasks and edges of a lowering. Operator-level lowerings pool it because
-// sweeps lower many graphs, and only the finished slabs outlive a
-// lowering.
+// finalizeScratch holds the temporaries of finalize, and a lowering's
+// provisional tasks, each node's last task, and the tasks' dependency CSR.
+// Lowerings pool it because sweeps lower many graphs, and only the finished
+// slabs outlive a lowering.
 type finalizeScratch struct {
-	tasks                 []provTask
-	edges                 [][2]int32
-	at                    []taskOffsets
-	children, deps, order []int32
+	tasks                []provTask
+	last, depStart, deps []int32
+	at                   []taskOffsets
+	children, order      []int32
 }
 
-// taskOffsets locates one provisional task's rows during finalize: its
-// children start at children[child] and its dependency row at deps[dep].
-// next is the fill cursor, first of the children row, then of the
-// dependency row. Each row ends where the following task's begins, so one
-// record and its neighbour hold every offset the traversal needs.
-type taskOffsets struct{ child, dep, next int32 }
+// taskOffsets locates one provisional task's children row during finalize:
+// it starts at children[child] and ends where the following task's begins.
+// next is a fill cursor, first of the children row, then of the task's
+// dependency row.
+type taskOffsets struct{ child, next int32 }
 
 var finalizeScratchPool = sync.Pool{New: func() any { return new(finalizeScratch) }}
 
-// finalize builds g's task slabs and parents CSR from tasks and edges,
-// given by provisional id, with edges as (from, to) pairs in insertion
-// order. Task ids become the dispatch order: Algorithm 1's FIFO order,
-// roots in id order, then each task as soon as its last dependency has
-// dispatched, visiting each task's children in edge-insertion order. The
-// order depends only on the structure, so it is fixed here once rather than
-// on every replay. A task that never becomes ready lies on or behind a
-// dependency cycle, which is an error.
-func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, edges [][2]int32) error {
+// finalize builds g's task slabs and parents CSR from tasks, given by
+// provisional id, and their dependency CSR: the dependencies of task i are
+// deps[depStart[i]:depStart[i+1]]. Task ids become the dispatch order:
+// Algorithm 1's FIFO order, roots in id order, then each task as soon as
+// its last dependency has dispatched, visiting each task's children in
+// ascending provisional id. The order depends only on the structure, so it
+// is fixed here once rather than on every replay. A task that never
+// becomes ready lies on or behind a dependency cycle, which is an error.
+// finalize overwrites deps: each row is reused for the parents dispatched
+// so far.
+func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, depStart, deps []int32) error {
 	n := len(tasks)
 	sc.at = fitZero(sc.at, n+1, false)
-	sc.children = fitRaw(sc.children, len(edges), false)
-	sc.deps = fitRaw(sc.deps, len(edges), false)
-	at, children, deps := sc.at, sc.children, sc.deps
+	sc.children = fitRaw(sc.children, len(deps), false)
+	at, children := sc.at, sc.children
 
 	// Row offsets, the children CSR, and the roots in id order.
-	for _, e := range edges {
-		if uint32(e[0]) >= uint32(n) || uint32(e[1]) >= uint32(n) {
-			return fmt.Errorf("taskgraph: edge %d -> %d names a task outside [0, %d)", e[0], e[1], n)
+	for _, d := range deps {
+		if uint32(d) >= uint32(n) {
+			return fmt.Errorf("taskgraph: dependency %d names a task outside [0, %d)", d, n)
 		}
-		at[e[0]+1].child++
-		at[e[1]+1].dep++
+		at[d+1].child++
 	}
 	order := fitRaw(sc.order, n, false)[:0]
 	for i := 0; i < n; i++ {
 		at[i+1].child += at[i].child
-		if at[i+1].dep += at[i].dep; at[i+1].dep == at[i].dep {
+		at[i].next = at[i].child
+		if depStart[i+1] == depStart[i] {
 			order = append(order, int32(i))
 		}
-		at[i].next = at[i].child
 	}
-	for _, e := range edges {
-		children[at[e[0]].next] = e[1]
-		at[e[0]].next++
+	for c := 0; c < n; c++ {
+		for _, d := range deps[depStart[c]:depStart[c+1]] {
+			children[at[d].next] = int32(c)
+			at[d].next++
+		}
 	}
-	for i := range at {
-		at[i].next = at[i].dep
+	for i := 0; i < n; i++ {
+		at[i].next = depStart[i]
 	}
 
 	// The FIFO traversal: order[i] is the provisional id dispatched i-th.
@@ -188,13 +189,13 @@ func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, edges [][2]int32
 	// parents, recorded in its dependency row as they dispatched, precede
 	// the last, so each row lists its parents in ascending final id.
 	slotOf, sources, durIdx := make([]int32, n), make([]int32, n), make([]int32, n)
-	parentStart, parents := make([]int32, n+1), make([]int32, len(edges))
+	parentStart, parents := make([]int32, n+1), make([]int32, len(deps))
 	for head := 0; head < len(order); head++ {
 		o := order[head]
 		t := tasks[o]
 		slotOf[head], sources[head], durIdx[head] = t.slot, t.source, t.desc
 		for _, c := range children[at[o].child:at[o+1].child] {
-			if at[c].next+1 < at[c+1].dep {
+			if at[c].next+1 < depStart[c+1] {
 				deps[at[c].next] = int32(head)
 				at[c].next++
 				continue
@@ -202,7 +203,7 @@ func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, edges [][2]int32
 			f := len(order)
 			order = append(order, c)
 			k := parentStart[f]
-			for _, p := range deps[at[c].dep:at[c].next] {
+			for _, p := range deps[depStart[c]:at[c].next] {
 				parents[k] = p
 				k++
 			}

@@ -1,7 +1,9 @@
 package taskgraph
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -319,6 +321,43 @@ func TestBuildRejectsCycle(t *testing.T) {
 	b.AddEdge(0, 1)
 	if _, _, err := b.Build(); err == nil {
 		t.Fatal("an edge to an unknown task must be a Build error")
+	}
+}
+
+// TestBuilderEdgeOrderIrrelevant pins the dispatch order's tie-break:
+// finalize visits a task's children in ascending provisional id, not in
+// the order their edges were added, so every insertion order of one edge
+// set builds a byte-identical graph. Root a releases b and c, whose edges
+// are listed c first; d waits on c, and e on b and d. The FIFO order is
+// a, b, c, d, e, where edge-insertion order would dispatch c before b.
+func TestBuilderEdgeOrderIrrelevant(t *testing.T) {
+	edges := [][2]int{{0, 2}, {0, 1}, {2, 3}, {1, 4}, {3, 4}}
+	var want []byte
+	rng := rand.New(rand.NewSource(1))
+	for try := 0; try < 8; try++ {
+		b := NewBuilder(1)
+		for i := 0; i < 5; i++ {
+			b.AddTask(0, ComputeStream, i, compute(profiler.FwdMHA), 1)
+		}
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+		}
+		g, _ := mustBuild(t, b)
+		for id := 0; id < g.NumTasks(); id++ {
+			if src := g.TaskAt(id).Source; src != id {
+				t.Fatalf("edges %v: task %d has source %d, want dispatch order a, b, c, d, e", edges, id, src)
+			}
+		}
+		data, err := g.MarshalArtifact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = data
+		} else if !bytes.Equal(data, want) {
+			t.Fatalf("edges %v: the graph differs from the one built from the first insertion order", edges)
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	}
 }
 

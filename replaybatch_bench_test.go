@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vtrain/internal/comm"
+	"vtrain/internal/core"
 	"vtrain/internal/gpu"
 	"vtrain/internal/hw"
 	"vtrain/internal/model"
@@ -57,6 +58,44 @@ func BenchmarkReplayBatch(b *testing.B) {
 			b.ReportMetric(perPlan, "ms_per_plan")
 		})
 	}
+}
+
+// BenchmarkLower isolates the cold path a sweep pays per structural shape:
+// one plan of each of dseSweepSpace's distinct shapes (140 for Megatron
+// 39.1B), lowered at operator level through taskgraph.LowerPlan, the path
+// core takes on a structural-cache miss. ns_per_task is the lowering cost
+// per task of the lowered graphs; run it with -benchmem, since the pooled
+// lowering scratch keeps its allocations near the graphs' own slabs.
+func BenchmarkLower(b *testing.B) {
+	m := model.Megatron39_1B()
+	c := hw.PaperCluster(256)
+	sim, err := core.New(c, core.WithFidelity(taskgraph.OperatorLevel))
+	if err != nil {
+		b.Fatal(err)
+	}
+	seen := make(map[core.Shape]bool)
+	var plans []parallel.Plan
+	for _, p := range dseSweepSpace().Enumerate(m, sim) {
+		if s := sim.PlanShape(m, p); !seen[s] {
+			seen[s] = true
+			plans = append(plans, p)
+		}
+	}
+	tasks := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tasks = 0
+		for _, p := range plans {
+			g, err := taskgraph.LowerPlan(m, p, c, taskgraph.OperatorLevel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tasks += g.NumTasks()
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(plans)), "shapes")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tasks), "ns_per_task")
 }
 
 // withWidths returns base with the given tensor and data widths, keeping

@@ -62,9 +62,7 @@ func TestStoreContentionEquivalence(t *testing.T) {
 
 	cm := comm.NewModel(c)
 	tbl := g.Bind(prof, cm, plan, c)
-	defer tbl.Release()
 	gtbl := got.Bind(prof, cm, plan, c)
-	defer gtbl.Release()
 	ref, err := g.Replay(tbl, g.BindContention(plan, c, tbl))
 	if err != nil {
 		t.Fatal(err)

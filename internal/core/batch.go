@@ -161,9 +161,6 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 			tr.batchReplays.Add(1)
 			tr.batchedPlans.Add(uint64(len(chunk)))
 			if err != nil {
-				for _, t := range tables {
-					t.Release()
-				}
 				// A replay error is structural: it afflicts every lane.
 				// Attribute it to the chunk's first plan, wrapped exactly
 				// as an individual Simulate would wrap it.
@@ -180,7 +177,6 @@ func SimulateBatch(m model.Config, sims []*Simulator, plans []parallel.Plan) ([]
 				// The whole chunk has bound, so a lane's operator table is
 				// saved at most once per chunk: saveOps writes only growth.
 				si.tree.saveOps(si.timing)
-				tables[j].Release()
 			}
 		}
 	}

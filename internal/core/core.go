@@ -326,9 +326,8 @@ func (s *Simulator) simulate(m model.Config, plan parallel.Plan, capture bool) (
 	// Bind the per-plan numbers — operator durations from the profiler,
 	// collective and P2P times from the communication model — onto the
 	// (possibly shared) structure, then replay. Binding allocates only the
-	// pooled table; the structure itself is reused untouched.
+	// small per-descriptor table; the structure itself is reused untouched.
 	tbl := tg.Bind(s.timing.profiler, s.comm, plan, s.cluster)
-	defer tbl.Release()
 	s.tree.saveOps(s.timing)
 	var ct *taskgraph.ContentionTable
 	if s.contention {

@@ -79,11 +79,10 @@ func fill(s []int32, v int32) {
 }
 
 // fitRaw returns a slice of length n, reusing s when its capacity is
-// adequate and dropping it when more than 4x oversized, so one huge build
-// cannot pin worst-case storage forever. The caller fully overwrites the
-// slice before reading it.
+// adequate: the pooled builder keeps what it grew, and sync.Pool releases
+// it once idle. The caller fully overwrites the slice before reading it.
 func fitRaw[T int32 | slot](s []T, n int) []T {
-	if c := cap(s); c < n || c > 4*n {
+	if cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]

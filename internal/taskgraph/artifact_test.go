@@ -125,8 +125,6 @@ func TestArtifactContentionEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(gotSpans, refSpans) {
 				t.Fatalf("fid %v plan %s: trace of decoded graph differs from fresh", fid, plan)
 			}
-			tbl.Release()
-			dtbl.Release()
 		}
 	}
 }
@@ -296,7 +294,6 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 			g.Replay(tbl, nil)
 			g.Replay(tbl, g.BindContention(plan, c, tbl))
 			g.ReplayTrace(tbl, nil, ogs[i])
-			tbl.Release()
 		}
 	})
 }

@@ -5,33 +5,12 @@ import (
 	"sync"
 )
 
-// shrinkAfter is the hysteresis window of the pooled-scratch capacity-drop
-// policy: a pooled object sheds oversized storage (capacity beyond 4x the
-// requested size) only after this many consecutive oversized reuses. One
-// huge graph therefore cannot pin worst-case capacity forever, but a sweep
-// that interleaves large and small graphs keeps its high-water buffer
-// instead of reallocating on every size swing.
-const shrinkAfter = 8
-
-// wantShrink advances a pooled object's hysteresis counter given the
-// capacity of its driving buffer and the currently requested size, and
-// reports whether this reset should drop oversized storage.
-func wantShrink(c, need int, oversized *int8) bool {
-	if c <= 4*need {
-		*oversized = 0
-		return false
-	}
-	if *oversized++; *oversized >= shrinkAfter {
-		*oversized = 0
-		return true
-	}
-	return false
-}
-
-// fitZero returns a zeroed slice of length n, reusing s's storage unless it
-// is too small or drop demands oversized capacity be shed.
-func fitZero[T bool | int32 | float64 | taskOffsets](s []T, n int, drop bool) []T {
-	if cap(s) < n || drop {
+// fitZero returns a zeroed slice of length n, reusing s's storage when it
+// is large enough. Pooled scratch keeps what it grew: sync.Pool releases
+// idle objects within two GCs, so a large graph pins its storage only while
+// the pool is in use.
+func fitZero[T bool | int32 | float64 | taskOffsets](s []T, n int) []T {
+	if cap(s) < n {
 		return make([]T, n)
 	}
 	s = s[:n]
@@ -41,8 +20,8 @@ func fitZero[T bool | int32 | float64 | taskOffsets](s []T, n int, drop bool) []
 
 // fitRaw is fitZero without the zeroing, for buffers the caller fully
 // overwrites before reading.
-func fitRaw[T int32 | float64 | descVal](s []T, n int, drop bool) []T {
-	if cap(s) < n || drop {
+func fitRaw[T int32 | float64 | descVal](s []T, n int) []T {
+	if cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]
@@ -76,24 +55,19 @@ type batchScratch struct {
 	// lanes' ContentionTable.live masks, so a task no lane can contend on
 	// runs the ideal lane loop.
 	live []bool
-	// oversized counts consecutive resets whose pooled capacity exceeded 4x
-	// the request (see wantShrink).
-	oversized int8
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // reset sizes the scratch for k lanes over a graph with n tasks, devices
 // devices, and classes distinct classes, zeroing what the replay reads.
-// Oversized pooled storage is shed per the hysteretic policy of wantShrink,
-// driven by finish — the scratch's largest buffer.
+// Storage grown for a larger graph is kept (see fitZero).
 func (sc *batchScratch) reset(n, devices, classes, k int) {
-	drop := wantShrink(cap(sc.finish), n*k, &sc.oversized)
-	sc.finish = fitRaw(sc.finish, n*k, drop)
-	sc.free = fitZero(sc.free, 2*devices*k, drop)
-	sc.busy = fitZero(sc.busy, 2*devices*k, drop)
-	sc.classSec = fitZero(sc.classSec, classes*k, drop)
-	sc.flopsSum = fitZero(sc.flopsSum, k, drop)
+	sc.finish = fitRaw(sc.finish, n*k)
+	sc.free = fitZero(sc.free, 2*devices*k)
+	sc.busy = fitZero(sc.busy, 2*devices*k)
+	sc.classSec = fitZero(sc.classSec, classes*k)
+	sc.flopsSum = fitZero(sc.flopsSum, k)
 }
 
 // Replay simulates the graph per Algorithm 1 under the per-plan durations
@@ -186,7 +160,7 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 
 	vals := tables[0].vals
 	if k > 1 {
-		sc.vals = fitRaw(sc.vals, len(g.descs)*k, false)
+		sc.vals = fitRaw(sc.vals, len(g.descs)*k)
 		vals = sc.vals
 		for l, tbl := range tables {
 			for di, v := range tbl.vals {
@@ -243,7 +217,7 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 	}
 	var live []bool
 	if k > 1 && states != nil {
-		sc.live = fitZero(sc.live, len(g.descs)*g.Devices, false)
+		sc.live = fitZero(sc.live, len(g.descs)*g.Devices)
 		live = sc.live
 		for l, ct := range cts {
 			if states[l] != nil {

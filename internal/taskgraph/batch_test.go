@@ -185,6 +185,24 @@ func TestReplayBatchEquivalence(t *testing.T) {
 	checkLanes(t, g, permTables, nil)
 }
 
+// TestBatchScratchKeepsCapacity pins the pooled replay scratch's storage
+// rule: a scratch keeps what it grew. A sweep that replays a wide batch of
+// a large graph, then many small graphs, then the large one again must
+// find the large finish slab still in place rather than re-make it.
+func TestBatchScratchKeepsCapacity(t *testing.T) {
+	const largeTasks, smallTasks, devices, classes = 50000, 100, 8, 7
+	sc := new(batchScratch)
+	sc.reset(largeTasks, devices, classes, 16)
+	slab := &sc.finish[:cap(sc.finish)][0]
+	for i := 0; i < 16; i++ {
+		sc.reset(smallTasks, 1, classes, 1)
+	}
+	sc.reset(largeTasks, devices, classes, 16)
+	if &sc.finish[:cap(sc.finish)][0] != slab {
+		t.Fatalf("finish slab re-made after small resets (cap %d)", cap(sc.finish))
+	}
+}
+
 // placements places every plan on c.
 func placements(plans []parallel.Plan, c hw.Cluster) []*placement {
 	places := make([]*placement, len(plans))

@@ -2,7 +2,6 @@ package taskgraph
 
 import (
 	"slices"
-	"sync"
 
 	"vtrain/internal/hw"
 	"vtrain/internal/opgraph"
@@ -91,7 +90,9 @@ type descVal struct{ dur, flops float64 }
 // a reference to the graph's durIdx slab; replay gathers vals[durIdx[id]] on
 // the fly, so binding never materializes — or even touches — a per-task
 // array. The table is read-only during replay, so one shared structural
-// graph can be bound to many plans and replayed concurrently.
+// graph can be bound to many plans and replayed concurrently. A table is
+// small (16 bytes per descriptor) and ordinary garbage once its replay is
+// done.
 type DurationTable struct {
 	vals   []descVal
 	durIdx []int32
@@ -109,23 +110,10 @@ func (t *DurationTable) Duration(id int) float64 { return t.vals[t.durIdx[id]].d
 // Len returns the number of bound tasks.
 func (t *DurationTable) Len() int { return len(t.durIdx) }
 
-// tablePool recycles DurationTables across Bind/Release cycles, keeping
-// sweep workers allocation-lean: a worker that binds thousands of plans
-// reuses the same slices.
-var tablePool = sync.Pool{New: func() any { return new(DurationTable) }}
-
-// Release returns the table to the binding pool. Callers that are done with
-// a bound replay should release its table; using the table afterwards is a
-// bug. Release is optional — an unreleased table is ordinary garbage.
-func (t *DurationTable) Release() {
-	if t == nil {
-		return
-	}
-	t.prof = nil
-	t.plan = parallel.Plan{}
-	t.durIdx = nil // graph slab: do not pin the graph through the pool
-	tablePool.Put(t)
-}
+// Release does nothing: Bind allocates each table afresh, and a table is
+// ordinary garbage once its replay is done. It remains because the
+// benchmark harness (bench/sweep.go) calls it.
+func (t *DurationTable) Release() {}
 
 // ceilDiv is ceiling integer division for positive operands.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -195,21 +183,14 @@ func (d *durDesc) operatorFor(g *Graph, plan parallel.Plan) profiler.Operator {
 // structural graph concurrently — the property shape-keyed caching relies
 // on.
 func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, c hw.Cluster) *DurationTable {
-	tbl := tablePool.Get().(*DurationTable)
-	tbl.prof = prof
-	tbl.plan = plan
-	tbl.durIdx = g.durIdx
+	vals := make([]descVal, len(g.descs))
+	tbl := &DurationTable{vals: vals, durIdx: g.durIdx, prof: prof, plan: plan}
 
 	// Every per-plan number is derived here, from the plan and the
 	// shape-invariant descriptors: operator-graph nodes carry none.
 	gpn := c.Node.GPUsPerNode
 	actBytes := 2 * float64(plan.MicroBatch) * float64(g.Model.SeqLen) * float64(g.Model.Hidden)
 
-	if cap(tbl.vals) < len(g.descs) {
-		tbl.vals = make([]descVal, len(g.descs))
-	}
-	vals := tbl.vals[:len(g.descs)]
-	tbl.vals = vals
 	for i := range g.descs {
 		d := &g.descs[i]
 		switch d.kind {

@@ -374,7 +374,6 @@ func TestContentionMonotone(t *testing.T) {
 	plan := parallel.Plan{Tensor: 1, Data: 2, Pipeline: stages, MicroBatch: 1, GlobalBatch: 2 * stages}
 	cm := comm.NewModel(c)
 	tbl := g.Bind(nil, cm, plan, c)
-	defer tbl.Release()
 	ct := g.BindContention(plan, c, tbl)
 
 	base := tbl.Duration(0)
@@ -462,7 +461,6 @@ func TestHierarchicalAllReduceParticipants(t *testing.T) {
 	plan := parallel.Plan{Tensor: 1, Data: 8, Pipeline: 1, MicroBatch: 1, GlobalBatch: 8}
 	m := comm.NewModel(c)
 	tbl := g.Bind(nil, m, plan, c)
-	defer tbl.Release()
 
 	want := m.AllReduceInter(2*float64(stageParams), 2)
 	if got := tbl.Duration(0); got != want {
@@ -720,6 +718,5 @@ func TestBindContentionElidesPrivateClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdentical(t, 0, got, referenceReplay(g, tbl, &placement{plan, c}))
-		tbl.Release()
 	}
 }

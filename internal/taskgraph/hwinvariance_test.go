@@ -135,8 +135,6 @@ func TestStructureHardwareInvariance(t *testing.T) {
 		if resAB.IterTime != resBB.IterTime || resAB.Executed != resBB.Executed {
 			t.Fatalf("fidelity %v: shared structure not interchangeable across clusters", fid)
 		}
-		tblA.Release()
-		tblB.Release()
 	}
 }
 
@@ -155,9 +153,7 @@ func TestBindingDiffersAcrossInterconnectTiers(t *testing.T) {
 
 	g, prof := lowerOn(t, m, plan, cSlow, OperatorLevel)
 	tblSlow := g.Bind(prof, comm.NewModel(cSlow), plan, cSlow)
-	defer tblSlow.Release()
 	tblFast := g.Bind(prof, comm.NewModel(cFast), plan, cFast)
-	defer tblFast.Release()
 
 	commDiffer, computeDiffer := 0, 0
 	for i := 0; i < g.NumTasks(); i++ {

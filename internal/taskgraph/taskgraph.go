@@ -154,8 +154,8 @@ var finalizeScratchPool = sync.Pool{New: func() any { return new(finalizeScratch
 // so far.
 func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, depStart, deps []int32) error {
 	n := len(tasks)
-	sc.at = fitZero(sc.at, n+1, false)
-	sc.children = fitRaw(sc.children, len(deps), false)
+	sc.at = fitZero(sc.at, n+1)
+	sc.children = fitRaw(sc.children, len(deps))
 	at, children := sc.at, sc.children
 
 	// Row offsets, the children CSR, and the roots in id order.
@@ -165,7 +165,7 @@ func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, depStart, deps [
 		}
 		at[d+1].child++
 	}
-	order := fitRaw(sc.order, n, false)[:0]
+	order := fitRaw(sc.order, n)[:0]
 	for i := 0; i < n; i++ {
 		at[i+1].child += at[i].child
 		at[i].next = at[i].child

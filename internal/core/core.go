@@ -339,14 +339,12 @@ func (s *Simulator) simulate(m model.Config, plan parallel.Plan, capture bool) (
 	)
 	if capture {
 		// Timings come from the (possibly shared or disk-loaded) structure;
-		// span labels come from an operator graph of the same shape, built
-		// for this trace alone and recycled once the spans are composed.
-		og, berr := opgraph.Build(m, plan, s.cluster)
-		if berr != nil {
-			return Report{}, nil, berr
+		// span labels from lowering the plan again for this trace alone.
+		labels, lerr := taskgraph.TraceLabels(m, plan, s.cluster, s.fidelity, s.timing.profiler)
+		if lerr != nil {
+			return Report{}, nil, lerr
 		}
-		res, spans, err = tg.ReplayTrace(tbl, ct, og)
-		og.Recycle()
+		res, spans, err = tg.ReplayTrace(tbl, ct, labels)
 	} else {
 		res, err = tg.Replay(tbl, ct)
 	}

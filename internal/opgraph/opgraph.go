@@ -249,9 +249,9 @@ func Build(m model.Config, plan parallel.Plan, c hw.Cluster) (*Graph, error) {
 // Recycle returns the graph's storage (node and dependency slices) to the
 // construction pool for reuse by a future Build. Only an exclusive owner may
 // call it, and the graph — including every Node pointer and Deps slice
-// obtained from it — is invalid afterwards. A lowering that copies what it
-// needs out of the graph (taskgraph.Lower does) recycles it to keep sweep
-// allocation flat; a graph that is retained must simply never be recycled.
+// obtained from it — is invalid afterwards. Callers of taskgraph.Lower,
+// which copies what it needs, recycle it to keep allocation flat; a graph
+// that is retained must simply never be recycled.
 func (g *Graph) Recycle() {
 	graphPool.Put(g)
 }

@@ -10,9 +10,8 @@ package taskgraph
 // loop, no bulk copies, O(#slabs) pointer work plus validation scans.
 // Durations are not stored: a structural graph has none, which is exactly
 // why one artifact serves every plan of its shape on any hardware. Nor are
-// labels: a trace composes them from the operator graph it renders (see
-// ReplayTrace), so nothing about them is ever persisted. Nor are classes:
-// they follow from the descriptors (see indexClasses).
+// trace labels, which no graph carries (see TraceLabels), nor classes,
+// which follow from the descriptors (see indexClasses).
 //
 // The container around this payload (magic, format version, checksum) is
 // internal/artifact's concern; UnmarshalArtifact still validates every
@@ -33,7 +32,7 @@ import (
 // Graph.MarshalArtifact. It is embedded in the payload and in the artifact
 // store's content hash, so a version bump makes old files silent cache
 // misses instead of misdecodes.
-const EncodingVersion = 4
+const EncodingVersion = 5
 
 // ErrBadArtifact is returned by UnmarshalArtifact for any malformed
 // payload: wrong version, truncated data, trailing bytes, or an index out
@@ -86,7 +85,7 @@ func pad4(b []byte) []byte {
 func (g *Graph) MarshalArtifact() ([]byte, error) {
 	n := g.NumTasks()
 	size := 4 + 4 + len(g.Model.Name) + 6*8 + 3*8 +
-		len(g.descs)*33 + 3 + 4*(4*n+1+len(g.parents))
+		len(g.descs)*33 + 3 + 4*(3*n+1+len(g.parents))
 	buf := make([]byte, 0, size)
 
 	buf = binary.LittleEndian.AppendUint32(buf, EncodingVersion)
@@ -107,7 +106,6 @@ func (g *Graph) MarshalArtifact() ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.to))
 	}
 	buf = pad4(buf)
-	buf = appendInt32Slab(buf, g.sources)
 	buf = appendInt32Slab(buf, g.durIdx)
 	buf = appendInt32Slab(buf, g.slotOf)
 	buf = appendInt32Slab(buf, g.parentStart)
@@ -301,7 +299,6 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	g.indexClasses()
 
 	r.align4()
-	g.sources = r.i32Slab(nTasks)
 	g.durIdx = r.i32Slab(nTasks)
 	g.slotOf = r.i32Slab(nTasks)
 	g.parentStart = r.i32Slab(nTasks + 1)
@@ -325,12 +322,7 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 				return nil, fmt.Errorf("%w: parent %d of task %d does not precede it", ErrBadArtifact, p, i)
 			}
 		}
-		if uint32(g.durIdx[i]) >= uint32(nDescs) ||
-			uint32(g.slotOf[i]) >= uint32(2*g.Devices) ||
-			// Every operator lowers to at least one task, so a source
-			// index is below nTasks; ReplayTrace checks sources against
-			// the operator graph it labels from.
-			uint32(g.sources[i]) >= uint32(nTasks) {
+		if uint32(g.durIdx[i]) >= uint32(nDescs) || uint32(g.slotOf[i]) >= uint32(2*g.Devices) {
 			return nil, fmt.Errorf("%w: task indices", ErrBadArtifact)
 		}
 		// Lower issues every comm task on a comm stream, and a pipeline

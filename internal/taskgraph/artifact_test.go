@@ -79,8 +79,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 // route (per device, and per pipeline-transfer descriptor, resolved from
 // the decoded descriptors) and the class count — so any descriptor
 // field the codec failed to round-trip would surface here as a diverging
-// table or a diverging report. Traces of both graphs, labeled from the
-// same operator graph, must match span for span.
+// table or a diverging report. Traces of both graphs, named by the same
+// trace labels, must match span for span.
 func TestArtifactContentionEquivalence(t *testing.T) {
 	c := hw.PaperCluster(8)
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
@@ -110,11 +110,15 @@ func TestArtifactContentionEquivalence(t *testing.T) {
 					fid, plan, dct, ct)
 			}
 
-			ref, refSpans, err := g.ReplayTrace(tbl, ct, og)
+			labels, err := TraceLabels(tinyModel(), plan, c, fid, prof)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotSpans, err := dec.ReplayTrace(dtbl, dct, og)
+			ref, refSpans, err := g.ReplayTrace(tbl, ct, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotSpans, err := dec.ReplayTrace(dtbl, dct, labels)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +174,6 @@ func TestUnmarshalRejectsUnbindable(t *testing.T) {
 			i := firstWithParent(t, g) + 1
 			g.parentStart[i+1] = g.parentStart[i] - 1
 		},
-		"source out of range":                     func(g *Graph) { g.sources[len(g.sources)-1] = int32(g.NumTasks()) },
 		"transfer off its receiver's comm stream": misplaceTransfer,
 		"collective on a compute stream":          misplaceCollective,
 	} {
@@ -250,12 +253,18 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 	cm := comm.NewModel(c)
 	plans := artifactPlans()[:2]
 	var ogs []*opgraph.Graph
+	var labels [][]string
 	for _, plan := range plans {
 		og, err := opgraph.Build(tinyModel(), plan, c)
 		if err != nil {
 			f.Fatal(err)
 		}
 		ogs = append(ogs, og)
+		l, err := TraceLabels(tinyModel(), plan, c, TaskLevel, profiler.New(gpu.NewDevice(c.Node.GPU)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		labels = append(labels, l)
 		for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
 			data, err := Lower(og, profiler.New(gpu.NewDevice(c.Node.GPU)), fid).MarshalArtifact()
 			if err != nil {
@@ -293,7 +302,7 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 			tbl := g.Bind(prof, cm, plan, c)
 			g.Replay(tbl, nil)
 			g.Replay(tbl, g.BindContention(plan, c, tbl))
-			g.ReplayTrace(tbl, nil, ogs[i])
+			g.ReplayTrace(tbl, nil, labels[i])
 		}
 	})
 }

@@ -85,8 +85,8 @@ func (g *Graph) Replay(tbl *DurationTable, ct *ContentionTable) (Result, error) 
 	return res, err
 }
 
-func (g *Graph) replayOne(tbl *DurationTable, ct *ContentionTable, label func(id int) string) (Result, []Span, error) {
-	results, spans, err := g.replayBatch([]*DurationTable{tbl}, []*ContentionTable{ct}, label)
+func (g *Graph) replayOne(tbl *DurationTable, ct *ContentionTable, labels []string) (Result, []Span, error) {
+	results, spans, err := g.replayBatch([]*DurationTable{tbl}, []*ContentionTable{ct}, labels)
 	if results == nil {
 		return Result{}, nil, err
 	}
@@ -113,9 +113,9 @@ func (g *Graph) ReplayBatchContended(tables []*DurationTable, cts []*ContentionT
 // replayBatch runs Algorithm 1 for every lane over the immutable graph using
 // pooled scratch state: one forward pass over the tasks in dispatch order.
 // It never writes to g, the tables, or the contention tables, so concurrent
-// replays of one graph are safe. A non-nil label records the execution
-// timeline, naming each span label(task id); it is only honored at width 1.
-func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, label func(id int) string) ([]Result, []Span, error) {
+// replays of one graph are safe. Non-nil labels record the execution
+// timeline, naming span id labels[id]; they are only honored at width 1.
+func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, labels []string) ([]Result, []Span, error) {
 	k := len(tables)
 	if cts != nil && len(cts) != k {
 		return nil, nil, fmt.Errorf("taskgraph: batch has %d tables but %d contention tables", k, len(cts))
@@ -180,7 +180,7 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 		if states != nil {
 			st, live = states[0], cts[0].live
 		}
-		if label != nil {
+		if labels != nil {
 			spans = make([]Span, 0, n)
 		}
 		flopsSum := 0.0
@@ -209,8 +209,8 @@ func (g *Graph) replayBatch(tables []*DurationTable, cts []*ContentionTable, lab
 			sc.busy[slot] += d
 			sc.classSec[g.descClass[di]] += d
 			flopsSum += v.flops
-			if label != nil {
-				spans = append(spans, Span{Device: int(slot >> 1), Stream: Stream(slot & 1), Start: start, End: finish, Label: label(id)})
+			if labels != nil {
+				spans = append(spans, Span{Device: int(slot >> 1), Stream: Stream(slot & 1), Start: start, End: finish, Label: labels[id]})
 			}
 		}
 		sc.flopsSum[0] = flopsSum

@@ -303,8 +303,9 @@ func fuzzPlacement(b byte, devices int) *placement {
 	return &placement{plan, c}
 }
 
-// buildFuzzDAG hand-builds the decoded DAG, plus any extra edges.
-func buildFuzzDAG(devices int, tasks []fuzzTask, edges [][2]int, extra ...[2]int) (*Graph, *DurationTable, error) {
+// fuzzDAGBuilder hand-builds the decoded DAG, plus any extra edges, each
+// task's source operator being its insertion index.
+func fuzzDAGBuilder(devices int, tasks []fuzzTask, edges [][2]int, extra ...[2]int) *Builder {
 	b := NewBuilder(devices)
 	for i, t := range tasks {
 		b.AddTask(t.device, t.stream, i, t.desc, t.dur)
@@ -312,7 +313,7 @@ func buildFuzzDAG(devices int, tasks []fuzzTask, edges [][2]int, extra ...[2]int
 	for _, e := range append(edges, extra...) {
 		b.AddEdge(e[0], e[1])
 	}
-	return b.Build()
+	return b
 }
 
 // FuzzReplay is the replay engine's fuzzer. Over hand-built DAGs with
@@ -352,7 +353,8 @@ func FuzzReplay(f *testing.F) {
 		if len(tasks) == 0 {
 			return
 		}
-		g, literal, err := buildFuzzDAG(devices, tasks, edges)
+		b := fuzzDAGBuilder(devices, tasks, edges)
+		g, literal, err := b.Build()
 		if err != nil {
 			t.Fatalf("acyclic graph: %v", err)
 		}
@@ -382,7 +384,7 @@ func FuzzReplay(f *testing.F) {
 			}
 		}
 		for id, src := range order {
-			if got := g.TaskAt(id).Source; got != src {
+			if got := b.Source(id); got != src {
 				t.Fatalf("task %d has source %d, want FIFO order %v", id, got, order)
 			}
 		}
@@ -474,7 +476,7 @@ func FuzzReplay(f *testing.F) {
 		slower := append([]fuzzTask(nil), tasks...)
 		k := int(data[1]) % len(tasks)
 		slower[k].dur = 2*slower[k].dur + 1
-		sg, stbl, err := buildFuzzDAG(devices, slower, edges)
+		sg, stbl, err := fuzzDAGBuilder(devices, slower, edges).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,7 +492,7 @@ func FuzzReplay(f *testing.F) {
 		if len(edges) > 0 {
 			back = [2]int{edges[0][1], edges[0][0]}
 		}
-		if _, _, err := buildFuzzDAG(devices, tasks, edges, back); err == nil {
+		if _, _, err := fuzzDAGBuilder(devices, tasks, edges, back).Build(); err == nil {
 			t.Fatalf("back edge %v: Build accepted a cycle", back)
 		}
 	})

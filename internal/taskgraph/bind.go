@@ -89,19 +89,13 @@ type descVal struct{ dur, flops float64 }
 // one priced value per descriptor (a few dozen entries that live in L1) plus
 // a reference to the graph's durIdx slab; replay gathers vals[durIdx[id]] on
 // the fly, so binding never materializes — or even touches — a per-task
-// array. The table is read-only during replay, so one shared structural
-// graph can be bound to many plans and replayed concurrently. A table is
-// small (16 bytes per descriptor) and ordinary garbage once its replay is
-// done.
+// array. It holds numbers only: trace labels come from TraceLabels. The
+// table is read-only during replay, so one shared structural graph can be
+// bound to many plans and replayed concurrently. A table is small (16 bytes
+// per descriptor) and ordinary garbage once its replay is done.
 type DurationTable struct {
 	vals   []descVal
 	durIdx []int32
-
-	// Binding context, retained so trace capture can resolve the
-	// plan-dependent parts of task labels (kernel symbols embed tensor
-	// shapes) lazily.
-	prof *profiler.Profiler
-	plan parallel.Plan
 }
 
 // Duration returns the bound execution time of task id in seconds.
@@ -184,7 +178,7 @@ func (d *durDesc) operatorFor(g *Graph, plan parallel.Plan) profiler.Operator {
 // on.
 func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, c hw.Cluster) *DurationTable {
 	vals := make([]descVal, len(g.descs))
-	tbl := &DurationTable{vals: vals, durIdx: g.durIdx, prof: prof, plan: plan}
+	tbl := &DurationTable{vals: vals, durIdx: g.durIdx}
 
 	// Every per-plan number is derived here, from the plan and the
 	// shape-invariant descriptors: operator-graph nodes carry none.
@@ -217,20 +211,4 @@ func (g *Graph) Bind(prof *profiler.Profiler, cm CommTimer, plan parallel.Plan, 
 		}
 	}
 	return tbl
-}
-
-// taskLabel composes the trace label of task id under this binding: the
-// label of its source operator in og ("" when og is nil) qualified by the
-// bound plan's kernel symbol for kernel-granularity tasks. Only trace
-// capture calls it.
-func (t *DurationTable) taskLabel(g *Graph, og *opgraph.Graph, id int) string {
-	base := ""
-	if og != nil {
-		base = og.Label(int(g.sources[id]))
-	}
-	d := &g.descs[g.durIdx[id]]
-	if d.kind != descKernel {
-		return base
-	}
-	return base + "/" + t.prof.Profile(d.operatorFor(g, t.plan))[d.kernel].Kernel.Name
 }

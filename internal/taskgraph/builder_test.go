@@ -17,8 +17,6 @@ type Task struct {
 	Device int
 	// Stream is the device resource the task occupies.
 	Stream Stream
-	// Source is the originating operator-graph node ID.
-	Source int
 	// Class is the accounting class of the task's descriptor.
 	Class string
 }
@@ -30,7 +28,6 @@ func (g *Graph) TaskAt(id int) Task {
 		ID:     id,
 		Device: int(slot / 2),
 		Stream: Stream(slot % 2),
-		Source: int(g.sources[id]),
 		Class:  g.classes[g.descClass[g.durIdx[id]]],
 	}
 }
@@ -45,6 +42,9 @@ type Builder struct {
 	edges  [][2]int32
 	descID map[literalDesc]int32
 	lits   []float64
+	// sources holds each task's originating operator by provisional id,
+	// and order, once Build succeeds, each task's provisional id.
+	sources, order []int32
 }
 
 // literalDesc is a descriptor together with its hand-built duration.
@@ -73,9 +73,14 @@ func (b *Builder) AddTask(device int, stream Stream, source int, d durDesc, dur 
 		b.lits = append(b.lits, dur)
 		b.descID[key] = di
 	}
-	b.tasks = append(b.tasks, provTask{int32(2*device) + int32(stream), int32(source), di})
+	b.tasks = append(b.tasks, provTask{int32(2*device) + int32(stream), di})
+	b.sources = append(b.sources, int32(source))
 	return len(b.tasks) - 1
 }
+
+// Source returns the operator that task id of the graph Build returned
+// last originates from.
+func (b *Builder) Source(id int) int { return int(b.sources[b.order[id]]) }
 
 // AddEdge records that task to depends on task from. The order of AddEdge
 // calls does not matter: Build groups the edges into each task's
@@ -87,7 +92,7 @@ func (b *Builder) AddEdge(from, to int) {
 
 // Build finalizes the accumulated tasks and edges into a Graph whose task
 // ids are the dispatch order, so the provisional IDs AddTask returned do
-// not survive: identify a built task by its Source. It also returns a table
+// not survive: identify a built task by Source. It also returns a table
 // binding every task to its literal duration, with zero FLOPs. A
 // dependency cycle, or an edge naming an unknown task, is an error.
 func (b *Builder) Build() (*Graph, *DurationTable, error) {
@@ -112,6 +117,7 @@ func (b *Builder) Build() (*Graph, *DurationTable, error) {
 	if err := sc.finalize(&g, b.tasks, depStart, deps); err != nil {
 		return nil, nil, err
 	}
+	b.order = sc.order
 	g.indexClasses()
 	tbl := &DurationTable{vals: make([]descVal, len(b.lits)), durIdx: g.durIdx}
 	for di, dur := range b.lits {

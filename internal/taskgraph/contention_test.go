@@ -408,12 +408,12 @@ func TestContentionMonotone(t *testing.T) {
 	// iteration time never shrinks.
 	plan = parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 16, GradientBuckets: 2}
 	bg := lower(t, plan, OperatorLevel)
-	ideal, idealSpans, err := bg.g.ReplayTrace(bg.tbl, nil, bg.og)
+	ideal, idealSpans, err := bg.g.ReplayTrace(bg.tbl, nil, bg.labels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lct := bg.g.BindContention(plan, c, bg.tbl)
-	cont, contSpans, err := bg.g.ReplayTrace(bg.tbl, lct, bg.og)
+	cont, contSpans, err := bg.g.ReplayTrace(bg.tbl, lct, bg.labels)
 	if err != nil {
 		t.Fatal(err)
 	}

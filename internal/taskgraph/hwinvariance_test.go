@@ -71,8 +71,8 @@ func TestStructureHardwareInvariance(t *testing.T) {
 		if gA.Devices != gB.Devices || gA.Model != gB.Model {
 			t.Fatalf("fidelity %v: graph headers differ", fid)
 		}
-		// The parents CSR, dispatch order (sources), class interning, and
-		// the deduplicated duration-descriptor table must match exactly.
+		// The parents CSR, dispatch order, class interning, and the
+		// deduplicated duration-descriptor table must match exactly.
 		for name, pair := range map[string][2]any{
 			"parentStart": {gA.parentStart, gB.parentStart},
 			"parents":     {gA.parents, gB.parents},
@@ -81,26 +81,24 @@ func TestStructureHardwareInvariance(t *testing.T) {
 			"descs":       {gA.descs, gB.descs},
 			"durIdx":      {gA.durIdx, gB.durIdx},
 			"slotOf":      {gA.slotOf, gB.slotOf},
-			"sources":     {gA.sources, gB.sources},
 		} {
 			if !reflect.DeepEqual(pair[0], pair[1]) {
 				t.Fatalf("fidelity %v: %s differs between clusters", fid, name)
 			}
 		}
-		// Labels compose from the source operator graph at trace time;
-		// they must not embed hardware either.
-		ogA, err := opgraph.Build(m, plan, cA)
+		// Trace labels name each task by the operator it lowers from, so
+		// they must not embed hardware either. Kernel names are the GPU's
+		// own, so both clusters' labels take them from one profiler.
+		labelsA, err := TraceLabels(m, plan, cA, fid, profA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ogB, err := opgraph.Build(m, plan, cB)
+		labelsB, err := TraceLabels(m, plan, cB, fid, profA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id := 0; id < gA.NumTasks(); id++ {
-			if la, lb := ogA.Label(gA.TaskAt(id).Source), ogB.Label(gB.TaskAt(id).Source); la != lb {
-				t.Fatalf("fidelity %v: task %d label %q != %q", fid, id, la, lb)
-			}
+		if len(labelsA) != gA.NumTasks() || !reflect.DeepEqual(labelsA, labelsB) {
+			t.Fatalf("fidelity %v: trace labels differ between clusters", fid)
 		}
 
 		// The *binding* is where hardware enters: the same structure bound

@@ -22,6 +22,25 @@ func LowerPlan(m model.Config, plan parallel.Plan, c hw.Cluster, fid Fidelity) (
 	return lw.finish(), nil
 }
 
+// TraceLabels lowers (m, plan) on c at fid as LowerPlan does and returns
+// each task's trace label by task id: its operator's label, qualified at
+// task granularity by the kernel name prof gives the plan's tensor shapes.
+// They name the tasks of every graph of the plan's shape, disk-loaded too.
+func TraceLabels(m model.Config, plan parallel.Plan, c hw.Cluster, fid Fidelity, prof *profiler.Profiler) ([]string, error) {
+	lw := newLowering(m, plan.Pipeline, fid)
+	lw.labels = []string{}
+	if err := opgraph.Emit(m, plan, c, lw); err != nil {
+		return nil, err
+	}
+	g := lw.finish()
+	for id, di := range g.durIdx {
+		if d := &g.descs[di]; d.kind == descKernel {
+			lw.labels[id] += "/" + prof.Profile(d.operatorFor(g, plan))[d.kernel].Kernel.Name
+		}
+	}
+	return lw.labels, nil
+}
+
 // Lower translates the operator graph into a structural task graph: tasks,
 // dependencies, and one duration descriptor per task — no durations. The
 // result depends only on the plan's structural shape (schedule, pipeline
@@ -69,6 +88,9 @@ type lowering struct {
 	opDesc [profiler.WeightUpdate + 1]int32
 	tpDesc int32
 	descID map[durDesc]int32
+	// labels, when non-nil, collects each task's operator label for
+	// TraceLabels: by provisional id, then by task id after finish.
+	labels []string
 }
 
 // newLowering starts a lowering over devices stages of m. Its temporaries
@@ -109,8 +131,11 @@ func (sc *finalizeScratch) addTask(t provTask) {
 // each depending on the task before it.
 func (lw *lowering) expandChain() {
 	for i := int32(1); i < lw.chainLen; i++ {
-		lw.sc.addTask(provTask{lw.chain.slot, lw.chain.source, lw.chain.desc + i})
+		lw.sc.addTask(provTask{lw.chain.slot, lw.chain.desc + i})
 		lw.sc.deps = append(lw.sc.deps, int32(len(lw.sc.tasks)-2))
+		if lw.labels != nil {
+			lw.labels = append(lw.labels, lw.labels[len(lw.labels)-1])
+		}
 	}
 	lw.chainLen = 0
 }
@@ -149,9 +174,12 @@ func (lw *lowering) Node(nd opgraph.Node) {
 		panic(fmt.Sprintf("taskgraph: unknown node kind %v", nd.Kind))
 	}
 	sc := lw.sc
-	lw.chain, lw.chainLen = provTask{2*nd.Stage + int32(stream), int32(len(sc.last)), di}, k
+	lw.chain, lw.chainLen = provTask{2*nd.Stage + int32(stream), di}, k
 	sc.addTask(lw.chain)
 	sc.last = append(sc.last, int32(len(sc.tasks))-2+k)
+	if lw.labels != nil {
+		lw.labels = append(lw.labels, nd.Label())
+	}
 }
 
 // Dep records that the node received last depends on node from: an edge
@@ -159,13 +187,20 @@ func (lw *lowering) Node(nd opgraph.Node) {
 func (lw *lowering) Dep(from int32) { lw.sc.deps = append(lw.sc.deps, lw.sc.last[from]) }
 
 // finish expands the last pending chain, closes the dependency CSR and
-// fixes the dispatch order.
+// fixes the dispatch order, placing any collected labels in it.
 func (lw *lowering) finish() *Graph {
 	lw.expandChain()
 	sc := lw.sc
 	sc.depStart = append(sc.depStart, int32(len(sc.deps)))
 	if err := sc.finalize(lw.g, sc.tasks, sc.depStart, sc.deps); err != nil {
 		panic(err) // unreachable: operator-graph dependencies point backward
+	}
+	if lw.labels != nil {
+		labels := make([]string, len(sc.order))
+		for id, o := range sc.order {
+			labels[id] = lw.labels[o]
+		}
+		lw.labels = labels
 	}
 	finalizeScratchPool.Put(sc)
 	lw.g.indexClasses()

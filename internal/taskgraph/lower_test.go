@@ -23,7 +23,8 @@ import (
 // multi-kernel operator at TaskLevel into a chain of kernel tasks, with
 // each dependency edge from the dependency's last task to the node's
 // first. It shares finalize and indexClasses with Lower, and nothing else.
-func referenceLower(og *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *Graph {
+// It also returns each task's source operator, by task id.
+func referenceLower(og *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) (*Graph, []int) {
 	b := NewBuilder(og.Stages)
 	b.g.Model = og.Model
 	firstTask := make([]int, og.NumNodes())
@@ -73,14 +74,18 @@ func referenceLower(og *opgraph.Graph, prof *profiler.Profiler, fid Fidelity) *G
 	if err != nil {
 		panic(err)
 	}
-	return g
+	sources := make([]int, g.NumTasks())
+	for id := range sources {
+		sources[id] = b.Source(id)
+	}
+	return g, sources
 }
 
 var fidName = [...]string{TaskLevel: "task", OperatorLevel: "operator"}
 
 // requireSameGraph fails unless got and want are the same structural
-// graph: tasks in dispatch order, the parents CSR, source operators, and
-// the descriptor and class tables.
+// graph: tasks in dispatch order, the parents CSR, and the descriptor and
+// class tables.
 func requireSameGraph(t *testing.T, what string, got, want *Graph) {
 	t.Helper()
 	for _, f := range []struct {
@@ -96,7 +101,6 @@ func requireSameGraph(t *testing.T, what string, got, want *Graph) {
 		{"classes", got.classes, want.classes},
 		{"descClass", got.descClass, want.descClass},
 		{"slotOf", got.slotOf, want.slotOf},
-		{"sources", got.sources, want.sources},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			t.Fatalf("%s: %s = %v, want %v", what, f.name, f.got, f.want)
@@ -111,10 +115,12 @@ func requireSameGraph(t *testing.T, what string, got, want *Graph) {
 // graph TestLowerMatchesReference lowers, in plan-then-fidelity order. Both
 // Lower and referenceLower read the operator graph's dependencies, so only
 // a fixed digest catches a change to those dependencies or their order.
-// It was last re-pinned for EncodingVersion 4, which dropped the class
-// section and the per-task class slab; planMatrixSHA256 held across that
-// change.
-const loweredStructureSHA256 = "17e7168c86a1e7cd3aa1f2f76f4fa2d040e3044b84969f2cbd4e8dcc7d29d125"
+// It was last re-pinned for EncodingVersion 5, which dropped the per-task
+// source section: graphs no longer carry their tasks' source operators,
+// which only trace labels read (see TraceLabels). planMatrixSHA256 held
+// across that change, as it did across version 4's removal of the class
+// section.
+const loweredStructureSHA256 = "176727f0b91fa18716617611f5901e8d503fcbd8e284012a211963c7707bafb2"
 
 // planMatrixSHA256 is the SHA-256 of structureDigest over the same graphs
 // in the same order. It reads the graph rather than its encoding, so an
@@ -124,15 +130,15 @@ const planMatrixSHA256 = "3a7fe0890f5da5c04399582fced9395128289fe9534e6fd3c9b564
 
 // structureDigest writes g's structure to h independently of the artifact
 // encoding: the device count and model, then per task in dispatch order its
-// device, stream, source, class name and descriptor fields, then the
-// parents CSR.
-func structureDigest(h hash.Hash, g *Graph) {
+// device, stream, source operator (sources, by task id), class name and
+// descriptor fields, then the parents CSR.
+func structureDigest(h hash.Hash, g *Graph, sources []int) {
 	m := g.Model
 	fmt.Fprintf(h, "%d|%q|%d|%d|%d|%d|%d\n", g.Devices, m.Name, m.Hidden, m.Layers, m.SeqLen, m.Heads, m.Vocab)
 	for id := 0; id < g.NumTasks(); id++ {
 		t := g.TaskAt(id)
 		d := g.descs[g.durIdx[id]]
-		fmt.Fprintf(h, "%d|%d|%d|%q|%d|%d|%d|%d|%d|%d|%d\n", t.Device, t.Stream, t.Source, t.Class,
+		fmt.Fprintf(h, "%d|%d|%d|%q|%d|%d|%d|%d|%d|%d|%d\n", t.Device, t.Stream, sources[id], t.Class,
 			d.kind, d.op, d.kernel, d.stageParams, d.buckets, d.from, d.to)
 	}
 	fmt.Fprintln(h, g.parentStart, g.parents)
@@ -150,10 +156,35 @@ func lowerBoth(t *testing.T, what string, og *opgraph.Graph, c hw.Cluster, fid F
 	return g
 }
 
+// requireTraceLabels fails unless TraceLabels names each task of g, the
+// graph of og's plan at fid, by the label of its source operator in og
+// (sources, by task id, from referenceLower), qualified by the bound kernel
+// name for a kernel task.
+func requireTraceLabels(t *testing.T, what string, og *opgraph.Graph, c hw.Cluster, fid Fidelity, prof *profiler.Profiler, g *Graph, sources []int) {
+	t.Helper()
+	labels, err := TraceLabels(og.Model, og.Plan, c, fid, prof)
+	if err != nil {
+		t.Fatalf("%s: TraceLabels: %v", what, err)
+	}
+	if len(labels) != len(sources) {
+		t.Fatalf("%s: %d trace labels for %d tasks", what, len(labels), len(sources))
+	}
+	for id, src := range sources {
+		want := og.Label(src)
+		if d := &g.descs[g.durIdx[id]]; d.kind == descKernel {
+			want += "/" + prof.Profile(d.operatorFor(g, og.Plan))[d.kernel].Kernel.Name
+		}
+		if labels[id] != want {
+			t.Fatalf("%s: task %d is labeled %q, want %q", what, id, labels[id], want)
+		}
+	}
+}
+
 // TestLowerMatchesReference pins LowerPlan, the path core lowers through,
 // to Lower over the built operator graph and to referenceLower at both
 // fidelities across schedules, interleaving, uneven layer splits,
-// recomputation and gradient buckets, and pins the lowered structure twice:
+// recomputation and gradient buckets, checks TraceLabels against
+// referenceLower's source operators, and pins the lowered structure twice:
 // its artifact bytes to loweredStructureSHA256, and the graphs themselves
 // to planMatrixSHA256.
 func TestLowerMatchesReference(t *testing.T) {
@@ -168,13 +199,15 @@ func TestLowerMatchesReference(t *testing.T) {
 		for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
 			what := fmt.Sprintf("plan %s at %s level", plan, fidName[fid])
 			g := lowerBoth(t, what, og, c, fid)
-			requireSameGraph(t, what, g, referenceLower(og, prof, fid))
+			ref, sources := referenceLower(og, prof, fid)
+			requireSameGraph(t, what, g, ref)
+			requireTraceLabels(t, what, og, c, fid, prof, g, sources)
 			data, err := g.MarshalArtifact()
 			if err != nil {
 				t.Fatalf("%s: marshal: %v", what, err)
 			}
 			sum.Write(data)
-			structureDigest(matrix, g)
+			structureDigest(matrix, g, sources)
 		}
 	}
 	if got := hex.EncodeToString(sum.Sum(nil)); got != loweredStructureSHA256 {
@@ -196,7 +229,8 @@ var maxKernels = func() int {
 
 // FuzzLower lowers random valid plans of the tiny model at both fidelities
 // and checks that LowerPlan and Lower both build referenceLower's graph
-// within the task bound opgraph.Validate enforces, and that the graph
+// within the task bound opgraph.Validate enforces, that TraceLabels names
+// its tasks by referenceLower's source operators, and that the graph
 // survives an artifact round trip unchanged and replays bit-identically
 // after it. The inputs pick t, d, p, the micro-batch size and count, the
 // schedule, virtual stages, recomputation and gradient buckets; invalid
@@ -238,7 +272,9 @@ func FuzzLower(f *testing.F) {
 			if g.NumTasks() > nodeBound*maxKernels {
 				t.Fatalf("%s: %d tasks, over the bound %d", what, g.NumTasks(), nodeBound*maxKernels)
 			}
-			requireSameGraph(t, what, g, referenceLower(og, prof, fid))
+			ref, sources := referenceLower(og, prof, fid)
+			requireSameGraph(t, what, g, ref)
+			requireTraceLabels(t, what, og, c, fid, prof, g, sources)
 
 			data, err := g.MarshalArtifact()
 			if err != nil {

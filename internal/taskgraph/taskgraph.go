@@ -78,12 +78,12 @@ const (
 // finalize). Every parent therefore has a smaller id than its child, and
 // replay is one forward pass over ids 0..n-1.
 //
-// Every per-task attribute lives in a flat slice (slotOf, durIdx,
-// sources). A task would carry nothing but indices — its durations bind
-// per plan, its label resolves through the source operator — so
+// Every per-task attribute lives in a flat slice (slotOf, durIdx). A task
+// would carry nothing but indices — its durations bind per plan — so
 // materializing a struct per task would only burn allocation, zeroing,
 // and GC scan time in the sweep hot path, and would make disk-loaded graphs
-// pay a per-task decode loop.
+// pay a per-task decode loop. Trace labels are not stored at all (see
+// TraceLabels).
 type Graph struct {
 	// Devices is the number of logical devices (pipeline stages), each
 	// owning one compute and one communication stream.
@@ -101,8 +101,6 @@ type Graph struct {
 	// slotOf maps each task to its resource slot 2*Device + Stream. It
 	// doubles as the per-task length (see NumTasks).
 	slotOf []int32
-	// sources maps each task to its originating operator-graph node.
-	sources []int32
 	// descs is the compact duration-descriptor table: every distinct way a
 	// task can be priced, deduplicated. durIdx maps each task to its
 	// descriptor. Bind prices each descriptor once for one plan.
@@ -121,7 +119,7 @@ func (g *Graph) NumTasks() int { return len(g.slotOf) }
 
 // provTask is a task's slab entries under its provisional id, before
 // finalize places them in dispatch order.
-type provTask struct{ slot, source, desc int32 }
+type provTask struct{ slot, desc int32 }
 
 // finalizeScratch holds the temporaries of finalize, and a lowering's
 // provisional tasks, each node's last task, and the tasks' dependency CSR.
@@ -151,7 +149,7 @@ var finalizeScratchPool = sync.Pool{New: func() any { return new(finalizeScratch
 // is fixed here once rather than on every replay. A task that never
 // becomes ready lies on or behind a dependency cycle, which is an error.
 // finalize overwrites deps: each row is reused for the parents dispatched
-// so far.
+// so far. Afterwards sc.order[id] is the provisional id of task id.
 func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, depStart, deps []int32) error {
 	n := len(tasks)
 	sc.at = fitZero(sc.at, n+1)
@@ -188,12 +186,12 @@ func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, depStart, deps [
 	// final id; its parents row is written then, in final order. Its other
 	// parents, recorded in its dependency row as they dispatched, precede
 	// the last, so each row lists its parents in ascending final id.
-	slotOf, sources, durIdx := make([]int32, n), make([]int32, n), make([]int32, n)
+	slotOf, durIdx := make([]int32, n), make([]int32, n)
 	parentStart, parents := make([]int32, n+1), make([]int32, len(deps))
 	for head := 0; head < len(order); head++ {
 		o := order[head]
 		t := tasks[o]
-		slotOf[head], sources[head], durIdx[head] = t.slot, t.source, t.desc
+		slotOf[head], durIdx[head] = t.slot, t.desc
 		for _, c := range children[at[o].child:at[o+1].child] {
 			if at[c].next+1 < depStart[c+1] {
 				deps[at[c].next] = int32(head)
@@ -215,7 +213,7 @@ func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, depStart, deps [
 	if len(order) != n {
 		return fmt.Errorf("taskgraph: dependency cycle: %d of %d tasks can never dispatch", n-len(order), n)
 	}
-	g.slotOf, g.sources, g.durIdx = slotOf, sources, durIdx
+	g.slotOf, g.durIdx = slotOf, durIdx
 	g.parentStart, g.parents = parentStart, parents
 	return nil
 }

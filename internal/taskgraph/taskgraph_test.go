@@ -29,6 +29,8 @@ type boundGraph struct {
 	g   *Graph
 	tbl *DurationTable
 	og  *opgraph.Graph // the operator graph g was lowered from, when lowered
+	// labels are g's trace labels, when lowered.
+	labels []string
 }
 
 func lower(t *testing.T, plan parallel.Plan, fid Fidelity) boundGraph {
@@ -40,7 +42,11 @@ func lower(t *testing.T, plan parallel.Plan, fid Fidelity) boundGraph {
 	}
 	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
 	g := Lower(og, prof, fid)
-	return boundGraph{g: g, tbl: g.Bind(prof, comm.NewModel(c), plan, c), og: og}
+	labels, err := TraceLabels(og.Model, plan, c, fid, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return boundGraph{g: g, tbl: g.Bind(prof, comm.NewModel(c), plan, c), og: og, labels: labels}
 }
 
 func simulate(t *testing.T, b boundGraph) Result {
@@ -251,7 +257,7 @@ func TestStructuralGraphRequiresBinding(t *testing.T) {
 	if _, err := b.g.Replay(nil, nil); err == nil {
 		t.Fatal("Replay(nil) on a structural graph must error")
 	}
-	if _, _, err := b.g.ReplayTrace(nil, nil, b.og); err == nil {
+	if _, _, err := b.g.ReplayTrace(nil, nil, b.labels); err == nil {
 		t.Fatal("ReplayTrace(nil) on a structural graph must error")
 	}
 	other := lower(t, parallel.Plan{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 2}, OperatorLevel)
@@ -344,7 +350,7 @@ func TestBuilderEdgeOrderIrrelevant(t *testing.T) {
 		}
 		g, _ := mustBuild(t, b)
 		for id := 0; id < g.NumTasks(); id++ {
-			if src := g.TaskAt(id).Source; src != id {
+			if src := b.Source(id); src != id {
 				t.Fatalf("edges %v: task %d has source %d, want dispatch order a, b, c, d, e", edges, id, src)
 			}
 		}
@@ -364,7 +370,7 @@ func TestBuilderEdgeOrderIrrelevant(t *testing.T) {
 func TestBuilderAdjacency(t *testing.T) {
 	// Tasks are added out of dispatch order: c and d depend on a, which is
 	// added second, and e depends on d then c. Build renumbers them into
-	// Algorithm 1's FIFO order a, c, d, e, which Task.Source identifies.
+	// Algorithm 1's FIFO order a, c, d, e, which Builder.Source identifies.
 	// a and d share class FwdMHA, c is FwdFFN and e FwdLMHead.
 	b := NewBuilder(1)
 	c := b.AddTask(0, ComputeStream, 1, compute(profiler.FwdFFN), 1)
@@ -377,7 +383,7 @@ func TestBuilderAdjacency(t *testing.T) {
 	b.AddEdge(c, e)
 	g, tbl := mustBuild(t, b)
 	for id := 0; id < g.NumTasks(); id++ {
-		if src := g.TaskAt(id).Source; src != id {
+		if src := b.Source(id); src != id {
 			t.Fatalf("task %d has source %d, want dispatch order a, c, d, e", id, src)
 		}
 	}

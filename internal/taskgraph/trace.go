@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"vtrain/internal/opgraph"
 )
 
 // Span is one executed task on the simulated timeline.
@@ -19,21 +17,19 @@ type Span struct {
 	Label string
 }
 
-// ReplayTrace is Replay plus the full execution timeline. Span labels
-// compose from og, the operator graph the trace renders: each task takes
-// its source operator's label, qualified at task granularity by the kernel
-// name the table bound, so kernel names reflect the bound plan's tensor
-// shapes exactly as a from-scratch lowering would. Any operator graph of
-// the task graph's structural shape labels it identically; a nil og labels
-// every span "". Under contention, span durations reflect the derated comm
-// tasks. An og without a node for some task's source is an error.
-func (g *Graph) ReplayTrace(tbl *DurationTable, ct *ContentionTable, og *opgraph.Graph) (Result, []Span, error) {
-	for id := 0; og != nil && id < g.NumTasks(); id++ {
-		if s := int(g.sources[id]); s < 0 || s >= og.NumNodes() {
-			return Result{}, nil, fmt.Errorf("taskgraph: task %d's source operator %d is not in the %d-node operator graph", id, s, og.NumNodes())
-		}
+// ReplayTrace is Replay plus the full execution timeline, naming span id
+// labels[id]. TraceLabels gives the labels of any graph of a plan's shape;
+// nil labels name every span "", and a slice of another length than the
+// graph's task count is an error. Under contention, span durations reflect
+// the derated comm tasks.
+func (g *Graph) ReplayTrace(tbl *DurationTable, ct *ContentionTable, labels []string) (Result, []Span, error) {
+	switch {
+	case labels == nil:
+		labels = make([]string, g.NumTasks())
+	case len(labels) != g.NumTasks():
+		return Result{}, nil, fmt.Errorf("taskgraph: %d trace labels for a %d-task graph", len(labels), g.NumTasks())
 	}
-	return g.replayOne(tbl, ct, func(id int) string { return tbl.taskLabel(g, og, id) })
+	return g.replayOne(tbl, ct, labels)
 }
 
 // chromeEvent is one Chrome trace-event-format record ("X" complete event).

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 
+	"vtrain/internal/gpu"
+	"vtrain/internal/hw"
 	"vtrain/internal/opgraph"
 	"vtrain/internal/parallel"
 	"vtrain/internal/profiler"
@@ -16,7 +18,7 @@ func traceGraph(t *testing.T) (boundGraph, Result, []Span) {
 	t.Helper()
 	plan := parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2}
 	g := lower(t, plan, TaskLevel)
-	res, spans, err := g.g.ReplayTrace(g.tbl, nil, g.og)
+	res, spans, err := g.g.ReplayTrace(g.tbl, nil, g.labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,21 +40,27 @@ func TestSimulateTraceMatchesSimulate(t *testing.T) {
 }
 
 // TestReplayTraceLabelsFromOperatorGraph pins where span labels come from:
-// each span carries its task's source operator label in the operator graph
-// passed to ReplayTrace, plus the bound kernel name at task granularity. A
-// nil operator graph labels every span "" and leaves the timeline as is;
-// one without a node for every task's source is an error, not a panic.
+// ReplayTrace names span id by the labels it is given, and TraceLabels
+// names each task by its source operator's label, plus the bound kernel
+// name at task granularity. Nil labels name every span "" and leave the
+// timeline as is; a label slice of another graph's length is an error,
+// not a panic.
 func TestReplayTraceLabelsFromOperatorGraph(t *testing.T) {
 	plan := parallel.Plan{Tensor: 2, Data: 2, Pipeline: 2, MicroBatch: 1, GlobalBatch: 8, GradientBuckets: 2}
 	small := lower(t, parallel.Plan{Tensor: 1, Data: 1, Pipeline: 1, MicroBatch: 1, GlobalBatch: 2}, OperatorLevel)
+	c := hw.PaperCluster(8)
+	prof := profiler.New(gpu.NewDevice(c.Node.GPU))
 	for _, fid := range []Fidelity{TaskLevel, OperatorLevel} {
 		g := lower(t, plan, fid)
-		res, spans, err := g.g.ReplayTrace(g.tbl, nil, g.og)
+		res, spans, err := g.g.ReplayTrace(g.tbl, nil, g.labels)
 		if err != nil {
 			t.Fatal(err)
 		}
 		labels := map[string]bool{}
-		for _, sp := range spans {
+		for i, sp := range spans {
+			if sp.Label != g.labels[i] {
+				t.Fatalf("fidelity %v: span %d labeled %q, want %q", fid, i, sp.Label, g.labels[i])
+			}
 			labels[sp.Label] = true
 		}
 		for id := 0; id < g.og.NumNodes(); id++ {
@@ -60,7 +68,7 @@ func TestReplayTraceLabelsFromOperatorGraph(t *testing.T) {
 			// Multi-kernel operators lower to one task per kernel at task
 			// granularity; the first carries kernel 0's name.
 			if n := g.og.Node(id); fid == TaskLevel && n.Kind == opgraph.Compute && profiler.KernelCount(n.Op) > 1 {
-				base += "/" + g.tbl.prof.Profile((&durDesc{op: n.Op}).operatorFor(g.g, plan))[0].Kernel.Name
+				base += "/" + prof.Profile((&durDesc{op: n.Op}).operatorFor(g.g, plan))[0].Kernel.Name
 			}
 			if !labels[base] {
 				t.Fatalf("fidelity %v: no span labeled %q for operator %d", fid, base, id)
@@ -72,11 +80,11 @@ func TestReplayTraceLabelsFromOperatorGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(bare, res) || len(bareSpans) != len(spans) {
-			t.Fatalf("fidelity %v: a nil operator graph changed the replay", fid)
+			t.Fatalf("fidelity %v: nil labels changed the replay", fid)
 		}
 		for i, sp := range bareSpans {
-			if fid == OperatorLevel && sp.Label != "" {
-				t.Fatalf("fidelity %v: span %d labeled %q without an operator graph", fid, i, sp.Label)
+			if sp.Label != "" {
+				t.Fatalf("fidelity %v: span %d labeled %q without labels", fid, i, sp.Label)
 			}
 			sp.Label = spans[i].Label
 			if sp != spans[i] {
@@ -84,12 +92,11 @@ func TestReplayTraceLabelsFromOperatorGraph(t *testing.T) {
 			}
 		}
 
-		if small.og.NumNodes() >= g.og.NumNodes() {
-			t.Fatal("the small operator graph must have fewer nodes")
+		if len(small.labels) >= g.g.NumTasks() {
+			t.Fatal("the small graph must have fewer tasks")
 		}
-		if _, _, err := g.g.ReplayTrace(g.tbl, nil, small.og); err == nil {
-			t.Fatalf("fidelity %v: an operator graph of %d nodes labeled a %d-node lowering",
-				fid, small.og.NumNodes(), g.og.NumNodes())
+		if _, _, err := g.g.ReplayTrace(g.tbl, nil, small.labels); err == nil {
+			t.Fatalf("fidelity %v: %d labels named a %d-task graph", fid, len(small.labels), g.g.NumTasks())
 		}
 	}
 }

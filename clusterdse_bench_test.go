@@ -52,6 +52,45 @@ func clusterSweepSpace() clusterdse.Space {
 	}
 }
 
+// TestSweepRankingsAreStrict checks that no two points of
+// BenchmarkClusterSweep's or BenchmarkDSESweep's space compare equal under
+// Better: offering names are unique (WithInterconnect appends "+ic"), and
+// so are a space's (t, d, p, m) tuples. Any correct sort then returns the
+// same ranking, so Explore's is checked as strictly ascending.
+func TestSweepRankingsAreStrict(t *testing.T) {
+	space := clusterSweepSpace()
+	sim, err := clusterdse.NewSimulator(space, core.WithFidelity(taskgraph.OperatorLevel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := clusterdse.Explore(sim, model.Megatron18_4B(), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(points); i++ {
+		if a, b := points[i-1], points[i]; !a.Better(b) || b.Better(a) {
+			t.Fatalf("cluster points %d and %d are not strictly ranked: %s %d nodes %s, %s %d nodes %s",
+				i-1, i, a.Offering.Name, a.Nodes, a.Plan, b.Offering.Name, b.Nodes, b.Plan)
+		}
+	}
+	dsim, err := core.New(hw.PaperCluster(256), core.WithFidelity(taskgraph.OperatorLevel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dpoints, err := dse.Explore(dsim, model.Megatron39_1B(), dseSweepSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(dpoints); i++ {
+		if a, b := dpoints[i-1], dpoints[i]; !a.Better(b) || b.Better(a) {
+			t.Fatalf("DSE points %d and %d are not strictly ranked: %s, %s", i-1, i, a.Plan, b.Plan)
+		}
+	}
+	if len(points) != 1068 || len(dpoints) != 563 {
+		t.Fatalf("%d cluster and %d DSE points, want 1068 and 563", len(points), len(dpoints))
+	}
+}
+
 // BenchmarkClusterSweep measures one cold joint cluster-design sweep end to
 // end: a fresh simulator (empty caches, report cache disabled) ranking
 // (GPU generation x node count x interconnect x plan) for Megatron 18.4B.

@@ -176,7 +176,10 @@ func (p Point) EffectiveDays() float64 {
 // as a deterministic tie-break — the ranking analogue of dse.Point.Better,
 // with cost in iteration time's role. With resilience disabled the
 // comparison reduces exactly to the raw (dollars, days) ranking.
-func (p Point) Better(q Point) bool {
+func (p Point) Better(q Point) bool { return better(&p, &q) }
+
+// better is Better through pointers, so a sort compares points in place.
+func better(p, q *Point) bool {
 	if pd, qd := p.EffectiveDollars(), q.EffectiveDollars(); pd != qd {
 		return pd < qd
 	}
@@ -326,8 +329,39 @@ func Explore(sim *core.Simulator, m model.Config, s Space) ([]Point, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sort.Slice(points, func(i, j int) bool { return points[i].Better(points[j]) })
+	rank(points)
 	return points, nil
+}
+
+// rank sorts points by Better through their indices (see ranking), then
+// moves each point once, cycle by cycle.
+func rank(points []Point) {
+	idx := ranking(points)
+	// idx[j] is where the point that belongs at j stands, until it moves
+	// there and idx[j] becomes j.
+	for i := range idx {
+		if int(idx[i]) == i {
+			continue
+		}
+		tmp, j := points[i], i
+		for int(idx[j]) != i {
+			k := int(idx[j])
+			points[j], idx[j] = points[k], int32(j)
+			j = k
+		}
+		points[j], idx[j] = tmp, int32(j)
+	}
+}
+
+// ranking returns the indices of points in Better order. It sorts indices,
+// so no comparison or swap copies a point.
+func ranking(points []Point) []int32 {
+	idx := make([]int32, len(points))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(a, b int) bool { return better(&points[idx[a]], &points[idx[b]]) })
+	return idx
 }
 
 // ParetoFrontier returns the (training cost, training days) frontier over
@@ -340,13 +374,12 @@ func ParetoFrontier(points []Point) []Point {
 	if len(points) == 0 {
 		return nil
 	}
-	sorted := append([]Point(nil), points...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Better(sorted[j]) })
+	idx := ranking(points)
 	var front []Point
-	bestDays := sorted[0].EffectiveDays() + 1
-	for _, p := range sorted {
-		if p.EffectiveDays() < bestDays {
-			front = append(front, p)
+	bestDays := points[idx[0]].EffectiveDays() + 1
+	for _, i := range idx {
+		if p := &points[i]; p.EffectiveDays() < bestDays {
+			front = append(front, *p)
 			bestDays = p.EffectiveDays()
 		}
 	}

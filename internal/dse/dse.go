@@ -145,7 +145,10 @@ func (s Space) Enumerate(m model.Config, sim *core.Simulator) []parallel.Plan {
 // Better reports whether p should rank ahead of q: lower iteration time,
 // with the (t, d, p, m) tuple as a deterministic tie-break so rankings are
 // stable regardless of the order points were evaluated in.
-func (p Point) Better(q Point) bool {
+func (p Point) Better(q Point) bool { return better(&p, &q) }
+
+// better is Better through pointers, so a sort compares points in place.
+func better(p, q *Point) bool {
 	if p.Report.IterTime != q.Report.IterTime {
 		return p.Report.IterTime < q.Report.IterTime
 	}
@@ -331,8 +334,32 @@ func Explore(sim *core.Simulator, m model.Config, s Space) ([]Point, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sort.Slice(points, func(i, j int) bool { return points[i].Better(points[j]) })
+	rank(points)
 	return points, nil
+}
+
+// rank sorts points by Better. It sorts their indices, so no comparison or
+// swap copies a point, then moves each point once, cycle by cycle.
+func rank(points []Point) {
+	idx := make([]int32, len(points))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(a, b int) bool { return better(&points[idx[a]], &points[idx[b]]) })
+	// idx[j] is where the point that belongs at j stands, until it moves
+	// there and idx[j] becomes j.
+	for i := range idx {
+		if int(idx[i]) == i {
+			continue
+		}
+		tmp, j := points[i], i
+		for int(idx[j]) != i {
+			k := int(idx[j])
+			points[j], idx[j] = points[k], int32(j)
+			j = k
+		}
+		points[j], idx[j] = tmp, int32(j)
+	}
 }
 
 // ExploreBest streams the sweep and returns only the best-ranked point

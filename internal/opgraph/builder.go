@@ -9,19 +9,23 @@ import (
 	"vtrain/internal/profiler"
 )
 
-// builder emits nodes into a Sink through a small API: add emits a node,
-// dep a dependency of the node added last. Nodes are emitted one at a
-// time, each with all its dependencies, so a sink sees every node's
-// dependencies in final order and needs no sorting. All cross-references
-// during construction are node indices, never pointers; -1 means "absent".
+// builder emits nodes into a Sink through a small API: node starts the
+// next node in b.nd, add emits it, and dep records a dependency of the node
+// added last. Nodes are emitted one at a time, each with all its
+// dependencies, so a sink sees every node's dependencies in final order and
+// needs no sorting. All cross-references during construction are node
+// indices, never pointers; -1 means "absent".
 //
 // Builders (and, via Graph.Recycle, graph storage) are pooled: a sweep
 // building thousands of graphs back to back reuses the same schedule
 // buffers and node and dependency slices instead of reallocating them per
 // plan.
 type builder struct {
-	s    Sink
-	n    int32 // nodes emitted so far
+	s Sink
+	n int32 // nodes emitted so far
+	// nd is the node being emitted. The sink reads it in place, so each
+	// node is written once, here, and never copied into the call.
+	nd   Node
 	m    model.Config
 	plan parallel.Plan
 	nmb  int
@@ -88,9 +92,19 @@ func fitRaw[T int32 | slot](s []T, n int) []T {
 	return s[:n]
 }
 
-// add emits a node, opening its dependency row, and returns its ID.
-func (b *builder) add(n Node) int32 {
-	b.s.Node(n)
+// node zeroes b.nd and stores the fields every node carries, for the
+// caller to complete before add. It assigns no composite literal, which
+// the compiler would stage on the stack and then copy.
+func (b *builder) node(kind NodeKind, stage, micro int, lk labelKind) *Node {
+	n := &b.nd
+	*n = Node{}
+	n.Kind, n.Stage, n.Micro, n.label = kind, int32(stage), int32(micro), lk
+	return n
+}
+
+// add emits b.nd, opening its dependency row, and returns its ID.
+func (b *builder) add() int32 {
+	b.s.Node(&b.nd)
 	b.n++
 	return b.n - 1
 }
@@ -208,29 +222,18 @@ func (b *builder) tpAllReduce(stage, chunk, micro, layer int, tail int32, lk lab
 	if b.plan.Tensor <= 1 {
 		return tail
 	}
-	id := b.add(Node{
-		Kind:  AllReduceTP,
-		Stage: int32(stage),
-		Micro: int32(micro),
-		Chunk: int32(chunk),
-		Layer: int32(layer),
-		label: lk,
-	})
+	n := b.node(AllReduceTP, stage, micro, lk)
+	n.Chunk, n.Layer = int32(chunk), int32(layer)
+	id := b.add()
 	b.dep(tail)
 	return id
 }
 
 // compute chains a computation operator after tail and returns its index.
 func (b *builder) compute(stage, chunk, micro, layer int, kind profiler.OpKind, tail int32, lk labelKind) int32 {
-	id := b.add(Node{
-		Kind:  Compute,
-		Stage: int32(stage),
-		Micro: int32(micro),
-		Chunk: int32(chunk),
-		Layer: int32(layer),
-		Op:    kind,
-		label: lk,
-	})
+	n := b.node(Compute, stage, micro, lk)
+	n.Chunk, n.Layer, n.Op = int32(chunk), int32(layer), kind
+	id := b.add()
 	b.dep(tail)
 	return id
 }
@@ -238,14 +241,9 @@ func (b *builder) compute(stage, chunk, micro, layer int, kind profiler.OpKind, 
 // recv emits the P2P vertex receiving an activation (or gradient) produced
 // by device from, sequenced after prev on the receiving device.
 func (b *builder) recv(stage, chunk, micro, from int, producer, prev int32, lk labelKind) int32 {
-	id := b.add(Node{
-		Kind:      P2P,
-		Stage:     int32(stage),
-		Micro:     int32(micro),
-		Chunk:     int32(chunk),
-		FromStage: int32(from),
-		label:     lk,
-	})
+	n := b.node(P2P, stage, micro, lk)
+	n.Chunk, n.FromStage = int32(chunk), int32(from)
+	id := b.add()
 	b.dep(producer)
 	b.dep(prev) // a stage cannot consume a future slot early
 	return id
@@ -358,17 +356,10 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			for bk := 0; bk < buckets; bk++ {
 				lo := layerList[bk*layers/buckets]
 				hi := layerList[(bk+1)*layers/buckets-1] + 1
-				b.add(Node{
-					Kind:        AllReduceDP,
-					Stage:       int32(stage),
-					Micro:       -1,
-					Layer:       int32(lo),
-					LayerEnd:    int32(hi),
-					Bucket:      int32(bk),
-					Buckets:     int32(buckets),
-					StageParams: stageParams,
-					label:       lbARDP,
-				})
+				nd := b.node(AllReduceDP, stage, -1, lbARDP)
+				nd.Layer, nd.LayerEnd = int32(lo), int32(hi)
+				nd.Bucket, nd.Buckets, nd.StageParams = int32(bk), int32(buckets), stageParams
+				b.add()
 				// Ready when the earliest layer of the bucket has
 				// produced its gradient in the final micro-batch.
 				if n := b.lastBwdOfLayer[stage*b.m.Layers+lo]; n >= 0 {
@@ -379,14 +370,9 @@ func (b *builder) emitGradientSync(lastSlotEnd []int32) {
 			}
 		}
 
-		wu := b.add(Node{
-			Kind:        Compute,
-			Stage:       int32(stage),
-			Micro:       -1,
-			Op:          profiler.WeightUpdate,
-			StageParams: stageParams,
-			label:       lbWeightUpdate,
-		})
+		nd := b.node(Compute, stage, -1, lbWeightUpdate)
+		nd.Op, nd.StageParams = profiler.WeightUpdate, stageParams
+		wu := b.add()
 		b.dep(lastSlotEnd[stage])
 		for ar := wu - int32(buckets); ar < wu; ar++ {
 			b.dep(ar)

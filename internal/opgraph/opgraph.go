@@ -31,18 +31,19 @@
 // The graph is built for the same sweep-heavy workload the replay engine in
 // internal/taskgraph serves: thousands of (t, d, p) plans constructed and
 // lowered back to back. The builder emits through a Sink, so a lowering
-// can consume the graph without storing it (Emit). Build stores it: nodes
-// are plain values in one pooled slice (no per-node heap allocation), each
-// node's dependencies are appended to a CSR-style index slice as the node
-// is emitted, and node labels are lazy — a node carries only its (kind,
-// op, stage, chunk, micro, layer) coordinates, and Node.Label composes the
-// human-readable string on demand for trace rendering and tests. Nodes
-// also carry no per-plan numbers (transfer sizes, shard sizes, group
-// widths, node placement): every field is the same for all plans sharing
-// the graph's structural shape, and duration binding in internal/taskgraph
-// derives the numbers for a concrete plan. A built Graph is immutable:
-// nothing in this package mutates it after Build returns, so it is safe to
-// share across goroutines.
+// can consume the graph without storing it (Emit); the sink reads each
+// node in place, through the builder's own node (see Sink). Build stores
+// it: nodes are plain values in one pooled slice (no per-node heap
+// allocation), each node's dependencies are appended to a CSR-style index
+// slice as the node is emitted, and node labels are lazy — a node carries
+// only its (kind, op, stage, chunk, micro, layer) coordinates, and
+// Node.Label composes the human-readable string on demand for trace
+// rendering and tests. Nodes also carry no per-plan numbers (transfer
+// sizes, shard sizes, group widths, node placement): every field is the
+// same for all plans sharing the graph's structural shape, and duration
+// binding in internal/taskgraph derives the numbers for a concrete plan. A
+// built Graph is immutable: nothing in this package mutates it after Build
+// returns, so it is safe to share across goroutines.
 package opgraph
 
 import (
@@ -205,9 +206,12 @@ func fitsIDs(m model.Config, plan parallel.Plan) bool {
 
 // Sink receives the graph as the builder emits it: each node through Node,
 // then its dependencies through Dep. The i-th node emitted is node i, and
-// every dependency names an earlier node.
+// every dependency names an earlier node. The *Node is the builder's own
+// and valid only for the duration of the call: the builder rewrites it for
+// the next node, so a sink that keeps a node copies it, and the builder
+// never copies a node into the call.
 type Sink interface {
-	Node(n Node)
+	Node(n *Node)
 	Dep(from int32)
 }
 
@@ -227,8 +231,8 @@ func Emit(m model.Config, plan parallel.Plan, c hw.Cluster, s Sink) error {
 // graphSink is Build's Sink: the graph's own node slice and dependency CSR.
 type graphSink Graph
 
-func (g *graphSink) Node(n Node) {
-	g.nodes = append(g.nodes, n)
+func (g *graphSink) Node(n *Node) {
+	g.nodes = append(g.nodes, *n)
 	g.depStart = append(g.depStart, int32(len(g.deps)))
 }
 

@@ -264,6 +264,11 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("%w: descriptor count", ErrBadArtifact)
 	}
 	g.descs = make([]durDesc, nDescs)
+	// onStream[di] is where descriptor di's tasks may run: slot&mask ==
+	// want. Lower issues every comm task on a comm stream, and a pipeline
+	// transfer on its receiving stage's, which BindContention's
+	// private-class rule relies on.
+	onStream := make([]struct{ mask, want int32 }, nDescs)
 	for i := range g.descs {
 		d := &g.descs[i]
 		d.kind = descKind(r.u8())
@@ -284,14 +289,17 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 				return nil, fmt.Errorf("%w: descriptor kernel", ErrBadArtifact)
 			}
 		case descAllReduceTP:
+			onStream[i].mask, onStream[i].want = 1, int32(CommStream)
 		case descAllReduceDP:
 			if d.buckets < 1 {
 				return nil, fmt.Errorf("%w: descriptor buckets", ErrBadArtifact)
 			}
+			onStream[i].mask, onStream[i].want = 1, int32(CommStream)
 		case descP2P:
 			if d.from < 0 || int(d.from) >= g.Devices || d.to < 0 || int(d.to) >= g.Devices {
 				return nil, fmt.Errorf("%w: descriptor stages", ErrBadArtifact)
 			}
+			onStream[i].mask, onStream[i].want = -1, 2*d.to+int32(CommStream)
 		default:
 			return nil, fmt.Errorf("%w: descriptor kind", ErrBadArtifact)
 		}
@@ -309,33 +317,38 @@ func UnmarshalArtifact(data []byte) (*Graph, error) {
 	// Index validation: everything the replay loop and Bind will
 	// dereference must be in range. Every parent preceding its task both
 	// bounds each edge and proves the graph acyclic, in dispatch order.
-	if g.parentStart[0] != 0 || int(g.parentStart[nTasks]) != nEdges {
+	parentStart, parents := g.parentStart, g.parents
+	if parentStart[0] != 0 || int(parentStart[nTasks]) != nEdges {
 		return nil, fmt.Errorf("%w: adjacency bounds", ErrBadArtifact)
 	}
-	for i := 0; i < nTasks; i++ {
-		lo, hi := g.parentStart[i], g.parentStart[i+1]
-		if lo > hi || int(hi) > nEdges {
+	// Parents row by row: each row starts where the last ended and lists
+	// only tasks before its own.
+	lo := int32(0)
+	for i, hi := range parentStart[1:] {
+		if hi < lo || int(hi) > nEdges {
 			return nil, fmt.Errorf("%w: adjacency order", ErrBadArtifact)
 		}
-		for _, p := range g.parents[lo:hi] {
-			if p < 0 || int(p) >= i {
+		// Most rows hold one parent; test it without a loop.
+		if hi == lo+1 {
+			if p := parents[lo]; uint32(p) >= uint32(i) {
 				return nil, fmt.Errorf("%w: parent %d of task %d does not precede it", ErrBadArtifact, p, i)
 			}
+		} else {
+			for _, p := range parents[lo:hi] {
+				if uint32(p) >= uint32(i) {
+					return nil, fmt.Errorf("%w: parent %d of task %d does not precede it", ErrBadArtifact, p, i)
+				}
+			}
 		}
-		if uint32(g.durIdx[i]) >= uint32(nDescs) || uint32(g.slotOf[i]) >= uint32(2*g.Devices) {
+		lo = hi
+	}
+	slotOf, slots := g.slotOf[:nTasks], uint32(2*g.Devices)
+	for i, di := range g.durIdx {
+		slot := slotOf[i]
+		if uint32(di) >= uint32(nDescs) || uint32(slot) >= slots {
 			return nil, fmt.Errorf("%w: task indices", ErrBadArtifact)
 		}
-		// Lower issues every comm task on a comm stream, and a pipeline
-		// transfer on its receiving stage's, which BindContention's
-		// private-class rule relies on.
-		onStream := true
-		switch d := &g.descs[g.durIdx[i]]; d.kind {
-		case descAllReduceTP, descAllReduceDP:
-			onStream = g.slotOf[i]&1 == int32(CommStream)
-		case descP2P:
-			onStream = g.slotOf[i] == 2*d.to+int32(CommStream)
-		}
-		if !onStream {
+		if on := onStream[di]; slot&on.mask != on.want {
 			return nil, fmt.Errorf("%w: comm task %d off its stream", ErrBadArtifact, i)
 		}
 	}

@@ -170,6 +170,15 @@ func TestUnmarshalRejectsUnbindable(t *testing.T) {
 			i := firstWithParent(t, g)
 			g.parents[g.parentStart[i]] = int32(i + 1)
 		},
+		"parent not before its task: last of several": func(g *Graph) {
+			for i := 0; i < g.NumTasks(); i++ {
+				if hi := g.parentStart[i+1]; hi-g.parentStart[i] > 1 {
+					g.parents[hi-1] = int32(i)
+					return
+				}
+			}
+			t.Fatal("no task with several parents to corrupt")
+		},
 		"parent starts out of order": func(g *Graph) {
 			i := firstWithParent(t, g) + 1
 			g.parentStart[i+1] = g.parentStart[i] - 1

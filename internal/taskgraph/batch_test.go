@@ -316,10 +316,112 @@ func fuzzDAGBuilder(devices int, tasks []fuzzTask, edges [][2]int, extra ...[2]i
 	return b
 }
 
+// fifoOrder is the FIFO dispatch order over n tasks' insertion ids,
+// computed naively: roots in id order, then each task once its last
+// dependency has dispatched, visiting each task's children in ascending id.
+// Tasks on or behind a cycle are left out.
+func fifoOrder(n int, edges [][2]int) []int {
+	children := make([][]int, n)
+	ref := make([]int, n)
+	for _, e := range edges {
+		children[e[0]] = append(children[e[0]], e[1])
+		ref[e[1]]++
+	}
+	for _, c := range children {
+		slices.Sort(c)
+	}
+	var order []int
+	for i := range n {
+		if ref[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, c := range children[order[head]] {
+			if ref[c]--; ref[c] == 0 {
+				order = append(order, c)
+			}
+		}
+	}
+	return order
+}
+
+// requireFIFO checks that g, which b built from n tasks and edges, numbers
+// its tasks in fifoOrder, and that each task's parents row lists its
+// dependencies' task ids in ascending order, a repeated edge repeated.
+func requireFIFO(t *testing.T, b *Builder, g *Graph, n int, edges [][2]int) {
+	t.Helper()
+	order := fifoOrder(n, edges)
+	if len(order) != n || g.NumTasks() != n {
+		t.Fatalf("%d tasks, %d in FIFO order, graph has %d", n, len(order), g.NumTasks())
+	}
+	id := make([]int32, n)
+	for i, src := range order {
+		if got := b.Source(i); got != src {
+			t.Fatalf("task %d has source %d, want FIFO order %v", i, got, order)
+		}
+		id[src] = int32(i)
+	}
+	want := make([][]int32, n)
+	for _, e := range edges {
+		want[id[e[1]]] = append(want[id[e[1]]], id[e[0]])
+	}
+	for i, w := range want {
+		slices.Sort(w)
+		if got := g.parents[g.parentStart[i]:g.parentStart[i+1]]; !slices.Equal(got, w) {
+			t.Fatalf("task %d has parents %v, want %v", i, got, w)
+		}
+	}
+}
+
+// TestFinalizeLinks checks finalize's link path against fifoOrder on
+// graphs where a task is almost a link: task o is a link only when its one
+// child is o+1 and o is o+1's one dependency. A cycle through a link is
+// still an error.
+func TestFinalizeLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges [][2]int
+		cycle bool
+	}{
+		{"chain", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, false},
+		{"only child five ahead", 7, [][2]int{{0, 1}, {0, 2}, {1, 6}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}, false},
+		{"next has a second parent", 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}}, false},
+		{"second child", 5, [][2]int{{0, 1}, {1, 2}, {1, 4}, {2, 3}, {3, 4}}, false},
+		{"duplicate edge", 4, [][2]int{{0, 1}, {1, 2}, {1, 2}, {2, 3}}, false},
+		{"edge backward in id", 3, [][2]int{{2, 0}, {0, 1}}, false},
+		{"links beside roots", 6, [][2]int{{0, 1}, {2, 3}, {1, 4}, {3, 4}, {4, 5}}, false},
+		{"cycle through a link", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder(1)
+			for i := range tc.n {
+				b.AddTask(0, ComputeStream, i, compute(profiler.FwdMHA), 1)
+			}
+			for _, e := range tc.edges {
+				b.AddEdge(e[0], e[1])
+			}
+			g, _, err := b.Build()
+			if tc.cycle {
+				if err == nil || !strings.Contains(err.Error(), "cycle") {
+					t.Fatalf("cycle through a link: err = %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireFIFO(t, b, g, tc.n, tc.edges)
+		})
+	}
+}
+
 // FuzzReplay is the replay engine's fuzzer. Over hand-built DAGs with
 // shuffled edge-insertion order it checks that Build numbers tasks in
 // Algorithm 1's FIFO order (roots in insertion order, children in
-// ascending insertion id, whatever the edge order), that Replay matches
+// ascending insertion id, whatever the edge order) with each parents row
+// in ascending id (requireFIFO), that Replay matches
 // referenceReplay bit for bit
 // under several duration tables, ideal and contended on two placements the
 // first two bytes decode, that every lane of ReplayBatchContended at widths
@@ -348,6 +450,9 @@ func FuzzReplay(f *testing.F) {
 	// Both in one batch: the first placement (t=8) clears every class, the
 	// second (t=2) shares node 0's NVSwitch, so only the t=2 lanes contend.
 	f.Add([]byte{13, 5, 76, 0, 77, 0, 84, 0, 85, 0, 93, 0, 92, 0, 73, 1})
+	// Near-links: task 1's children are 2 and 4, and 2's only dependency
+	// is 1, so 1 is no link and takes the Kahn step.
+	f.Add([]byte{0, 3, 0, 0, 24, 1, 48, 1, 4, 1, 72, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		devices, tasks, edges := fuzzDAG(data)
 		if len(tasks) == 0 {
@@ -359,35 +464,7 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("acyclic graph: %v", err)
 		}
 
-		// The FIFO order over insertion ids, computed naively, visiting
-		// each task's children in ascending id.
-		children := make([][]int, len(tasks))
-		ref := make([]int, len(tasks))
-		for _, e := range edges {
-			children[e[0]] = append(children[e[0]], e[1])
-			ref[e[1]]++
-		}
-		for _, c := range children {
-			slices.Sort(c)
-		}
-		var order []int
-		for i := range tasks {
-			if ref[i] == 0 {
-				order = append(order, i)
-			}
-		}
-		for head := 0; head < len(order); head++ {
-			for _, c := range children[order[head]] {
-				if ref[c]--; ref[c] == 0 {
-					order = append(order, c)
-				}
-			}
-		}
-		for id, src := range order {
-			if got := b.Source(id); got != src {
-				t.Fatalf("task %d has source %d, want FIFO order %v", id, got, order)
-			}
-		}
+		requireFIFO(t, b, g, len(tasks), edges)
 
 		// Lane 0 is the literal binding; the others cycle each
 		// descriptor's duration and FLOPs through the palette.

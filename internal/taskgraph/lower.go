@@ -54,7 +54,7 @@ func TraceLabels(m model.Config, plan parallel.Plan, c hw.Cluster, fid Fidelity,
 func Lower(og *opgraph.Graph, _ *profiler.Profiler, fid Fidelity) *Graph {
 	lw := newLowering(og.Model, og.Stages, fid)
 	for id := range og.NumNodes() {
-		lw.Node(*og.Node(id))
+		lw.Node(og.Node(id))
 		for _, d := range og.Deps(id) {
 			lw.Dep(d)
 		}
@@ -141,7 +141,7 @@ func (lw *lowering) expandChain() {
 }
 
 // Node lowers one operator-graph node into its task or kernel chain.
-func (lw *lowering) Node(nd opgraph.Node) {
+func (lw *lowering) Node(nd *opgraph.Node) {
 	lw.expandChain()
 	k, di, stream := int32(1), int32(0), CommStream
 	switch nd.Kind {

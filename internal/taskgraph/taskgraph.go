@@ -132,10 +132,11 @@ type finalizeScratch struct {
 	children, order      []int32
 }
 
-// taskOffsets locates one provisional task's children row during finalize:
-// it starts at children[child] and ends where the following task's begins.
-// next is a fill cursor, first of the children row, then of the task's
-// dependency row.
+// taskOffsets holds one provisional task's finalize state. child first
+// counts the task's children, then becomes the end of its children row,
+// which the backward fill leaves at the row's start: the row ends where the
+// following task's begins. next is the task's dependency-row cursor, or -1
+// when the task before it is a link that releases it.
 type taskOffsets struct{ child, next int32 }
 
 var finalizeScratchPool = sync.Pool{New: func() any { return new(finalizeScratch) }}
@@ -150,35 +151,54 @@ var finalizeScratchPool = sync.Pool{New: func() any { return new(finalizeScratch
 // becomes ready lies on or behind a dependency cycle, which is an error.
 // finalize overwrites deps: each row is reused for the parents dispatched
 // so far. Afterwards sc.order[id] is the provisional id of task id.
+//
+// Most tasks are links: task o is a link when its only child is o+1 and o
+// is o+1's only dependency, as along a kernel chain or a layer's operator
+// chain. Dispatching a link releases o+1 at once with the parents row
+// [o's final id], so links get no children row; every other task takes
+// the Kahn step over its row.
 func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, depStart, deps []int32) error {
 	n := len(tasks)
 	sc.at = fitZero(sc.at, n+1)
 	sc.children = fitRaw(sc.children, len(deps))
 	at, children := sc.at, sc.children
 
-	// Row offsets, the children CSR, and the roots in id order.
+	// Child counts; then, per task, its children row's end (a link's row
+	// is empty), its dependency cursor (-1 when a link releases it), and
+	// the roots in id order.
 	for _, d := range deps {
 		if uint32(d) >= uint32(n) {
 			return fmt.Errorf("taskgraph: dependency %d names a task outside [0, %d)", d, n)
 		}
-		at[d+1].child++
+		at[d].child++
 	}
-	order := fitRaw(sc.order, n)[:0]
+	order := fitRaw(sc.order, n)
+	tail, end, linked := 0, int32(0), false // linked: task i-1 is a link
 	for i := 0; i < n; i++ {
-		at[i+1].child += at[i].child
-		at[i].next = at[i].child
-		if depStart[i+1] == depStart[i] {
-			order = append(order, int32(i))
+		lo, hi := depStart[i], depStart[i+1]
+		cur := lo
+		if linked {
+			cur = -1
+		} else if lo == hi {
+			order[tail] = int32(i)
+			tail++
 		}
+		linked = at[i].child == 1 && i+1 < n && depStart[i+2]-hi == 1 && deps[hi] == int32(i)
+		if !linked {
+			end += at[i].child
+		}
+		at[i].child, at[i].next = end, cur
 	}
-	for c := 0; c < n; c++ {
+	at[n].child = end
+	// Children rows, filled backward so each comes out in ascending id.
+	for c := n - 1; c >= 0; c-- {
+		if at[c].next < 0 {
+			continue
+		}
 		for _, d := range deps[depStart[c]:depStart[c+1]] {
-			children[at[d].next] = int32(c)
-			at[d].next++
+			at[d].child--
+			children[at[d].child] = int32(c)
 		}
-	}
-	for i := 0; i < n; i++ {
-		at[i].next = depStart[i]
 	}
 
 	// The FIFO traversal: order[i] is the provisional id dispatched i-th.
@@ -188,30 +208,39 @@ func (sc *finalizeScratch) finalize(g *Graph, tasks []provTask, depStart, deps [
 	// the last, so each row lists its parents in ascending final id.
 	slotOf, durIdx := make([]int32, n), make([]int32, n)
 	parentStart, parents := make([]int32, n+1), make([]int32, len(deps))
-	for head := 0; head < len(order); head++ {
+	k := int32(0)
+	for head := 0; head < tail; head++ {
 		o := order[head]
 		t := tasks[o]
 		slotOf[head], durIdx[head] = t.slot, t.desc
+		if at[o+1].next < 0 {
+			order[tail] = o + 1
+			parents[k] = int32(head)
+			k++
+			tail++
+			parentStart[tail] = k
+			continue
+		}
 		for _, c := range children[at[o].child:at[o+1].child] {
 			if at[c].next+1 < depStart[c+1] {
 				deps[at[c].next] = int32(head)
 				at[c].next++
 				continue
 			}
-			f := len(order)
-			order = append(order, c)
-			k := parentStart[f]
+			order[tail] = c
 			for _, p := range deps[depStart[c]:at[c].next] {
 				parents[k] = p
 				k++
 			}
 			parents[k] = int32(head)
-			parentStart[f+1] = k + 1
+			k++
+			tail++
+			parentStart[tail] = k
 		}
 	}
-	sc.order = order
-	if len(order) != n {
-		return fmt.Errorf("taskgraph: dependency cycle: %d of %d tasks can never dispatch", n-len(order), n)
+	sc.order = order[:tail]
+	if tail != n {
+		return fmt.Errorf("taskgraph: dependency cycle: %d of %d tasks can never dispatch", n-tail, n)
 	}
 	g.slotOf, g.durIdx = slotOf, durIdx
 	g.parentStart, g.parents = parentStart, parents

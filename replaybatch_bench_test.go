@@ -88,10 +88,12 @@ func BenchmarkReplayBatch(b *testing.B) {
 
 // BenchmarkLower isolates the cold path a sweep pays per structural shape:
 // one plan of each of dseSweepSpace's distinct shapes (140 for Megatron
-// 39.1B), lowered at operator level through taskgraph.LowerPlan, the path
-// core takes on a structural-cache miss. ns_per_task is the lowering cost
-// per task of the lowered graphs; run it with -benchmem, since the pooled
-// lowering scratch keeps its allocations near the graphs' own slabs.
+// 39.1B), lowered through taskgraph.LowerPlan, the path core takes on a
+// structural-cache miss. The operator sub-benchmark lowers at the sweeps'
+// OperatorLevel; the task sub-benchmark at TaskLevel, the default of
+// core.New, vtrain and every server request. ns_per_task is the lowering
+// cost per task of the lowered graphs; run it with -benchmem, since the
+// pooled lowering scratch keeps its allocations near the graphs' own slabs.
 func BenchmarkLower(b *testing.B) {
 	m := model.Megatron39_1B()
 	c := hw.PaperCluster(256)
@@ -107,21 +109,27 @@ func BenchmarkLower(b *testing.B) {
 			plans = append(plans, p)
 		}
 	}
-	tasks := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tasks = 0
-		for _, p := range plans {
-			g, err := taskgraph.LowerPlan(m, p, c, taskgraph.OperatorLevel)
-			if err != nil {
-				b.Fatal(err)
+	for _, fc := range []struct {
+		name string
+		fid  taskgraph.Fidelity
+	}{{"operator", taskgraph.OperatorLevel}, {"task", taskgraph.TaskLevel}} {
+		b.Run(fc.name, func(b *testing.B) {
+			tasks := 0
+			for i := 0; i < b.N; i++ {
+				tasks = 0
+				for _, p := range plans {
+					g, err := taskgraph.LowerPlan(m, p, c, fc.fid)
+					if err != nil {
+						b.Fatal(err)
+					}
+					tasks += g.NumTasks()
+				}
 			}
-			tasks += g.NumTasks()
-		}
+			b.StopTimer()
+			b.ReportMetric(float64(len(plans)), "shapes")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tasks), "ns_per_task")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(plans)), "shapes")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tasks), "ns_per_task")
 }
 
 // withWidths returns base with the given tensor and data widths, keeping
